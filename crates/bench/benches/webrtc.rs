@@ -1,14 +1,13 @@
 //! WebRTC datagram-appraisal benchmark: the per-probe matching path.
 //!
 //! The workload is a WebRTC data-channel cell under 2% symmetric loss —
-//! every rep fires a 16-probe train, parses both capture taps in batch
-//! mode, and runs `match_datagram_train` to give every probe a verdict
-//! (delivered / lost-by-direction / reordered / duplicated) plus
-//! per-probe OWDs and RFC 3550 jitter. Two costs matter and both are
-//! reported:
+//! every rep fires a 16-probe train, streams both capture taps through
+//! marker sinks, and judges every probe from their evidence (delivered /
+//! lost-by-direction / reordered / duplicated) plus per-probe OWDs and
+//! RFC 3550 jitter. Two costs matter and both are reported:
 //!
 //! * `reps_per_sec` — end-to-end throughput of the datagram cell
-//!   (simulate + parse + per-probe match + fold), the number that must
+//!   (simulate + capture + per-probe match + fold), the number that must
 //!   not regress as the matcher grows features.
 //! * `probes_per_sec` — the same run normalised to appraised probes,
 //!   comparable across train lengths.

@@ -150,12 +150,9 @@ fn main() {
     // pure crowd-size effect: whether a method's Δd degrades simply
     // because 1,000 handshakes and probes interleave on one line.
     //
-    // Crowd tiers run the streaming pipeline with bounded retention:
-    // frames recycle at capture time instead of accumulating a tier's
-    // whole capture, and the per-session samples spill to sketches past
-    // 64 raw values (at crowd reps <= 2 every raw sample is retained,
-    // so the medians are exactly the batch pipeline's — asserted
-    // bit-for-bit by tests/streaming_parity.rs).
+    // Crowd tiers run with bounded retention: the per-session samples
+    // spill to sketches past 64 raw values (at crowd reps <= 2 every raw
+    // sample is retained, so the medians stay exact).
     let per_client = (rate / 64).max(1);
     let crowd_reps = n.min(2);
     let crowd_counts = [128u32, 256, 512, 1000];
@@ -188,8 +185,8 @@ fn main() {
     );
     table.note(
         "Crowd tiers (128+) hold the per-client link share constant at the 64-client \
-         endpoint's, so they show pure crowd-size effect under the streaming pipeline \
-         with bounded retention.",
+         endpoint's, so they show pure crowd-size effect, with bounded sample \
+         retention.",
     );
     println!("{}", table.render(args.format.report_format()));
     let path = args.save_artifact("contend.csv", &table.to_csv());

@@ -35,9 +35,9 @@ impl RuntimeSel {
 /// typed value.
 ///
 /// Replaces the loose `.clients(n)` / `.server_link_rate(bps)` builder
-/// pair (removed in 0.3.0): the two knobs only mean something together,
-/// since narrowing the server link without contention measures nothing
-/// and contention over full fast Ethernet barely queues.
+/// pair (removed in 0.3.0): the two knobs are usually set together,
+/// since contention over full fast Ethernet barely queues. The rate
+/// applies at every client count, one included.
 ///
 /// ```
 /// use bnm_core::config::ContentionSpec;
@@ -49,11 +49,11 @@ impl RuntimeSel {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContentionSpec {
-    /// Concurrent measuring sessions sharing the testbed. 1 reproduces
-    /// the paper's single-client testbed byte for byte.
+    /// Concurrent measuring sessions sharing the testbed. 1 is the
+    /// paper's single-client testbed.
     pub clients: u32,
     /// Server access link rate override, bits/s (`None` = the paper's
-    /// 100 Mbps fast Ethernet).
+    /// 100 Mbps fast Ethernet), honoured whatever the client count.
     pub server_link_rate_bps: Option<u64>,
 }
 
@@ -102,32 +102,31 @@ impl ContentionSpec {
     }
 }
 
-/// How the post-processing pipeline consumes captures and stores
-/// per-session samples — the streaming knobs of the crowd-scale
-/// extension as one typed value.
+/// How many raw Δd samples each session keeps — the storage knob of the
+/// crowd-scale extension.
 ///
-/// The default reproduces the batch pipeline byte for byte: taps retain
-/// every frame until the repetition ends, matching parses the full
-/// trace, and every session keeps its raw Δd sample vectors. The
-/// streaming knobs trade retention for bounded memory without changing
-/// a single output bit (asserted by `tests/streaming_parity.rs`):
+/// Captures always stream: every repetition consumes its taps through
+/// marker sinks at capture time ([`crate::streaming`]), so frames
+/// recycle through the pool mid-run and peak memory does not scale with
+/// the crowd's total traffic. The batch matcher
+/// ([`crate::matching::ParsedCapture`]) is the reference those sinks are
+/// tested against, not a mode. What a spec still chooses is retention:
+/// the default keeps every raw sample, and [`StreamingSpec::bounded`]
+/// caps them and sketches the rest.
 ///
 /// ```
 /// use bnm_core::config::StreamingSpec;
 ///
 /// let spec = StreamingSpec::bounded(64);
-/// assert!(spec.stream_captures);
 /// assert_eq!(spec.session_retention, Some(64));
-/// assert_eq!(StreamingSpec::batch(), StreamingSpec::default());
+/// assert_eq!(StreamingSpec::default().session_retention, None);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamingSpec {
-    /// Consume capture records at capture time through marker sinks
-    /// ([`crate::streaming`]) instead of retaining frames until the run
-    /// ends. Frames recycle through the pool mid-run, so peak memory no
-    /// longer scales with the crowd's total traffic. Incompatible with
-    /// `trace` output only in the sense that traces still retain what
-    /// they always did; capture retention is what this switches off.
+    /// Ignored: every repetition streams its captures. Kept so code
+    /// written against the old two-path pipeline still compiles;
+    /// [`StreamingSpec::bounded`] and [`StreamingSpec::serve`] set it,
+    /// the default leaves it `false`.
     pub stream_captures: bool,
     /// Per-session raw-sample retention threshold. `None` keeps every
     /// raw Δd sample (the paper's 50-rep cells need them for exact
@@ -136,36 +135,15 @@ pub struct StreamingSpec {
     /// so crowd sweeps get quantiles in O(log-buckets) memory per
     /// session instead of O(reps).
     pub session_retention: Option<u32>,
-    /// Worker threads for per-session capture matching in the batch
-    /// path. `None` picks automatically (parallel when a repetition has
-    /// enough sessions to pay for it); `Some(1)` forces serial;
-    /// `Some(n)` forces `n` workers. Output is bit-identical either
-    /// way — matching is per-session-independent and folded in
-    /// ascending session order.
+    /// Ignored: there is no per-session matching pass left to
+    /// parallelise. Kept, with [`StreamingSpec::with_match_workers`], so
+    /// existing callers still compile.
     pub match_workers: Option<usize>,
 }
 
 impl StreamingSpec {
-    /// The batch pipeline: full retention, raw samples, auto matching.
-    pub const fn batch() -> StreamingSpec {
-        StreamingSpec {
-            stream_captures: false,
-            session_retention: None,
-            match_workers: None,
-        }
-    }
-
-    /// Stream captures through marker sinks (full raw-sample retention).
-    pub const fn streaming() -> StreamingSpec {
-        StreamingSpec {
-            stream_captures: true,
-            session_retention: None,
-            match_workers: None,
-        }
-    }
-
-    /// The crowd-scale preset: stream captures *and* cap raw samples at
-    /// `retention` per session, sketching the rest.
+    /// The crowd-scale preset: cap raw samples at `retention` per
+    /// session, sketching the rest.
     pub const fn bounded(retention: u32) -> StreamingSpec {
         StreamingSpec {
             stream_captures: true,
@@ -175,29 +153,18 @@ impl StreamingSpec {
     }
 
     /// The continuous-monitoring preset (`bnm serve` /
-    /// [`crate::monitor::Monitor`]): stream captures so the frame pool
-    /// stays flat, and keep only a small exact-sample prefix per
-    /// session — the monitor's own windows carry the statistics, so
-    /// per-round retention inside the rep is pure overhead.
+    /// [`crate::monitor::Monitor`]): keep only a small exact-sample
+    /// prefix per session — the monitor's own windows carry the
+    /// statistics, so per-round retention inside the rep is pure
+    /// overhead.
     pub const fn serve() -> StreamingSpec {
-        StreamingSpec {
-            stream_captures: true,
-            session_retention: Some(64),
-            match_workers: None,
-        }
+        StreamingSpec::bounded(64)
     }
 
-    /// Override the matching worker count.
+    /// Set the ignored [`StreamingSpec::match_workers`] field.
     pub const fn with_match_workers(mut self, workers: usize) -> StreamingSpec {
         self.match_workers = Some(workers);
         self
-    }
-
-    pub(crate) fn validate(&self) -> Result<(), RunError> {
-        if self.match_workers == Some(0) {
-            return Err(RunError::InvalidInput("match workers must be >= 1"));
-        }
-        Ok(())
     }
 }
 
@@ -235,16 +202,16 @@ pub struct ExperimentCell {
     /// numbers don't need it.
     pub trace: bool,
     /// Concurrent measuring sessions sharing the testbed (the `contend`
-    /// extension). 1 — the paper's setup and the default — runs the
-    /// legacy single-client testbed byte-for-byte; N > 1 builds a
-    /// [`crate::scenario::Scenario`] of N clients behind one switch, all
-    /// probing the same server, with per-session results keyed in
-    /// [`crate::runner::CellResult::sessions`].
+    /// extension). Every repetition builds a
+    /// [`crate::scenario::Scenario`] of this many clients behind one
+    /// switch, all probing the same server, with per-session results
+    /// keyed in [`crate::runner::CellResult::sessions`]. 1 — the paper's
+    /// setup and the default — is the single-client testbed.
     pub clients: u32,
     /// Override the server access link's line rate, bits/s (`None` = the
-    /// paper's 100 Mbps fast Ethernet). The `contend` experiment narrows
-    /// this shared bottleneck so handshakes queue behind concurrent
-    /// sessions' traffic.
+    /// paper's 100 Mbps fast Ethernet), at any client count. The
+    /// `contend` experiment narrows this shared bottleneck so handshakes
+    /// queue behind concurrent sessions' traffic.
     pub server_link_rate_bps: Option<u64>,
     /// Dynamic shaping of the server's access link: per-direction spec
     /// overrides, time-varying rate schedules and the queue discipline
@@ -253,9 +220,8 @@ pub struct ExperimentCell {
     /// `varying` scenarios plug deep drop-tail queues, CoDel and rate
     /// schedules in here.
     pub link_shape: LinkShape,
-    /// How the pipeline consumes captures and stores samples (the
-    /// streaming extension; [`StreamingSpec::batch`] — the default —
-    /// reproduces the retained-capture pipeline byte for byte).
+    /// How many raw samples each session keeps (see [`StreamingSpec`];
+    /// the default keeps all of them).
     pub streaming: StreamingSpec,
 }
 
@@ -287,7 +253,7 @@ impl ExperimentCell {
             clients: 1,
             server_link_rate_bps: None,
             link_shape: LinkShape::default(),
-            streaming: StreamingSpec::batch(),
+            streaming: StreamingSpec::default(),
         }
     }
 
@@ -336,8 +302,8 @@ impl ExperimentCell {
         self
     }
 
-    /// Apply a typed streaming specification (capture consumption +
-    /// sample retention + matching parallelism together).
+    /// Apply a typed streaming specification (per-session sample
+    /// retention).
     pub fn with_streaming(mut self, spec: StreamingSpec) -> Self {
         self.streaming = spec;
         self
@@ -477,7 +443,7 @@ impl CellBuilder {
         self
     }
 
-    /// Capture consumption and sample storage (see [`StreamingSpec`]).
+    /// Per-session sample retention (see [`StreamingSpec`]).
     pub fn streaming(mut self, spec: StreamingSpec) -> Self {
         self.cell.streaming = spec;
         self
@@ -501,7 +467,6 @@ impl CellBuilder {
             return Err(RunError::InvalidInput("reps must be >= 1"));
         }
         self.cell.contention().validate()?;
-        self.cell.streaming.validate()?;
         self.cell
             .link_shape
             .validate()
@@ -664,12 +629,6 @@ mod tests {
                 .contention(ContentionSpec::solo().with_server_link_rate(0))
                 .build(),
             Err(RunError::InvalidInput("server link rate must be > 0"))
-        );
-        assert_eq!(
-            chrome()
-                .streaming(StreamingSpec::batch().with_match_workers(0))
-                .build(),
-            Err(RunError::InvalidInput("match workers must be >= 1"))
         );
         let bounded = chrome()
             .streaming(StreamingSpec::bounded(32))

@@ -105,62 +105,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Generic work-stealing fan-out over indexed items — the same dealt
-/// deque + steal-from-the-back discipline [`Executor`] uses for
-/// `(cell × rep)` units, reused by the runner's per-session capture
-/// matching. Results come back in item order regardless of which worker
-/// computed what, so callers can fold them ascending and stay
-/// bit-identical to a serial loop.
-pub(crate) fn fan_out<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = workers.min(n.max(1));
-    if workers <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
-    let mut queues: Vec<VecDeque<(usize, T)>> = (0..workers).map(|_| VecDeque::new()).collect();
-    for (i, t) in items.into_iter().enumerate() {
-        queues[i % workers].push_back((i, t));
-    }
-    let queues: Vec<Mutex<VecDeque<(usize, T)>>> = queues.into_iter().map(Mutex::new).collect();
-    let sink: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        let queues = &queues;
-        let sink = &sink;
-        let f = &f;
-        for wid in 0..workers {
-            scope.spawn(move || {
-                let mut local = Vec::new();
-                loop {
-                    let mut next = lock(&queues[wid]).pop_front();
-                    if next.is_none() {
-                        for off in 1..workers {
-                            next = lock(&queues[(wid + off) % workers]).pop_back();
-                            if next.is_some() {
-                                break;
-                            }
-                        }
-                    }
-                    let Some((i, t)) = next else { break };
-                    local.push((i, f(i, t)));
-                }
-                lock(sink).extend(local);
-            });
-        }
-    });
-    let mut tagged = sink.into_inner().unwrap_or_else(PoisonError::into_inner);
-    tagged.sort_unstable_by_key(|(i, _)| *i);
-    tagged.into_iter().map(|(_, r)| r).collect()
-}
-
 /// Work-stealing scheduler for experiment cells.
 ///
 /// ```
@@ -345,47 +289,58 @@ impl Executor {
             let sink = &sink;
             let tallies = &tallies;
             let completed = &completed;
-            for wid in 0..workers {
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    let mut done_units = 0usize;
-                    let mut busy = Duration::ZERO;
-                    loop {
-                        // Own queue first (front), then steal from the
-                        // back of the first non-empty victim. Nothing is
-                        // ever re-enqueued, so an empty sweep means the
-                        // batch is drained.
-                        let mut next = lock(&queues[wid]).pop_front();
-                        if next.is_none() {
-                            for off in 1..workers {
-                                next = lock(&queues[(wid + off) % workers]).pop_back();
-                                if next.is_some() {
-                                    break;
+            let handles: Vec<_> = (0..workers)
+                .map(|wid| {
+                    scope.spawn(move || {
+                        let mut local = Vec::new();
+                        let mut done_units = 0usize;
+                        let mut busy = Duration::ZERO;
+                        loop {
+                            // Own queue first (front), then steal from the
+                            // back of the first non-empty victim. Nothing is
+                            // ever re-enqueued, so an empty sweep means the
+                            // batch is drained.
+                            let mut next = lock(&queues[wid]).pop_front();
+                            if next.is_none() {
+                                for off in 1..workers {
+                                    next = lock(&queues[(wid + off) % workers]).pop_back();
+                                    if next.is_some() {
+                                        break;
+                                    }
                                 }
                             }
+                            let Some((cell, rep)) = next else { break };
+                            let unit_start = std::time::Instant::now();
+                            local.push(Outcome {
+                                cell,
+                                rep,
+                                outcome: ExperimentRunner::run_rep_traced(&cells[cell], rep),
+                            });
+                            busy += unit_start.elapsed();
+                            done_units += 1;
+                            let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+                            on_progress(Progress {
+                                completed: done,
+                                total,
+                                cell,
+                                rep,
+                            });
                         }
-                        let Some((cell, rep)) = next else { break };
-                        let unit_start = std::time::Instant::now();
-                        local.push(Outcome {
-                            cell,
-                            rep,
-                            outcome: ExperimentRunner::run_rep_traced(&cells[cell], rep),
-                        });
-                        busy += unit_start.elapsed();
-                        done_units += 1;
-                        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                        on_progress(Progress {
-                            completed: done,
-                            total,
-                            cell,
-                            rep,
-                        });
-                    }
-                    lock(sink).extend(local);
-                    // A scoped worker is a fresh thread: its thread-local
-                    // pool counters are exactly this batch's contribution.
-                    *lock(&tallies[wid]) = (done_units, busy, bytes::pool::stats());
-                });
+                        lock(sink).extend(local);
+                        // A scoped worker is a fresh thread: its thread-local
+                        // pool counters are exactly this batch's contribution.
+                        *lock(&tallies[wid]) = (done_units, busy, bytes::pool::stats());
+                    })
+                })
+                .collect();
+            // Join explicitly: unlike the scope's implicit wait, a join
+            // returns only once each worker thread has fully exited and
+            // handed its allocator arena back, so the next batch's
+            // workers reuse those arenas instead of growing new ones.
+            for h in handles {
+                if let Err(panic) = h.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
         let tallies = tallies

@@ -6,6 +6,15 @@
 //! frames** with `bnm-sim`'s wire parsers and greps transport payloads for
 //! the probe markers the session embeds — exactly what one does with a
 //! real pcap, and deliberately ignorant of simulator internals.
+//!
+//! Every decision reads one kind of evidence, [`MarkerHits`]: how many
+//! records of one (tap, direction) carried a marker, and the stamp of the
+//! first. The rules live here once — [`judge_round`] for the paper's
+//! round rule, [`judge_probe`] and [`mark_reordered`] for datagram
+//! trains. [`ParsedCapture`] counts that evidence from a retained trace;
+//! the runner's streaming sinks ([`crate::streaming`]) fold it record by
+//! record. `ParsedCapture` and [`match_datagram_train`] stay public as the
+//! reference implementation the streaming path is tested against.
 
 use bnm_methods::MethodId;
 use bnm_sim::capture::{CaptureBuffer, CaptureDir};
@@ -54,6 +63,51 @@ impl std::fmt::Display for MatchError {
 
 impl std::error::Error for MatchError {}
 
+/// What a capture shows of one marker in one direction of one tap: how
+/// many records carried it and the stamp of the first.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MarkerHits {
+    /// Records carrying the marker.
+    pub count: u32,
+    /// Capture stamp of the first such record.
+    pub first: Option<SimTime>,
+}
+
+impl MarkerHits {
+    /// Fold one more record carrying the marker, stamped `ts`.
+    pub fn note(&mut self, ts: SimTime) {
+        self.count += 1;
+        if self.first.is_none() {
+            self.first = Some(ts);
+        }
+    }
+
+    /// Seen in more than one record: the packet was retransmitted or
+    /// duplicated on the wire.
+    pub fn repeated(self) -> bool {
+        self.count > 1
+    }
+}
+
+/// The paper's §3 round rule, from the client tap's evidence: the
+/// request marker on Tx, the response marker on Rx.
+///
+/// A marker seen in more than one record is [`MatchError::Retransmitted`]
+/// (checked first, so a retransmitted round is excluded whatever else is
+/// wrong with it); then a missing request, a missing response, and a
+/// response stamped before its request.
+pub fn judge_round(tx: MarkerHits, rx: MarkerHits) -> Result<WireTimes, MatchError> {
+    if tx.repeated() || rx.repeated() {
+        return Err(MatchError::Retransmitted);
+    }
+    match (tx.first, rx.first) {
+        (None, _) => Err(MatchError::RequestNotFound),
+        (_, None) => Err(MatchError::ResponseNotFound),
+        (Some(s), Some(r)) if r < s => Err(MatchError::OutOfOrder),
+        (Some(s), Some(r)) => Ok(WireTimes { tn_s: s, tn_r: r }),
+    }
+}
+
 /// The request marker the session embeds for (method, round, token).
 pub fn request_marker(method: MethodId, round: u8, token: u64) -> Vec<u8> {
     if method.is_http_based() {
@@ -74,13 +128,12 @@ pub fn response_marker(method: MethodId, round: u8, token: u64) -> Vec<u8> {
 }
 
 /// A capture whose frames have been parsed once, ready for repeated
-/// round matching.
+/// round matching — the batch reference matcher.
 ///
-/// [`match_round`] used to re-parse every frame for every round —
-/// O(rounds × frames) wire decoding per repetition. Parsing up front
-/// makes matching all of a session's rounds a single pass over the
-/// trace, and is what the retransmission check needs anyway: it must
-/// scan *every* record (no early exit) to count duplicate marker hits.
+/// It greps the retained trace for each marker it is asked about and
+/// hands the resulting [`MarkerHits`] to the same decision functions the
+/// streaming sinks use. Tests and the benchmark's replay use it as the
+/// oracle for the runner's streaming path; no production path calls it.
 #[derive(Debug, Clone)]
 pub struct ParsedCapture {
     /// `(stamp, direction, transport payload)` of every frame that
@@ -103,9 +156,7 @@ impl ParsedCapture {
     }
 
     /// Parse records that were [`CaptureBuffer::drain`]ed out of their
-    /// tap — the owned-record path the parallel matcher hands worker
-    /// threads, since a drained `Vec<CaptureRecord>` is `Send` while a
-    /// whole engine is not. Identical filtering to [`Self::parse`].
+    /// tap. Identical filtering to [`Self::parse`].
     pub fn parse_records(records: &[bnm_sim::CaptureRecord]) -> ParsedCapture {
         ParsedCapture {
             records: records
@@ -125,34 +176,34 @@ impl ParsedCapture {
             .collect()
     }
 
-    /// Find `tN_s`/`tN_r` for one round in a client-side capture.
+    /// The [`MarkerHits`] of `marker` in `dir`: every record is scanned.
+    pub fn evidence(&self, dir: CaptureDir, marker: &[u8]) -> MarkerHits {
+        let mut hits = MarkerHits::default();
+        for (ts, d, p) in &self.records {
+            if *d == dir && contains(p, marker) {
+                hits.note(*ts);
+            }
+        }
+        hits
+    }
+
+    /// Find `tN_s`/`tN_r` for one round in a client-side capture
+    /// ([`judge_round`] over the whole trace's evidence).
     ///
-    /// The whole trace is scanned: a marker seen in more than one packet
-    /// of the same direction means the probe was retransmitted (lost or
-    /// corrupted upstream) or duplicated (downstream), and the round is
-    /// reported as [`MatchError::Retransmitted`].
+    /// A marker seen in more than one packet of the same direction means
+    /// the probe was retransmitted (lost or corrupted upstream) or
+    /// duplicated (downstream), and the round is reported as
+    /// [`MatchError::Retransmitted`].
     pub fn match_round(
         &self,
         method: MethodId,
         round: u8,
         token: u64,
     ) -> Result<WireTimes, MatchError> {
-        let tx = self.hits(CaptureDir::Tx, &request_marker(method, round, token));
-        let rx = self.hits(CaptureDir::Rx, &response_marker(method, round, token));
-        if tx.len() > 1 || rx.len() > 1 {
-            return Err(MatchError::Retransmitted);
-        }
-        match (tx.first(), rx.first()) {
-            (None, _) => Err(MatchError::RequestNotFound),
-            (_, None) => Err(MatchError::ResponseNotFound),
-            (Some(&s), Some(&r)) => {
-                if r < s {
-                    Err(MatchError::OutOfOrder)
-                } else {
-                    Ok(WireTimes { tn_s: s, tn_r: r })
-                }
-            }
-        }
+        judge_round(
+            self.evidence(CaptureDir::Tx, &request_marker(method, round, token)),
+            self.evidence(CaptureDir::Rx, &response_marker(method, round, token)),
+        )
     }
 
     /// Whether either of the round's markers appears more than once in
@@ -168,7 +219,7 @@ impl ParsedCapture {
         let resp = response_marker(method, round, token);
         [CaptureDir::Tx, CaptureDir::Rx]
             .iter()
-            .any(|&d| self.hits(d, &req).len() > 1 || self.hits(d, &resp).len() > 1)
+            .any(|&d| self.evidence(d, &req).repeated() || self.evidence(d, &resp).repeated())
     }
 }
 
@@ -211,70 +262,55 @@ pub struct ProbeVerdict {
     pub owd_down_ms: Option<f64>,
 }
 
-/// Match every probe of a datagram train against both taps.
-///
-/// `client` and `server` are the two WinDump views. For each sequence
-/// number `1..=train_len` the probe marker is searched in all four
-/// (tap, direction) quadrants: client-Tx is the probe leaving, server-Rx
-/// the probe arriving, server-Tx the echo leaving, client-Rx the echo
-/// arriving. Echo transports reuse the request bytes, so direction is
-/// the only disambiguator — same trick as [`match_round`], applied
-/// across two captures.
-///
-/// Verdicts are returned in sequence order; reordering is judged from
-/// client-Rx arrival stamps across the whole train.
-pub fn match_datagram_train(
-    client: &ParsedCapture,
-    server: &ParsedCapture,
-    method: MethodId,
-    train_len: u8,
-    token: u64,
-) -> Vec<ProbeVerdict> {
-    let mut verdicts: Vec<ProbeVerdict> = (1..=train_len)
-        .map(|seq| {
-            let marker = request_marker(method, seq, token);
-            let probe_tx = client.hits(CaptureDir::Tx, &marker);
-            let probe_at_server = server.hits(CaptureDir::Rx, &marker);
-            let echo_tx = server.hits(CaptureDir::Tx, &marker);
-            let echo_rx = client.hits(CaptureDir::Rx, &marker);
-            let duplicated = [&probe_tx, &probe_at_server, &echo_tx, &echo_rx]
-                .iter()
-                .any(|h| h.len() > 1);
-            let status = if probe_at_server.is_empty() {
-                ProbeStatus::LostUpstream
-            } else if echo_rx.is_empty() {
-                ProbeStatus::LostDownstream
-            } else {
-                ProbeStatus::Delivered
-            };
-            let owd_up_ms = match (probe_tx.first(), probe_at_server.first()) {
-                (Some(&s), Some(&r)) => Some(r.signed_millis_since(s)),
-                _ => None,
-            };
-            let owd_down_ms = match (echo_tx.first(), echo_rx.first()) {
-                (Some(&s), Some(&r)) => Some(r.signed_millis_since(s)),
-                _ => None,
-            };
-            let wire = match (probe_tx.first(), echo_rx.first()) {
-                (Some(&s), Some(&r)) if status == ProbeStatus::Delivered => {
-                    Some(WireTimes { tn_s: s, tn_r: r })
-                }
-                _ => None,
-            };
-            ProbeVerdict {
-                seq,
-                status,
-                duplicated,
-                reordered: false,
-                wire,
-                owd_up_ms,
-                owd_down_ms,
-            }
-        })
-        .collect();
+/// The four (tap, direction) views of one datagram probe's marker.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProbeEvidence {
+    /// Client Tx: the probe leaving.
+    pub probe_tx: MarkerHits,
+    /// Server Rx: the probe arriving.
+    pub probe_rx: MarkerHits,
+    /// Server Tx: the echo leaving.
+    pub echo_tx: MarkerHits,
+    /// Client Rx: the echo arriving.
+    pub echo_rx: MarkerHits,
+}
 
-    // Reordering: walk delivered echoes in client-arrival order; a probe
-    // arriving after one with a higher sequence number is reordered.
+/// The per-probe verdict rule: delivery status from which quadrants saw
+/// the probe, one-way delays from first stamps, and the duplicate flag
+/// from any repeated quadrant. `reordered` is left `false` for
+/// [`mark_reordered`], which needs the whole train.
+pub fn judge_probe(seq: u8, e: &ProbeEvidence) -> ProbeVerdict {
+    let status = if e.probe_rx.first.is_none() {
+        ProbeStatus::LostUpstream
+    } else if e.echo_rx.first.is_none() {
+        ProbeStatus::LostDownstream
+    } else {
+        ProbeStatus::Delivered
+    };
+    let owd = |s: MarkerHits, r: MarkerHits| Some(r.first?.signed_millis_since(s.first?));
+    let wire = match (e.probe_tx.first, e.echo_rx.first) {
+        (Some(s), Some(r)) if status == ProbeStatus::Delivered => {
+            Some(WireTimes { tn_s: s, tn_r: r })
+        }
+        _ => None,
+    };
+    ProbeVerdict {
+        seq,
+        status,
+        duplicated: [e.probe_tx, e.probe_rx, e.echo_tx, e.echo_rx]
+            .iter()
+            .any(|h| h.repeated()),
+        reordered: false,
+        wire,
+        owd_up_ms: owd(e.probe_tx, e.probe_rx),
+        owd_down_ms: owd(e.echo_tx, e.echo_rx),
+    }
+}
+
+/// RFC 4737-style reordering over a train's verdicts (sequence order):
+/// walk delivered echoes in client-arrival order; a probe arriving after
+/// one with a higher sequence number is reordered.
+pub fn mark_reordered(verdicts: &mut [ProbeVerdict]) {
     let mut arrivals: Vec<(SimTime, u8)> = verdicts
         .iter()
         .filter_map(|v| v.wire.map(|w| (w.tn_r, v.seq)))
@@ -288,7 +324,47 @@ pub fn match_datagram_train(
             max_seq = seq;
         }
     }
+}
+
+/// Judge a whole train of `train_len` probes from per-sequence evidence:
+/// [`judge_probe`] for each, then [`mark_reordered`] across them.
+pub fn judge_datagram_train(
+    train_len: u8,
+    mut evidence: impl FnMut(u8) -> ProbeEvidence,
+) -> Vec<ProbeVerdict> {
+    let mut verdicts: Vec<ProbeVerdict> = (1..=train_len)
+        .map(|seq| judge_probe(seq, &evidence(seq)))
+        .collect();
+    mark_reordered(&mut verdicts);
     verdicts
+}
+
+/// Match every probe of a datagram train against both taps.
+///
+/// `client` and `server` are the two WinDump views. For each sequence
+/// number `1..=train_len` the probe marker is searched in all four
+/// (tap, direction) quadrants of [`ProbeEvidence`]. Echo transports
+/// reuse the request bytes, so direction is the only disambiguator —
+/// same trick as [`match_round`], applied across two captures.
+///
+/// Verdicts are returned in sequence order; reordering is judged from
+/// client-Rx arrival stamps across the whole train.
+pub fn match_datagram_train(
+    client: &ParsedCapture,
+    server: &ParsedCapture,
+    method: MethodId,
+    train_len: u8,
+    token: u64,
+) -> Vec<ProbeVerdict> {
+    judge_datagram_train(train_len, |seq| {
+        let marker = request_marker(method, seq, token);
+        ProbeEvidence {
+            probe_tx: client.evidence(CaptureDir::Tx, &marker),
+            probe_rx: server.evidence(CaptureDir::Rx, &marker),
+            echo_tx: server.evidence(CaptureDir::Tx, &marker),
+            echo_rx: client.evidence(CaptureDir::Rx, &marker),
+        }
+    })
 }
 
 /// Find `tN_s`/`tN_r` for one round in a client-side capture.

@@ -10,10 +10,12 @@
 //! them on as many threads as the machine has and still reproduces the
 //! serial numbers bit-for-bit.
 
-use bnm_browser::BrowserProfile;
+use bnm_browser::{BrowserProfile, ProbePlan};
 use bnm_obs::{Trace, TraceData};
 use bnm_sim::capture::CaptureSink;
-use bnm_sim::{rng, CaptureRecord};
+use bnm_sim::link::LinkSpec;
+use bnm_sim::rng;
+use bnm_sim::time::SimDuration;
 use bnm_stats::QuantileSketch;
 use bnm_time::MachineTimer;
 
@@ -22,11 +24,11 @@ use crate::config::{ExperimentCell, RuntimeSel};
 use crate::delta::RoundMeasurement;
 use crate::error::RunError;
 use crate::exec::Executor;
-use crate::matching::{match_datagram_train, MatchError, ParsedCapture, ProbeStatus};
+use crate::matching::{MatchError, ProbeStatus, ProbeVerdict};
 use crate::report::{DatagramReport, DistSummary, LinkReport, ReportSnapshot, WindowReport};
 use crate::scenario::{Scenario, SessionSpec};
 use crate::streaming::{DiscardSink, ServerMarkerIndex, SessionMarkerSink};
-use crate::testbed::{Testbed, TestbedConfig};
+use crate::testbed::TestbedConfig;
 
 /// Sketch-backed Δd distributions for one session — the bounded-memory
 /// companion to the raw vectors when the cell runs with
@@ -436,20 +438,6 @@ impl CellResult {
     }
 }
 
-/// Sessions below this threshold match serially in the batch path:
-/// thread spin-up costs more than the matching itself for small
-/// scenarios (and the single-client path never fans out at all).
-const PARALLEL_MATCH_MIN_SESSIONS: usize = 16;
-
-/// One session's matching work, drained out of its tap so worker
-/// threads can own it.
-struct SessionMatchItem {
-    sid: u64,
-    token: u64,
-    rounds: Vec<bnm_browser::RoundResult>,
-    records: Vec<CaptureRecord>,
-}
-
 /// Runs experiment cells.
 pub struct ExperimentRunner;
 
@@ -480,6 +468,16 @@ impl ExperimentRunner {
     /// One repetition, returning measurements *and* — when the cell has
     /// tracing on — the trace and its per-round Δd attribution.
     ///
+    /// Every cell runs as one [`Scenario`] of `cell.clients` sessions
+    /// (the paper's single-client testbed is the N = 1 scenario), all
+    /// running the cell's method concurrently against the shared server.
+    /// Captures stream through marker sinks as they are taken: a
+    /// [`SessionMarkerSink`] per client tap and, on the server tap, a
+    /// [`ServerMarkerIndex`] — or a [`DiscardSink`] for a reliable method
+    /// on a clean network, whose exclusion rule needs only the client
+    /// view. Each session is then judged from its sink's evidence: per
+    /// round for reliable methods, per probe for datagram trains.
+    ///
     /// Tracing does not perturb the measurement: the session draws its
     /// random delays in the same order either way, so a traced rep
     /// reports bit-identical Δd to an untraced one.
@@ -488,295 +486,52 @@ impl ExperimentRunner {
         if !cell.method.available_in(&profile) {
             return Err(RunError::unrunnable(cell));
         }
-        if cell.clients > 1 {
-            return Self::run_rep_scenario(cell, rep, profile);
-        }
-        // All repetitions of a cell run on the *same machine*, a few
-        // seconds apart: one timer-regime timeline, sampled at increasing
-        // offsets. This is what makes a 50-rep Windows cell sit inside
-        // one granularity regime (two discrete Δd levels, Figure 4) or
-        // straddle a regime change — exactly like the paper's wall-clock
-        // sessions. The timeline itself differs per cell (seed mixes in
-        // the cell label), the way different experiment sessions landed
-        // on different afternoons.
-        let machine_seed = rng::derive_seed(cell.seed, &format!("machine.{}", cell.label()));
-        let machine = MachineTimer::new(cell.os, machine_seed)
-            .at_offset(bnm_sim::time::SimDuration::from_secs(4).saturating_mul(u64::from(rep)));
-        let session_seed = rng::derive_seed(cell.seed, &format!("session.{}", cell.label()));
-        let tb_cfg = TestbedConfig {
-            server_delay: cell.server_delay,
-            capture_noise_ns: cell.capture_noise_ns,
-            seed: rng::derive_seed(cell.seed, "capture"),
-            impairment: cell.impairment,
-            server_shape: cell.link_shape.clone(),
-            ..TestbedConfig::default()
-        };
         let plan = cell.method.plan(cell.timing_override);
         let plan_rounds = plan.rounds;
+        let rep_token = u64::from(rep);
         let trace = if cell.trace {
             Trace::enabled()
         } else {
             Trace::disabled()
         };
-        let mut tb = Testbed::build_traced(
-            &tb_cfg,
-            plan,
-            profile,
-            machine,
-            u64::from(rep),
-            session_seed ^ u64::from(rep),
-            trace,
-        );
-        let token = u64::from(rep);
-        let is_datagram = cell.method.is_datagram();
-        // Datagram appraisal needs full stamps from *both* taps (one-way
-        // delays come from the mid-path view), which the marker sinks do
-        // not retain — datagram cells always parse batch-style.
-        let streaming = cell.streaming.stream_captures && !is_datagram;
-        if streaming {
-            // Streaming mode: marker sinks consume every record at
-            // capture time (identically stamped and truncated to what a
-            // retaining tap would store), so frames recycle through the
-            // pool mid-run instead of pinning until the parse below.
-            Self::install_sinks(
-                &mut tb.engine,
-                std::slice::from_ref(&tb.client_tap),
-                tb.server_tap,
-                cell,
-                plan_rounds,
-                &[token],
-            );
-        }
-        tb.run();
-        let link = Self::read_link_report(&tb.engine, tb.server_link, tb.server, tb.switch);
-        let session = tb.session();
-        if !session.result().completed {
+        let specs = Self::session_specs(cell, rep, &plan, &profile);
+        let mut sc = Scenario::build_traced(&Self::testbed_config(cell), specs, rep_token, trace);
+        let tokens: Vec<u64> = (0..sc.len())
+            .map(|i| bnm_browser::session_token(sc.session_id(i), rep_token))
+            .collect();
+        Self::install_sinks(&mut sc, cell, plan_rounds, &tokens);
+        sc.run();
+        let link = LinkReport {
+            down_queue_drops: sc.engine.queue_drops(sc.server_link, sc.server),
+            up_queue_drops: sc.engine.queue_drops(sc.server_link, sc.switch),
+            down_queue_peak_bytes: sc.engine.queue_peak_bytes(sc.server_link, sc.server) as u64,
+            up_queue_peak_bytes: sc.engine.queue_peak_bytes(sc.server_link, sc.switch) as u64,
+        };
+        if (0..sc.len()).any(|i| !sc.session(i).result().completed) {
             return Err(RunError::Match(MatchError::ResponseNotFound));
         }
-        let rounds = session.result().rounds.clone();
-        let mut out = Vec::with_capacity(rounds.len());
-        let mut excluded = 0u32;
-        let mut datagram = Vec::new();
-        if streaming {
-            let client_sink = Self::take_session_sink(&mut tb.engine, tb.client_tap);
-            let server_index = Self::take_server_index(&mut tb.engine, tb.server_tap);
-            Self::fold_streamed_session(
-                0,
-                token,
-                &rounds,
-                &*client_sink,
-                server_index.as_deref(),
-                &mut out,
-                &mut excluded,
-            )?;
-        } else if is_datagram {
-            // Per-probe appraisal from both taps: the server view is
-            // mandatory even on a clean network — it carries the
-            // mid-path stamps the one-way delays are computed from.
-            let parsed = ParsedCapture::parse(tb.engine.tap(tb.client_tap));
-            let server_parsed = ParsedCapture::parse(tb.engine.tap(tb.server_tap));
-            let d = Self::fold_datagram_session(
-                cell.method,
-                plan_rounds,
-                token,
-                0,
-                &rounds,
-                &parsed,
-                &server_parsed,
-                &mut out,
-            );
-            datagram.push((0, d));
-        } else {
-            // Parse each capture once; every round then matches against
-            // the pre-parsed records instead of re-decoding the whole
-            // trace.
-            let parsed = ParsedCapture::parse(tb.engine.tap(tb.client_tap));
-            // The server-side capture only matters when the network can
-            // lose frames: a response dropped downstream leaves the
-            // client-side trace looking clean (one Tx, one Rx) while the
-            // server's NIC saw the response leave twice. Clean cells
-            // skip the parse.
-            let server_parsed = (!cell.impairment.is_clean())
-                .then(|| ParsedCapture::parse(tb.engine.tap(tb.server_tap)));
-            for r in rounds {
-                let wire = match parsed.match_round(cell.method, r.round, token) {
-                    Err(MatchError::Retransmitted) => {
-                        excluded += 1;
-                        continue;
-                    }
-                    other => other?,
-                };
-                if server_parsed
-                    .as_ref()
-                    .is_some_and(|sp| sp.round_retransmitted(cell.method, r.round, token))
-                {
-                    excluded += 1;
-                    continue;
-                }
-                out.push(RoundMeasurement {
-                    session: 0,
-                    round: r.round,
-                    browser: r,
-                    wire,
-                });
-            }
-        }
-        let trace = tb.take_trace();
-        let attribution = match &trace {
-            Some(t) => attribution::attribute(t, &out, rep)?,
-            None => Vec::new(),
-        };
-        Ok(RepOutcome {
-            measurements: out,
-            trace,
-            attribution,
-            excluded,
-            excluded_by_session: vec![(0, excluded)],
-            datagram,
-            link,
-        })
-    }
-
-    /// One repetition of a multi-client cell: one [`Scenario`] of
-    /// `cell.clients` sessions, every session running the cell's method
-    /// concurrently against the shared server; each session's capture is
-    /// matched independently through its composite marker token.
-    ///
-    /// Session 0's seed streams derive from exactly the labels the
-    /// single-client path uses, so the reference client is the *same
-    /// client* across client counts — only its competition changes.
-    /// Sessions 1.. derive from `".s{id}"`-suffixed labels.
-    fn run_rep_scenario(
-        cell: &ExperimentCell,
-        rep: u32,
-        profile: BrowserProfile,
-    ) -> Result<RepOutcome, RunError> {
-        let label = cell.label();
-        let mut tb_cfg = TestbedConfig {
-            server_delay: cell.server_delay,
-            capture_noise_ns: cell.capture_noise_ns,
-            seed: rng::derive_seed(cell.seed, "capture"),
-            impairment: cell.impairment,
-            server_shape: cell.link_shape.clone(),
-            ..TestbedConfig::default()
-        };
-        if let Some(rate) = cell.server_link_rate_bps {
-            tb_cfg.server_link = bnm_sim::link::LinkSpec {
-                rate_bps: rate,
-                ..bnm_sim::link::LinkSpec::fast_ethernet()
-            };
-        }
-        let plan = cell.method.plan(cell.timing_override);
-        let plan_rounds = plan.rounds;
-        let specs = (0..u64::from(cell.clients))
-            .map(|sid| {
-                let suffix = if sid == 0 {
-                    String::new()
-                } else {
-                    format!(".s{sid}")
-                };
-                let machine_seed = rng::derive_seed(cell.seed, &format!("machine.{label}{suffix}"));
-                let machine = MachineTimer::new(cell.os, machine_seed).at_offset(
-                    bnm_sim::time::SimDuration::from_secs(4).saturating_mul(u64::from(rep)),
-                );
-                let session_seed = rng::derive_seed(cell.seed, &format!("session.{label}{suffix}"));
-                SessionSpec {
-                    id: sid,
-                    plan: plan.clone(),
-                    profile: profile.clone(),
-                    machine,
-                    seed: session_seed ^ u64::from(rep),
-                }
-            })
-            .collect();
-        let trace = if cell.trace {
-            Trace::enabled()
-        } else {
-            Trace::disabled()
-        };
-        let mut sc = Scenario::build_traced(&tb_cfg, specs, u64::from(rep), trace);
-        let is_datagram = cell.method.is_datagram();
-        let streaming = cell.streaming.stream_captures && !is_datagram;
-        if streaming {
-            let tokens: Vec<u64> = (0..sc.len())
-                .map(|i| bnm_browser::session_token(sc.session_id(i), u64::from(rep)))
-                .collect();
-            Self::install_sinks(
-                &mut sc.engine,
-                &sc.client_taps,
-                sc.server_tap,
-                cell,
-                plan_rounds,
-                &tokens,
-            );
-        }
-        sc.run();
-        let link = Self::read_link_report(&sc.engine, sc.server_link, sc.server, sc.switch);
-        for i in 0..sc.len() {
-            if !sc.session(i).result().completed {
-                return Err(RunError::Match(MatchError::ResponseNotFound));
-            }
-        }
+        let server_sink = Self::take_sink(&mut sc.engine, sc.server_tap);
+        let index = server_sink.as_any().downcast_ref::<ServerMarkerIndex>();
         let mut out = Vec::new();
-        let mut excluded_total = 0u32;
         let mut excluded_by_session = Vec::with_capacity(sc.len());
         let mut datagram = Vec::new();
-        if streaming {
-            let server_index = Self::take_server_index(&mut sc.engine, sc.server_tap);
-            for i in 0..sc.len() {
-                let sid = sc.session_id(i);
-                let token = bnm_browser::session_token(sid, u64::from(rep));
-                let rounds = sc.session(i).result().rounds.clone();
-                let client_sink = Self::take_session_sink(&mut sc.engine, sc.client_taps[i]);
-                let mut excluded = 0u32;
-                Self::fold_streamed_session(
-                    sid,
-                    token,
-                    &rounds,
-                    &*client_sink,
-                    server_index.as_deref(),
-                    &mut out,
-                    &mut excluded,
-                )?;
-                excluded_total += excluded;
+        for (i, &token) in tokens.iter().enumerate() {
+            let sid = sc.session_id(i);
+            let client_sink = Self::take_sink(&mut sc.engine, sc.client_taps[i]);
+            let client = client_sink
+                .as_any()
+                .downcast_ref::<SessionMarkerSink>()
+                .expect("client tap sink is a SessionMarkerSink");
+            let rounds = &sc.session(i).result().rounds;
+            if cell.method.is_datagram() {
+                let index = index.expect("datagram cells index the server tap");
+                let verdicts = client.match_train(index);
+                let d = Self::fold_datagram_session(plan_rounds, sid, rounds, &verdicts, &mut out);
+                datagram.push((sid, d));
+                excluded_by_session.push((sid, 0));
+            } else {
+                let excluded = Self::fold_rounds(sid, token, rounds, client, index, &mut out)?;
                 excluded_by_session.push((sid, excluded));
-            }
-        } else {
-            // Batch path: drain every session's records out of its tap
-            // (owned records are `Send`; a whole engine is not) and
-            // match sessions independently — in parallel when the crowd
-            // is big enough to pay for the threads. Results fold in
-            // ascending session order, and a session's first match error
-            // is reported exactly where the serial loop would have
-            // stopped, so output is bit-identical to serial matching.
-            let server_parsed = (is_datagram || !cell.impairment.is_clean())
-                .then(|| ParsedCapture::parse(sc.engine.tap(sc.server_tap)));
-            let mut items: Vec<SessionMatchItem> = (0..sc.len())
-                .map(|i| {
-                    let sid = sc.session_id(i);
-                    SessionMatchItem {
-                        sid,
-                        token: bnm_browser::session_token(sid, u64::from(rep)),
-                        rounds: sc.session(i).result().rounds.clone(),
-                        records: Vec::new(),
-                    }
-                })
-                .collect();
-            for (i, item) in items.iter_mut().enumerate() {
-                item.records = sc.engine.tap_mut(sc.client_taps[i]).drain();
-            }
-            let workers = Self::match_worker_count(cell, items.len());
-            let matched = crate::exec::fan_out(items, workers, |_, item| {
-                Self::match_session(cell, plan_rounds, item, server_parsed.as_ref())
-            });
-            for res in matched {
-                let (sid, measurements, excluded, dgram) = res?;
-                excluded_total += excluded;
-                excluded_by_session.push((sid, excluded));
-                if let Some(d) = dgram {
-                    datagram.push((sid, d));
-                }
-                out.extend(measurements);
             }
         }
         let trace = sc.take_trace();
@@ -794,117 +549,130 @@ impl ExperimentRunner {
             measurements: out,
             trace,
             attribution,
-            excluded: excluded_total,
+            excluded: excluded_by_session.iter().map(|&(_, n)| n).sum(),
             excluded_by_session,
             datagram,
             link,
         })
     }
 
-    /// Read the server access link's queue gauges off a finished engine:
-    /// downstream is the direction the server transmits, upstream the
-    /// switch's side of the same link.
-    fn read_link_report(
-        engine: &bnm_sim::Engine,
-        link: bnm_sim::LinkId,
-        server: bnm_sim::NodeId,
-        switch: bnm_sim::NodeId,
-    ) -> LinkReport {
-        LinkReport {
-            down_queue_drops: engine.queue_drops(link, server),
-            up_queue_drops: engine.queue_drops(link, switch),
-            down_queue_peak_bytes: engine.queue_peak_bytes(link, server) as u64,
-            up_queue_peak_bytes: engine.queue_peak_bytes(link, switch) as u64,
+    /// The testbed a cell runs on: the paper's, plus the cell's
+    /// impairment, link shape and shared-link rate override.
+    fn testbed_config(cell: &ExperimentCell) -> TestbedConfig {
+        let mut cfg = TestbedConfig {
+            server_delay: cell.server_delay,
+            capture_noise_ns: cell.capture_noise_ns,
+            seed: rng::derive_seed(cell.seed, "capture"),
+            impairment: cell.impairment,
+            server_shape: cell.link_shape.clone(),
+            ..TestbedConfig::default()
+        };
+        if let Some(rate) = cell.server_link_rate_bps {
+            cfg.server_link = LinkSpec {
+                rate_bps: rate,
+                ..LinkSpec::fast_ethernet()
+            };
         }
+        cfg
     }
 
-    /// Install streaming marker sinks on a run's taps before it starts:
-    /// one [`SessionMarkerSink`] per client tap (paired with that
-    /// session's marker token) and, on the server tap, a
-    /// [`ServerMarkerIndex`] when the network can retransmit or a
-    /// [`DiscardSink`] on a clean network (whose server capture the
-    /// batch path never parses either).
-    fn install_sinks(
-        engine: &mut bnm_sim::Engine,
-        client_taps: &[bnm_sim::TapId],
-        server_tap: bnm_sim::TapId,
+    /// One [`SessionSpec`] per client, ascending session id.
+    ///
+    /// All repetitions of a cell run on the *same machines*, a few
+    /// seconds apart: one timer-regime timeline per client, sampled at
+    /// increasing offsets. This is what makes a 50-rep Windows cell sit
+    /// inside one granularity regime (two discrete Δd levels, Figure 4)
+    /// or straddle a regime change — exactly like the paper's wall-clock
+    /// sessions. The timeline itself differs per cell (seed mixes in the
+    /// cell label), the way different experiment sessions landed on
+    /// different afternoons.
+    ///
+    /// Session 0 derives its streams from the bare labels and sessions
+    /// 1.. from `".s{id}"`-suffixed ones, so the reference client is the
+    /// *same client* across client counts — only its competition
+    /// changes.
+    fn session_specs(
         cell: &ExperimentCell,
-        rounds: u8,
-        tokens: &[u64],
-    ) {
-        for (&tap, &token) in client_taps.iter().zip(tokens) {
-            engine
+        rep: u32,
+        plan: &ProbePlan,
+        profile: &BrowserProfile,
+    ) -> Vec<SessionSpec> {
+        let label = cell.label();
+        (0..u64::from(cell.clients))
+            .map(|sid| {
+                let suffix = if sid == 0 {
+                    String::new()
+                } else {
+                    format!(".s{sid}")
+                };
+                let machine_seed = rng::derive_seed(cell.seed, &format!("machine.{label}{suffix}"));
+                let machine = MachineTimer::new(cell.os, machine_seed)
+                    .at_offset(SimDuration::from_secs(4).saturating_mul(u64::from(rep)));
+                let session_seed = rng::derive_seed(cell.seed, &format!("session.{label}{suffix}"));
+                SessionSpec {
+                    id: sid,
+                    plan: plan.clone(),
+                    profile: profile.clone(),
+                    machine,
+                    seed: session_seed ^ u64::from(rep),
+                }
+            })
+            .collect()
+    }
+
+    /// Install the marker sinks on a scenario's taps before it runs: one
+    /// [`SessionMarkerSink`] per client tap (paired with that session's
+    /// marker token) and, on the server tap, a [`ServerMarkerIndex`] when
+    /// the cell needs the server view — a datagram train (its server
+    /// quadrants carry the one-way delays) or an impaired network (a
+    /// response retransmitted downstream shows only there) — else a
+    /// [`DiscardSink`].
+    fn install_sinks(sc: &mut Scenario, cell: &ExperimentCell, rounds: u8, tokens: &[u64]) {
+        for (&tap, &token) in sc.client_taps.iter().zip(tokens) {
+            sc.engine
                 .tap_mut(tap)
                 .set_sink(Box::new(SessionMarkerSink::new(cell.method, rounds, token)));
         }
-        let server_sink: Box<dyn CaptureSink> = if cell.impairment.is_clean() {
-            Box::new(DiscardSink::default())
-        } else {
-            Box::new(ServerMarkerIndex::new(cell.method, rounds, tokens))
-        };
-        engine.tap_mut(server_tap).set_sink(server_sink);
+        let server_sink: Box<dyn CaptureSink> =
+            if cell.method.is_datagram() || !cell.impairment.is_clean() {
+                Box::new(ServerMarkerIndex::new(cell.method, rounds, tokens))
+            } else {
+                Box::new(DiscardSink::default())
+            };
+        sc.engine.tap_mut(sc.server_tap).set_sink(server_sink);
     }
 
-    /// Remove the streaming sink from a client tap after the run.
-    fn take_session_sink(
-        engine: &mut bnm_sim::Engine,
-        tap: bnm_sim::TapId,
-    ) -> Box<dyn CaptureSink> {
+    /// Remove a tap's sink after the run.
+    fn take_sink(engine: &mut bnm_sim::Engine, tap: bnm_sim::TapId) -> Box<dyn CaptureSink> {
         engine
             .tap_mut(tap)
             .take_sink()
-            .expect("streaming client tap carries a sink")
+            .expect("every tap carries a sink")
     }
 
-    /// Remove the server tap's sink; `Some` when it is the impaired-run
-    /// marker index, `None` for the clean-run discard sink.
-    fn take_server_index(
-        engine: &mut bnm_sim::Engine,
-        tap: bnm_sim::TapId,
-    ) -> Option<Box<dyn CaptureSink>> {
-        let sink = engine
-            .tap_mut(tap)
-            .take_sink()
-            .expect("streaming server tap carries a sink");
-        sink.as_any()
-            .downcast_ref::<ServerMarkerIndex>()
-            .is_some()
-            .then_some(sink)
-    }
-
-    /// Replay one streamed session's rounds from its sink's accumulated
-    /// marker evidence — the same checks in the same order as
-    /// [`ParsedCapture::match_round`] plus the server-side
-    /// retransmission rule, appending measurements and counting
-    /// exclusions exactly like the batch loop.
-    fn fold_streamed_session(
+    /// Judge one session's rounds from its sink's evidence (and the
+    /// server index's, on an impaired network): append a measurement per
+    /// matched round and return how many rounds the §3 rule excluded.
+    /// Stops at the session's first hard match error.
+    fn fold_rounds(
         sid: u64,
         token: u64,
         rounds: &[bnm_browser::RoundResult],
-        client_sink: &dyn CaptureSink,
-        server_index: Option<&dyn CaptureSink>,
+        client: &SessionMarkerSink,
+        index: Option<&ServerMarkerIndex>,
         out: &mut Vec<RoundMeasurement>,
-        excluded: &mut u32,
-    ) -> Result<(), RunError> {
-        let sink = client_sink
-            .as_any()
-            .downcast_ref::<SessionMarkerSink>()
-            .expect("client tap sink is a SessionMarkerSink");
-        let index = server_index.map(|s| {
-            s.as_any()
-                .downcast_ref::<ServerMarkerIndex>()
-                .expect("server tap sink is a ServerMarkerIndex")
-        });
+    ) -> Result<u32, RunError> {
+        let mut excluded = 0;
         for r in rounds {
-            let wire = match sink.match_round(r.round) {
+            let wire = match client.match_round(r.round) {
                 Err(MatchError::Retransmitted) => {
-                    *excluded += 1;
+                    excluded += 1;
                     continue;
                 }
                 other => other?,
             };
             if index.is_some_and(|ix| ix.round_retransmitted(r.round, token)) {
-                *excluded += 1;
+                excluded += 1;
                 continue;
             }
             out.push(RoundMeasurement {
@@ -914,120 +682,35 @@ impl ExperimentRunner {
                 wire,
             });
         }
-        Ok(())
+        Ok(excluded)
     }
 
-    /// Worker threads for batch-path session matching: the explicit
-    /// override when set, else parallel only once a repetition has
-    /// enough sessions for thread spin-up to pay for itself.
-    fn match_worker_count(cell: &ExperimentCell, sessions: usize) -> usize {
-        match cell.streaming.match_workers {
-            Some(n) => n,
-            None => {
-                if sessions >= PARALLEL_MATCH_MIN_SESSIONS {
-                    std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1)
-                } else {
-                    1
-                }
-            }
-        }
-    }
-
-    /// Match one session's drained records: parse once, match every
-    /// round, apply the server-side retransmission rule. Stops at the
-    /// session's first hard error, exactly like the serial loop.
-    /// Datagram methods take the per-probe path instead and never
-    /// exclude rounds.
-    fn match_session(
-        cell: &ExperimentCell,
-        plan_rounds: u8,
-        item: SessionMatchItem,
-        server_parsed: Option<&ParsedCapture>,
-    ) -> Result<(u64, Vec<RoundMeasurement>, u32, Option<DatagramSamples>), RunError> {
-        let parsed = ParsedCapture::parse_records(&item.records);
-        if cell.method.is_datagram() {
-            let server = server_parsed.expect("datagram matching always parses the server tap");
-            let mut out = Vec::new();
-            let d = Self::fold_datagram_session(
-                cell.method,
-                plan_rounds,
-                item.token,
-                item.sid,
-                &item.rounds,
-                &parsed,
-                server,
-                &mut out,
-            );
-            return Ok((item.sid, out, 0, Some(d)));
-        }
-        let mut out = Vec::with_capacity(item.rounds.len());
-        let mut excluded = 0u32;
-        for r in item.rounds {
-            let wire = match parsed.match_round(cell.method, r.round, item.token) {
-                Err(MatchError::Retransmitted) => {
-                    excluded += 1;
-                    continue;
-                }
-                other => other?,
-            };
-            if server_parsed
-                .is_some_and(|sp| sp.round_retransmitted(cell.method, r.round, item.token))
-            {
-                excluded += 1;
-                continue;
-            }
-            out.push(RoundMeasurement {
-                session: item.sid,
-                round: r.round,
-                browser: r,
-                wire,
-            });
-        }
-        Ok((item.sid, out, excluded, None))
-    }
-
-    /// Appraise one session's datagram train from both taps: score
-    /// every probe's fate, emit a [`RoundMeasurement`] per delivered
-    /// probe the browser saw (arrival order, so reordering stays
-    /// visible downstream), and compute the repetition's RFC 3550
-    /// jitter twice — from wire transit pairs and from the browser's
-    /// own stamps.
-    #[allow(clippy::too_many_arguments)]
+    /// Fold one session's datagram verdicts: count every probe's fate,
+    /// emit a [`RoundMeasurement`] per delivered probe the browser saw
+    /// (arrival order, so reordering stays visible downstream), and
+    /// compute the repetition's RFC 3550 jitter twice — from wire transit
+    /// pairs and from the browser's own stamps.
     fn fold_datagram_session(
-        method: bnm_methods::MethodId,
         train_len: u8,
-        token: u64,
         sid: u64,
         rounds: &[bnm_browser::RoundResult],
-        client: &ParsedCapture,
-        server: &ParsedCapture,
+        verdicts: &[ProbeVerdict],
         out: &mut Vec<RoundMeasurement>,
     ) -> DatagramSamples {
-        let verdicts = match_datagram_train(client, server, method, train_len, token);
         let mut d = DatagramSamples {
             sent: u64::from(train_len),
             ..DatagramSamples::default()
         };
-        for v in &verdicts {
+        for v in verdicts {
             match v.status {
                 ProbeStatus::Delivered => d.delivered += 1,
                 ProbeStatus::LostUpstream => d.lost_upstream += 1,
                 ProbeStatus::LostDownstream => d.lost_downstream += 1,
             }
-            if v.duplicated {
-                d.duplicated += 1;
-            }
-            if v.reordered {
-                d.reordered += 1;
-            }
-            if let Some(owd) = v.owd_up_ms {
-                d.owd_up_ms.push(owd);
-            }
-            if let Some(owd) = v.owd_down_ms {
-                d.owd_down_ms.push(owd);
-            }
+            d.duplicated += u64::from(v.duplicated);
+            d.reordered += u64::from(v.reordered);
+            d.owd_up_ms.extend(v.owd_up_ms);
+            d.owd_down_ms.extend(v.owd_down_ms);
         }
         // Δd rows: each delivered probe whose echo the browser stamped.
         // `rounds` is already in the order the script saw the echoes.
@@ -1280,8 +963,8 @@ mod tests {
         assert_eq!(r.measurements.len(), 18);
     }
 
-    /// The single-client path reports exactly one session entry that
-    /// mirrors the flat sample sets.
+    /// A one-client cell reports exactly one session entry that mirrors
+    /// the flat sample sets.
     #[test]
     fn single_client_cell_has_one_session_entry() {
         let cell =

@@ -1,36 +1,32 @@
-//! Streaming capture consumption — the incremental half of the
-//! post-processing pipeline.
+//! Streaming capture consumption — the runner's only capture path.
 //!
-//! The batch pipeline retains every delivered frame in its tap until the
-//! run ends, then parses and greps the whole trace per session
-//! ([`crate::matching::ParsedCapture`]). At crowd scale that retention
-//! *is* the peak-memory story: 1,000 sessions' page loads and probes
-//! pinned as refcounted frames defeats the frame pool entirely. The
-//! sinks here hang off [`bnm_sim::capture::CaptureBuffer`]'s streaming
-//! mode instead: each record is parsed and grepped **at capture time**,
-//! the marker evidence (a timestamp and a count per marker × direction)
-//! is folded into constant-size accumulators, and the frame drops
-//! immediately — pooled buffers recycle mid-run.
+//! Every repetition hangs sinks off [`bnm_sim::capture::CaptureBuffer`]'s
+//! streaming mode: each record is parsed and grepped **at capture time**,
+//! the marker evidence ([`MarkerHits`]: a count and a first stamp per
+//! marker × direction) is folded into constant-size accumulators, and the
+//! frame drops immediately — pooled buffers recycle mid-run instead of
+//! pinning a crowd's whole traffic until the repetition ends.
 //!
-//! Bit-parity with the batch path is the design constraint, not an
-//! afterthought:
+//! The decisions themselves are not made here: the sinks hand their
+//! evidence to the rules in [`crate::matching`] ([`judge_round`],
+//! [`judge_datagram_train`]), the same functions the batch reference
+//! matcher [`crate::matching::ParsedCapture`] calls. What this module must
+//! get right is the *evidence*, bit for bit:
 //!
 //! * the tap stamps records identically in both modes (same noise RNG
 //!   stream, same monotonicity clamp) — the sink sees the exact records
 //!   a retaining tap would store;
 //! * [`SessionMarkerSink`] applies the *same* payload extraction
 //!   ([`crate::frames::payload_of`]) and substring test
-//!   ([`crate::frames::contains`]) as `ParsedCapture::hits`, and its
-//!   [`SessionMarkerSink::match_round`] replays the exact decision
-//!   order of `ParsedCapture::match_round`;
+//!   ([`crate::frames::contains`]) as `ParsedCapture::evidence`;
 //! * [`ServerMarkerIndex`] replicates `contains`' semantics *exactly*,
 //!   including the subtle one: an HTTP request marker
 //!   (`m={label}&r={round}&t={token}`, no terminator) hits every record
 //!   whose digit run has the token's decimal form as a **byte prefix**
 //!   — token `1` matches a frame carrying token `10`. The index
 //!   preserves that by structured prefix scanning rather than by
-//!   assuming well-formed tokens, so the streaming retransmission check
-//!   answers identically to a full second parse.
+//!   assuming well-formed tokens, so its evidence equals a full parse
+//!   of the server capture.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -41,52 +37,37 @@ use bnm_sim::time::SimTime;
 use bytes::Bytes;
 
 use crate::frames::{contains, payload_of};
-use crate::matching::{request_marker, response_marker, MatchError, WireTimes};
-
-/// Constant-size accumulator for one marker × direction: everything
-/// `ParsedCapture::hits` feeds into `match_round` — the first hit's
-/// stamp and the hit count (a count above one is already a
-/// retransmission regardless of how far above).
-#[derive(Debug, Clone, Copy, Default)]
-struct HitAcc {
-    count: u32,
-    first: Option<SimTime>,
-}
-
-impl HitAcc {
-    fn note(&mut self, ts: SimTime) {
-        self.count += 1;
-        if self.first.is_none() {
-            self.first = Some(ts);
-        }
-    }
-}
+use crate::matching::{
+    judge_datagram_train, judge_round, request_marker, response_marker, MarkerHits, MatchError,
+    ProbeEvidence, ProbeVerdict, WireTimes,
+};
 
 /// Per-round marker evidence for one session's client-side tap.
 #[derive(Debug, Clone)]
 struct RoundHits {
-    round: u8,
     /// Full request marker bytes (needle for `contains`).
     req: Vec<u8>,
     /// Full response marker bytes.
     resp: Vec<u8>,
     /// Tx records carrying the request marker.
-    req_tx: HitAcc,
+    req_tx: MarkerHits,
     /// Rx records carrying the response marker.
-    resp_rx: HitAcc,
+    resp_rx: MarkerHits,
 }
 
-/// Streaming replacement for parsing a *client* tap after the run: greps
-/// each record for the session's round markers as it is captured.
+/// Greps each record of a session's *client* tap for the session's round
+/// markers as it is captured.
 ///
-/// Matching semantics are identical to
-/// `ParsedCapture::parse` + `match_round` — same payload extraction,
-/// same substring test, same error precedence — asserted against the
+/// Its evidence equals `ParsedCapture::evidence` over the retained trace
+/// — same payload extraction, same substring test — asserted against the
 /// batch matcher by the tests below and by `tests/streaming_parity.rs`
-/// on full scenario runs.
+/// on full runs.
 #[derive(Debug)]
 pub struct SessionMarkerSink {
+    /// Rounds `1..=n`, in order.
     rounds: Vec<RoundHits>,
+    /// The session's composite marker token.
+    token: u64,
     /// Records seen (diagnostics only).
     records: u64,
 }
@@ -98,39 +79,50 @@ impl SessionMarkerSink {
         SessionMarkerSink {
             rounds: (1..=rounds)
                 .map(|r| RoundHits {
-                    round: r,
                     req: request_marker(method, r, token),
                     resp: response_marker(method, r, token),
-                    req_tx: HitAcc::default(),
-                    resp_rx: HitAcc::default(),
+                    req_tx: MarkerHits::default(),
+                    resp_rx: MarkerHits::default(),
                 })
                 .collect(),
+            token,
             records: 0,
         }
     }
 
+    /// The round's `(request on Tx, response on Rx)` evidence; empty
+    /// evidence for a round outside the plan.
+    fn round_hits(&self, round: u8) -> (MarkerHits, MarkerHits) {
+        round
+            .checked_sub(1)
+            .and_then(|i| self.rounds.get(usize::from(i)))
+            .map_or_else(Default::default, |h| (h.req_tx, h.resp_rx))
+    }
+
     /// `ParsedCapture::match_round`, answered from the accumulated
-    /// evidence: same checks, same order.
+    /// evidence through the same [`judge_round`].
     pub fn match_round(&self, round: u8) -> Result<WireTimes, MatchError> {
-        let h = self
-            .rounds
-            .iter()
-            .find(|h| h.round == round)
-            .ok_or(MatchError::RequestNotFound)?;
-        if h.req_tx.count > 1 || h.resp_rx.count > 1 {
-            return Err(MatchError::Retransmitted);
-        }
-        match (h.req_tx.first, h.resp_rx.first) {
-            (None, _) => Err(MatchError::RequestNotFound),
-            (_, None) => Err(MatchError::ResponseNotFound),
-            (Some(s), Some(r)) => {
-                if r < s {
-                    Err(MatchError::OutOfOrder)
-                } else {
-                    Ok(WireTimes { tn_s: s, tn_r: r })
-                }
+        let (tx, rx) = self.round_hits(round);
+        judge_round(tx, rx)
+    }
+
+    /// `match_datagram_train` for this session's train, answered from
+    /// this sink (client quadrants) and the server tap's index (server
+    /// quadrants) through the same [`judge_datagram_train`].
+    ///
+    /// Datagram methods are echo transports, so the response marker the
+    /// sink counts on Rx is the probe marker itself.
+    pub fn match_train(&self, server: &ServerMarkerIndex) -> Vec<ProbeVerdict> {
+        judge_datagram_train(self.rounds.len() as u8, |seq| {
+            let (probe_tx, echo_rx) = self.round_hits(seq);
+            let at_server = server.round_hits(seq, self.token).unwrap_or_default();
+            ProbeEvidence {
+                probe_tx,
+                probe_rx: at_server[kind_dir_index(false, CaptureDir::Rx)],
+                echo_tx: at_server[kind_dir_index(false, CaptureDir::Tx)],
+                echo_rx,
             }
-        }
+        })
     }
 
     /// Records this sink observed.
@@ -169,7 +161,7 @@ impl CaptureSink for SessionMarkerSink {
 }
 
 /// Marker kinds a server-side record can evidence. The order indexes
-/// the per-slot counter array: `[req_tx, req_rx, resp_tx, resp_rx]`.
+/// the per-slot evidence array: `[req_tx, req_rx, resp_tx, resp_rx]`.
 const KIND_DIRS: usize = 4;
 
 fn kind_dir_index(is_resp: bool, dir: CaptureDir) -> usize {
@@ -189,31 +181,30 @@ struct RoundPatterns {
     req_is_open_ended: bool,
     /// Response-marker prefix; `None` when the response marker equals
     /// the request marker (echo transports), in which case the request
-    /// counters stand for both.
+    /// evidence stands for both.
     resp_prefix: Option<Vec<u8>>,
 }
 
-/// Streaming replacement for the *second full parse* of the server tap
-/// under impairment: an incremental per-direction marker index.
+/// An incremental per-direction marker index over the *server* tap,
+/// shared by every session of a repetition.
 ///
-/// The batch path answers "was any marker of (round, token) seen more
-/// than once in one direction of the server capture?" by re-grepping
-/// the entire retained trace per session × round — O(sessions × rounds
-/// × frames) over a capture that grows with the whole crowd's traffic.
-/// This index instead scans each record once at capture time for the
-/// per-round marker *prefixes* (session-count-independent work), decodes
-/// the token digits that follow, and bumps a counter per
-/// `(session, round, marker, direction)`. [`ServerMarkerIndex::round_retransmitted`]
-/// is then an O(1) lookup.
+/// Re-grepping the server capture per session × round is O(sessions ×
+/// rounds × frames) over a trace that grows with the whole crowd's
+/// traffic. This index instead scans each record once at capture time
+/// for the per-round marker *prefixes* (session-count-independent work),
+/// decodes the token digits that follow, and folds the record into the
+/// [`MarkerHits`] of each `(session, round, marker, direction)` it
+/// carries. Lookups — the server half of the exclusion rule and the
+/// server quadrants of a datagram train — are then O(1).
 #[derive(Debug)]
 pub struct ServerMarkerIndex {
     patterns: Vec<RoundPatterns>,
-    /// Registered token → slot base (`slot * rounds` indexes `counts`).
+    /// Registered token → slot base (`slot * rounds` indexes `hits`).
     tokens: HashMap<u64, u32>,
     /// Decimal forms of the registered tokens, for byte-prefix checks.
     token_digits: Vec<Vec<u8>>,
     /// `[req_tx, req_rx, resp_tx, resp_rx]` per (token slot × round).
-    counts: Vec<[u32; KIND_DIRS]>,
+    hits: Vec<[MarkerHits; KIND_DIRS]>,
     rounds: usize,
     /// Scratch for per-record dedup: `contains` is a per-record boolean,
     /// so two occurrences of one marker inside one payload count once.
@@ -251,26 +242,27 @@ impl ServerMarkerIndex {
         ServerMarkerIndex {
             patterns,
             token_digits: tokens.iter().map(|t| t.to_string().into_bytes()).collect(),
-            counts: vec![[0; KIND_DIRS]; tokens.len() * rounds as usize],
+            hits: vec![[MarkerHits::default(); KIND_DIRS]; tokens.len() * rounds as usize],
             rounds: rounds as usize,
             tokens: token_map,
             seen_scratch: Vec::new(),
         }
     }
 
+    /// The `[req_tx, req_rx, resp_tx, resp_rx]` evidence of one round of
+    /// one registered session; `None` for an unknown token or round.
+    fn round_hits(&self, round: u8, token: u64) -> Option<[MarkerHits; KIND_DIRS]> {
+        let &slot = self.tokens.get(&token)?;
+        let ri = self.patterns.iter().position(|p| p.round == round)?;
+        Some(self.hits[slot as usize * self.rounds + ri])
+    }
+
     /// `ParsedCapture::round_retransmitted`, answered from the index:
     /// whether either of the round's markers hit more than one record
     /// in any one direction.
     pub fn round_retransmitted(&self, round: u8, token: u64) -> bool {
-        let Some(&slot) = self.tokens.get(&token) else {
-            return false;
-        };
-        let Some(ri) = self.patterns.iter().position(|p| p.round == round) else {
-            return false;
-        };
-        self.counts[slot as usize * self.rounds + ri]
-            .iter()
-            .any(|&c| c > 1)
+        self.round_hits(round, token)
+            .is_some_and(|h| h.iter().any(|q| q.repeated()))
     }
 }
 
@@ -358,7 +350,7 @@ fn find_all(haystack: &[u8], needle: &[u8], mut f: impl FnMut(usize)) {
 }
 
 impl CaptureSink for ServerMarkerIndex {
-    fn on_record(&mut self, _ts: SimTime, dir: CaptureDir, frame: &Bytes) {
+    fn on_record(&mut self, ts: SimTime, dir: CaptureDir, frame: &Bytes) {
         let Some(payload) = payload_of(frame) else {
             return;
         };
@@ -408,7 +400,7 @@ impl CaptureSink for ServerMarkerIndex {
         for (slot, round_resp) in seen.drain(..) {
             let (ri, is_resp) = (round_resp / 2, round_resp % 2 == 1);
             let idx = kind_dir_index(is_resp, dir);
-            self.counts[slot as usize * self.rounds + ri][idx] += 1;
+            self.hits[slot as usize * self.rounds + ri][idx].note(ts);
         }
         self.seen_scratch = seen;
     }
@@ -421,8 +413,9 @@ impl CaptureSink for ServerMarkerIndex {
 }
 
 /// A sink that drops every record unexamined — for taps whose contents
-/// the pipeline never reads (the server tap of a clean cell, whose
-/// batch path never parses it either) while still recycling frames.
+/// the pipeline never reads (the server tap of a clean reliable-method
+/// cell, where the exclusion rule needs only the client view) while still
+/// recycling frames.
 #[derive(Debug, Default)]
 pub struct DiscardSink {
     records: u64,
@@ -698,6 +691,53 @@ mod tests {
         }
         assert!(idx.round_retransmitted(1, 3));
         assert!(!idx.round_retransmitted(2, 3));
+    }
+
+    /// A datagram train judged from the client sink and the server
+    /// index equals `match_datagram_train` over both retained captures:
+    /// losses in each direction, a duplicated echo, a reordered echo and
+    /// first-stamp one-way delays.
+    #[test]
+    fn streamed_train_matches_batch_train() {
+        let token = 5;
+        let m = |seq| request_marker(MethodId::WebRtc, seq, token);
+        let (m1, m2, m3, m4) = (m(1), m(2), m(3), m(4));
+        let client: &[(u64, CaptureDir, &[u8])] = &[
+            (0, CaptureDir::Tx, &m1),
+            (20, CaptureDir::Tx, &m2),
+            (40, CaptureDir::Tx, &m3),
+            (60, CaptureDir::Tx, &m4),
+            (50, CaptureDir::Rx, &m1),
+            (51, CaptureDir::Rx, &m1), // duplicated echo
+            (110, CaptureDir::Rx, &m4),
+            (115, CaptureDir::Rx, &m2), // overtaken by probe 4's echo
+        ];
+        let server: &[(u64, CaptureDir, &[u8])] = &[
+            (25, CaptureDir::Rx, &m1),
+            (26, CaptureDir::Tx, &m1),
+            (45, CaptureDir::Rx, &m2),
+            (46, CaptureDir::Tx, &m2),
+            // Probe 3 never reaches the server.
+            (85, CaptureDir::Rx, &m4),
+            (86, CaptureDir::Tx, &m4),
+        ];
+        let batch = crate::matching::match_datagram_train(
+            &batch_of(client),
+            &batch_of(server),
+            MethodId::WebRtc,
+            4,
+            token,
+        );
+        let mut sink = SessionMarkerSink::new(MethodId::WebRtc, 4, token);
+        feed_sink(&mut sink, client);
+        let mut idx = ServerMarkerIndex::new(MethodId::WebRtc, 4, &[token]);
+        feed_sink(&mut idx, server);
+        let streamed = sink.match_train(&idx);
+        assert_eq!(streamed, batch);
+        assert!(streamed[0].duplicated);
+        assert!(streamed[1].reordered);
+        assert_eq!(streamed[2].status, crate::ProbeStatus::LostUpstream);
+        assert_eq!(streamed[0].owd_up_ms, Some(25.0));
     }
 
     #[test]

@@ -10,8 +10,6 @@
 #
 #   BENCH_engine.json    wheel events/sec must not drop, peak RSS must
 #                        not grow
-#   BENCH_pipeline.json  streaming seconds and streaming peak RSS must
-#                        not grow
 #   BENCH_serve.json     monitor rounds/sec must not drop, snapshot
 #                        latency must not grow
 #   BENCH_webrtc.json    datagram reps/sec must not drop, peak RSS must
@@ -30,7 +28,7 @@ fail=0
 
 # json_num FILE KEY NTH — the NTH numeric value of "KEY": N in FILE
 # (files are flat enough that position disambiguates the section:
-# streaming comes before batch, wheel before heap).
+# wheel comes before heap).
 json_num() {
   grep -o "\"$2\": *[0-9.]*" "$1" | sed -n "$3{s/.*: *//;p}"
 }
@@ -83,29 +81,6 @@ compare_engine() {
   check "engine: wheel events/sec" \
     "$(json_num "$tmp" events_per_sec 1)" "$(json_num $file events_per_sec 1)" min
   check "engine: peak RSS KiB" \
-    "$(json_num "$tmp" peak_rss_kib 1)" "$(json_num $file peak_rss_kib 1)" max
-  rm -f "$tmp"
-}
-
-compare_pipeline() {
-  local file=BENCH_pipeline.json
-  if [[ ! -f $file ]]; then
-    echo "!! $file not in working tree; run scripts/check.sh --bench" >&2
-    fail=1
-    return
-  fi
-  local base
-  if ! base=$(baseline_of $file); then
-    echo "-- $file: no committed baseline, skipping"
-    return
-  fi
-  local tmp
-  tmp=$(mktemp)
-  printf '%s\n' "$base" >"$tmp"
-  # First occurrences are the streaming section.
-  check "pipeline: streaming seconds" \
-    "$(json_num "$tmp" seconds 1)" "$(json_num $file seconds 1)" max
-  check "pipeline: streaming peak RSS KiB" \
     "$(json_num "$tmp" peak_rss_kib 1)" "$(json_num $file peak_rss_kib 1)" max
   rm -f "$tmp"
 }
@@ -178,7 +153,6 @@ compare_battery() {
 
 echo "bench regression gate (tolerance ${tol}%)"
 compare_engine
-compare_pipeline
 compare_serve
 compare_webrtc
 compare_battery

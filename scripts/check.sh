@@ -51,11 +51,12 @@ cargo test -q --test impairment
 echo "==> cargo test -q --test scenario_parity"
 cargo test -q --test scenario_parity
 
-# The streaming post-processing pipeline's guarantees: streaming
-# capture consumption and parallel per-session matching are both
-# bit-identical to the batch/serial paths, bounded retention sketches
-# stay within their error bound, and the frame pool's high-water mark
-# stays flat per client.
+# The streaming capture pipeline's guarantees: every repetition the
+# runner streams equals the batch reference matcher field for field
+# (clean, lossy, duplicating, jittered and noisy-capture networks; 1, 3
+# and 8 clients; reliable and datagram methods), bounded retention
+# sketches stay within their error bound, and the frame pool's
+# per-client high-water mark stays flat.
 echo "==> cargo test -q --test streaming_parity"
 cargo test -q --test streaming_parity
 
@@ -111,6 +112,15 @@ if [[ $quick -eq 0 && $fast -eq 0 ]]; then
     fi
   done
 
+  # Datagram serve smoke: a WebRTC monitor streams its captures like any
+  # other method, so its snapshot must carry samples.
+  echo "==> serve smoke: 2s WebRTC monitored run, samples present"
+  serve_json=$(./target/release/bnm serve --method webrtc --duration 2 --every 2 --format json)
+  if ! printf '%s' "$serve_json" | grep -Eq '"samples": *[1-9]'; then
+    echo "WebRTC serve snapshot reports no samples" >&2
+    exit 1
+  fi
+
   # Battery smoke: the scored suite at quick depth, with the report JSON
   # spot-checked for the schema's required keys and every scenario
   # family present.
@@ -124,18 +134,14 @@ if [[ $quick -eq 0 && $fast -eq 0 ]]; then
   done
 fi
 
-# Benchmarks, quick mode: one timed crowd run per configuration —
-# engine (wheel+pool vs the reference BinaryHeap) and the streaming
-# post-processing pipeline (streaming vs batch at the 1,000-client
-# impaired tier) — written to BENCH_engine.json / BENCH_pipeline.json
-# at the repo root, then gated against the committed baselines.
+# Benchmarks, quick mode: one timed run per configuration — engine
+# (wheel+pool vs the reference BinaryHeap), serve, webrtc and battery —
+# written to BENCH_*.json at the repo root, then gated against the
+# committed baselines.
 if [[ $bench -eq 1 ]]; then
   echo "==> engine bench (quick mode) -> BENCH_engine.json"
   BNM_BENCH_QUICK=1 BNM_BENCH_OUT="$PWD/BENCH_engine.json" \
     cargo bench -p bnm-bench --bench engine
-  echo "==> pipeline bench (quick mode) -> BENCH_pipeline.json"
-  BNM_BENCH_QUICK=1 BNM_BENCH_PIPELINE_OUT="$PWD/BENCH_pipeline.json" \
-    cargo bench -p bnm-bench --bench pipeline
   echo "==> serve bench (quick mode) -> BENCH_serve.json"
   BNM_BENCH_QUICK=1 BNM_BENCH_SERVE_OUT="$PWD/BENCH_serve.json" \
     cargo bench -p bnm-bench --bench serve

@@ -659,13 +659,6 @@ fn cmd_serve(flags: &HashMap<String, String>) {
         .get("method")
         .map(|m| method_by_label(m).unwrap_or_else(|| usage()))
         .unwrap_or(MethodId::XhrGet);
-    if method.is_datagram() {
-        eprintln!(
-            "serve drives streaming marker sinks, which cannot recover \
-             per-probe one-way delays; use `bnm webrtc` for datagram methods"
-        );
-        std::process::exit(2);
-    }
     let browser = flags
         .get("browser")
         .map(|b| browser_by_name(b).unwrap_or_else(|| usage()))

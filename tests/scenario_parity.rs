@@ -122,6 +122,39 @@ fn clients_one_is_byte_identical_to_the_plain_cell() {
     assert_eq!(a.sessions[0].d2, b.sessions[0].d2);
 }
 
+/// (1c) A one-client cell honours its shared-link rate: the wire RTT of
+/// a Flash GET cell narrowed to 400 kbps sits above the unnarrowed
+/// cell's, because every frame now serializes at the narrow rate.
+#[test]
+fn one_client_cell_honours_the_link_rate() {
+    let wire_rtt_median = |contention: ContentionSpec| {
+        let cell = ExperimentCell::builder(
+            MethodId::FlashGet,
+            RuntimeSel::Browser(BrowserKind::Opera),
+            OsKind::Windows7,
+        )
+        .reps(4)
+        .contention(contention)
+        .build()
+        .unwrap();
+        let r = ExperimentRunner::try_run(&cell).unwrap();
+        assert_eq!(r.failures, 0);
+        let mut rtts: Vec<f64> = r
+            .measurements
+            .iter()
+            .map(RoundMeasurement::network_rtt_ms)
+            .collect();
+        rtts.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        rtts[rtts.len() / 2]
+    };
+    let full = wire_rtt_median(ContentionSpec::clients(1));
+    let narrow = wire_rtt_median(ContentionSpec::clients(1).with_server_link_rate(400_000));
+    assert!(
+        narrow > full,
+        "400 kbps wire RTT {narrow} ms not above the 100 Mbps {full} ms"
+    );
+}
+
 /// (2) Per-session output is keyed by session id: pushing the specs in a
 /// different order changes nothing — results, captures, server load.
 #[test]

@@ -1,24 +1,27 @@
-//! Tier-1 guarantees of the streaming post-processing pipeline:
+//! Tier-1 guarantees of the streaming capture pipeline:
 //!
-//! 1. **Streaming parity** — a cell run with streaming capture
-//!    consumption ([`StreamingSpec::streaming`]) is bit-identical to the
-//!    batch pipeline: the marker sinks observe exactly the records a
-//!    retaining tap would store (same noise-stamped timestamps, same
-//!    snaplen truncation) and replay the same matching decision order.
-//!    Asserted on clean, impaired and noisy-capture cells, single- and
-//!    multi-client.
-//! 2. **Parallel-matching parity** — batch-path per-session matching is
-//!    bit-identical between one worker and many: matching is
-//!    per-session-independent, and results fold in ascending session
-//!    order either way.
-//! 3. **Bounded memory** — in streaming mode, the frame pool's
-//!    live-buffer high-water mark does not grow with the client count,
-//!    while batch retention does.
-//! 4. **Bounded retention** — with a `session_retention` threshold the
+//! 1. **Oracle parity** — every repetition the runner streams through
+//!    marker sinks equals the batch reference matcher
+//!    (`support::oracle`: retained taps, then `ParsedCapture` /
+//!    `match_datagram_train`) field for field. Asserted over clean,
+//!    lossy, duplicating, jittered and noisy-capture networks (plus one
+//!    that both duplicates and reorders), 1, 3 and 8 clients, and
+//!    XHR GET, Flash GET (Opera/Win7), WebSocket and WebRTC — and, for
+//!    WebRTC, over random seeds and loss rates.
+//! 2. **Bounded memory** — with sinks consuming records at capture time,
+//!    the frame pool's per-client live-buffer high-water mark does not
+//!    grow with the client count.
+//! 3. **Bounded retention** — with a `session_retention` threshold the
 //!    raw vectors truncate but the sketches still see every sample and
 //!    report quantiles within their documented error bound.
 
+mod support;
+
 use bnm::prelude::*;
+use bnm::sim::time::SimDuration;
+use proptest::prelude::*;
+
+use support::oracle;
 
 fn base_cell(clients: u32, reps: u32) -> CellBuilder {
     ExperimentCell::builder(
@@ -31,57 +34,102 @@ fn base_cell(clients: u32, reps: u32) -> CellBuilder {
     .contention(ContentionSpec::clients(clients).with_server_link_rate(2_000_000))
 }
 
-fn assert_bit_identical(a: &CellResult, b: &CellResult, what: &str) {
-    assert_eq!(a.d1, b.d1, "{what}: d1");
-    assert_eq!(a.d2, b.d2, "{what}: d2");
-    assert_eq!(a.measurements, b.measurements, "{what}: measurements");
-    assert_eq!(a.failures, b.failures, "{what}: failures");
-    assert_eq!(a.excluded_rounds, b.excluded_rounds, "{what}: exclusions");
-    assert_eq!(a.sessions.len(), b.sessions.len(), "{what}: session count");
-    for (x, y) in a.sessions.iter().zip(&b.sessions) {
-        assert_eq!(x, y, "{what}: session {}", x.session);
-    }
+/// The methods of the oracle matrix, each on a runtime that can run it.
+const METHODS: [(MethodId, BrowserKind, OsKind); 4] = [
+    (MethodId::XhrGet, BrowserKind::Chrome, OsKind::Ubuntu1204),
+    (MethodId::FlashGet, BrowserKind::Opera, OsKind::Windows7),
+    (MethodId::WebSocket, BrowserKind::Chrome, OsKind::Ubuntu1204),
+    (MethodId::WebRtc, BrowserKind::Chrome, OsKind::Ubuntu1204),
+];
+
+/// The networks of the oracle matrix: `(name, impairment, capture noise ns)`.
+fn networks() -> Vec<(&'static str, Impairment, u64)> {
+    let duplicate = FaultSpec {
+        duplicate_chance: 0.08,
+        ..FaultSpec::CLEAN
+    };
+    vec![
+        ("clean", Impairment::NONE, 0),
+        ("loss 5%", Impairment::loss(0.05), 0),
+        (
+            "duplicate",
+            Impairment {
+                up: duplicate,
+                down: duplicate,
+                jitter: SimDuration::ZERO,
+            },
+            0,
+        ),
+        (
+            "jitter 3 ms",
+            Impairment::NONE.with_jitter(SimDuration::from_millis(3)),
+            0,
+        ),
+        ("capture noise 400 us", Impairment::NONE, 400_000),
+        // Jitter wider than the WebRTC train's 20 ms probe spacing lets
+        // echoes overtake each other: duplicated *and* reordered probes.
+        (
+            "duplicate + jitter 30 ms",
+            Impairment {
+                up: duplicate,
+                down: duplicate,
+                jitter: SimDuration::from_millis(30),
+            },
+            0,
+        ),
+    ]
 }
 
-/// (1) Streaming consumption is invisible in the output: clean cell,
-/// impaired cell (exercising the server-side marker index), and a cell
-/// with capture-timestamp noise (exercising stamp parity inside the
-/// sink), for both the single-client testbed and a contended scenario.
+fn matrix_cell(
+    (method, browser, os): (MethodId, BrowserKind, OsKind),
+    clients: u32,
+    imp: Impairment,
+    noise_ns: u64,
+) -> ExperimentCell {
+    ExperimentCell::builder(method, RuntimeSel::Browser(browser), os)
+        .reps(2)
+        .seed(0xB32B_0AC1)
+        .impairment(imp)
+        .capture_noise_ns(noise_ns)
+        .contention(ContentionSpec::clients(clients).with_server_link_rate(2_000_000))
+        .build()
+        .unwrap()
+}
+
+/// (1) The streaming runner equals the batch oracle on every case of the
+/// matrix, and the matrix is not vacuous: some round is excluded, and
+/// some WebRTC case sees both duplicated and reordered probes.
 #[test]
 fn streaming_mode_is_bit_identical_to_batch() {
-    let variants: Vec<(&str, ExperimentCell)> = vec![
-        ("clean single", base_cell(1, 4).build().unwrap()),
-        ("clean contended", base_cell(3, 3).build().unwrap()),
-        (
-            "impaired single",
-            base_cell(1, 6)
-                .impairment(Impairment::loss(0.08))
-                .build()
-                .unwrap(),
-        ),
-        (
-            "impaired contended",
-            base_cell(3, 4)
-                .impairment(Impairment::loss(0.05))
-                .build()
-                .unwrap(),
-        ),
-        (
-            "noisy capture",
-            base_cell(2, 3).capture_noise_ns(400_000).build().unwrap(),
-        ),
-    ];
-    for (what, batch) in variants {
-        let streaming = batch.clone().with_streaming(StreamingSpec::streaming());
-        let a = ExperimentRunner::try_run(&batch).unwrap();
-        let b = ExperimentRunner::try_run(&streaming).unwrap();
-        assert_bit_identical(&a, &b, what);
+    let mut excluded = 0;
+    let mut dup_and_reorder = false;
+    for (net, imp, noise_ns) in networks() {
+        for clients in [1, 3, 8] {
+            for m in METHODS {
+                let cell = matrix_cell(m, clients, imp, noise_ns);
+                for rep in 0..cell.reps {
+                    let what = format!("{} / {net} / {clients} clients / rep {rep}", cell.label());
+                    let runner = ExperimentRunner::run_rep_traced(&cell, rep);
+                    oracle::assert_same(&runner, &oracle::rep(&cell, rep), &what);
+                    let Ok(o) = runner else { continue };
+                    excluded += o.excluded;
+                    dup_and_reorder |= o
+                        .datagram
+                        .iter()
+                        .any(|(_, d)| d.duplicated > 0 && d.reordered > 0);
+                }
+            }
+        }
     }
+    assert!(excluded > 0, "no case excluded a round; parity is vacuous");
+    assert!(
+        dup_and_reorder,
+        "no WebRTC case saw duplicated and reordered probes; parity is vacuous"
+    );
 }
 
-/// (1b) An impaired cell actually excludes rounds in this configuration
-/// — otherwise the parity above would not be exercising the
-/// retransmission paths at all.
+/// (1b) An impaired contended cell actually excludes rounds — otherwise
+/// the parity above would not be exercising the retransmission rule.
 #[test]
 fn impaired_parity_cells_exercise_exclusions() {
     let cell = base_cell(3, 4)
@@ -95,67 +143,52 @@ fn impaired_parity_cells_exercise_exclusions() {
     );
 }
 
-/// (2) Parallel per-session matching folds to the serial bits: forcing
-/// one worker and forcing several must agree on everything, including
-/// which error a failing repetition reports.
-#[test]
-fn parallel_matching_is_bit_identical_to_serial() {
-    for imp in [Impairment::NONE, Impairment::loss(0.04)] {
-        let serial = base_cell(24, 2)
-            .impairment(imp)
-            .streaming(StreamingSpec::batch().with_match_workers(1))
-            .build()
-            .unwrap();
-        let parallel = serial
-            .clone()
-            .with_streaming(StreamingSpec::batch().with_match_workers(4));
-        let a = ExperimentRunner::try_run(&serial).unwrap();
-        let b = ExperimentRunner::try_run(&parallel).unwrap();
-        assert_bit_identical(&a, &b, "match workers 1 vs 4");
+proptest! {
+    /// (1c) A 4-client WebRTC cell matches the oracle whatever the seed
+    /// and loss rate.
+    #[test]
+    fn webrtc_crowd_matches_the_oracle(seed in any::<u64>(), loss in 0.0f64..0.2) {
+        let cell = ExperimentCell::builder(
+            MethodId::WebRtc,
+            RuntimeSel::Browser(BrowserKind::Chrome),
+            OsKind::Ubuntu1204,
+        )
+        .reps(1)
+        .seed(seed)
+        .impairment(Impairment::loss(loss))
+        .contention(ContentionSpec::clients(4))
+        .build()
+        .unwrap();
+        let what = format!("seed {seed:#x} loss {loss:.3}");
+        oracle::assert_same(
+            &ExperimentRunner::run_rep_traced(&cell, 0),
+            &oracle::rep(&cell, 0),
+            &what,
+        );
     }
 }
 
-/// (3) The reason streaming exists: with sinks consuming records at
+/// (2) The reason captures stream: with sinks consuming records at
 /// capture time, the pool's live-buffer high-water mark tracks only
-/// frames genuinely in flight inside the engine — it no longer carries
-/// a full rep's worth of retained capture. Concretely:
-///
-/// * batch peak ≈ one rep's whole capture (scales with clients ×
-///   rounds of traffic);
-/// * streaming peak ≈ instantaneous queue depth, so the *per-client*
-///   peak must not grow as the crowd does, and the absolute peak must
-///   sit well below batch retention at scale.
+/// frames genuinely in flight inside the engine, never a rep's worth of
+/// retained capture. In-flight frames may grow with concurrent
+/// sessions, but the *per-client* peak must stay flat as the crowd
+/// grows.
 ///
 /// Run serially so the drain happens on this thread and the pool gauge
 /// is exact.
 #[test]
 fn streaming_bounds_the_frame_pool_high_water_mark() {
-    let peak_of = |clients: u32, spec: StreamingSpec| {
-        let cell = base_cell(clients, 1).streaming(spec).build().unwrap();
+    let peak_of = |clients: u32| {
+        let cell = base_cell(clients, 1).build().unwrap();
         let (results, stats) =
             Executor::serial().run_with_stats(std::slice::from_ref(&cell), |_| {});
         results[0].as_ref().unwrap();
         stats.pool.live_peak
     };
-
-    let batch_small = peak_of(4, StreamingSpec::batch());
-    let batch_big = peak_of(32, StreamingSpec::batch());
-    let stream_small = peak_of(4, StreamingSpec::streaming());
-    let stream_big = peak_of(32, StreamingSpec::streaming());
-
-    assert!(
-        batch_big > 2 * batch_small,
-        "batch retention should grow with the crowd: {batch_small} -> {batch_big}"
-    );
-    assert!(
-        4 * stream_big < batch_big,
-        "streaming peak {stream_big} not well below batch peak {batch_big} at scale"
-    );
-    // In-flight frames may grow with concurrent sessions, but retention
-    // must not: the per-client peak has to stay flat or shrink (small
-    // slack for shared-queue effects).
-    let per_client_small = stream_small as f64 / 4.0;
-    let per_client_big = stream_big as f64 / 32.0;
+    let per_client_small = peak_of(4) as f64 / 4.0;
+    let per_client_big = peak_of(32) as f64 / 32.0;
+    // Small slack for shared-queue effects.
     assert!(
         per_client_big <= per_client_small * 1.25,
         "streaming per-client peak grew {per_client_small:.2} -> \
@@ -163,7 +196,7 @@ fn streaming_bounds_the_frame_pool_high_water_mark() {
     );
 }
 
-/// (4) Bounded retention: raw vectors cap at the threshold, sketches
+/// (3) Bounded retention: raw vectors cap at the threshold, sketches
 /// cover every sample, and sketch quantiles sit within the documented
 /// relative-error bound of the exact full-sample quantiles.
 #[test]
