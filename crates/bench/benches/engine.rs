@@ -161,15 +161,12 @@ fn bench_wire_codec(c: &mut Criterion) {
 // ---------------------------------------------------------------------
 // Crowd workload: the scheduler-bound regime.
 //
-// N clients each arm T timers at pseudorandom instants inside a one-
-// second horizon, and every firing timer pushes a 200-byte frame down a
+// N clients each arm T timers at pseudorandom instants inside a 16 ms
+// horizon, and every 32nd firing pushes a 200-byte frame down a
 // dedicated link to a shared sink. The standing event population is
-// N * T at boot (64,000 for the default 1000 x 64), which is exactly
-// where the original `BinaryHeap` scheduler paid O(log n) with cache
-// misses per operation and the hierarchical timer wheel pays O(1).
-// Run once with the production configuration (wheel + frame pool) and
-// once with the seed baseline (`use_reference_scheduler` + pool off)
-// to measure the gap in events/sec.
+// N * T at boot (4,096,000 for the default 1000 x 4096): the regime
+// the hierarchical timer wheel exists for, where a binary heap pays
+// O(log n) with cache misses per operation.
 
 const CROWD_CLIENTS: usize = 1000;
 const CROWD_TIMERS: usize = 4096;
@@ -224,11 +221,8 @@ impl Node for Sink {
     }
 }
 
-fn crowd_engine(clients: usize, timers: usize, reference: bool) -> Engine {
+fn crowd_engine(clients: usize, timers: usize) -> Engine {
     let mut e = Engine::new();
-    if reference {
-        e.use_reference_scheduler();
-    }
     let sink = e.add_node(Box::new(Sink { received: 0 }));
     for i in 0..clients {
         let c = e.add_node(Box::new(CrowdClient {
@@ -241,11 +235,9 @@ fn crowd_engine(clients: usize, timers: usize, reference: bool) -> Engine {
 }
 
 /// One full crowd run; returns (events processed, frames delivered).
-fn run_crowd(clients: usize, timers: usize, reference: bool, pooled: bool) -> (u64, u64) {
-    bytes::pool::set_enabled(pooled);
-    let mut e = crowd_engine(clients, timers, reference);
+fn run_crowd(clients: usize, timers: usize) -> (u64, u64) {
+    let mut e = crowd_engine(clients, timers);
     e.run();
-    bytes::pool::set_enabled(true);
     let sink: &Sink = e.node_ref(0);
     (e.events_processed(), sink.received)
 }
@@ -254,10 +246,7 @@ fn bench_crowd_scheduler(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     g.sample_size(10);
     g.bench_function("crowd_1000x4096_wheel_pooled", |b| {
-        b.iter(|| run_crowd(CROWD_CLIENTS, CROWD_TIMERS, false, true))
-    });
-    g.bench_function("crowd_1000x4096_reference_heap", |b| {
-        b.iter(|| run_crowd(CROWD_CLIENTS, CROWD_TIMERS, true, false))
+        b.iter(|| run_crowd(CROWD_CLIENTS, CROWD_TIMERS))
     });
     g.finish();
 }
@@ -265,19 +254,18 @@ fn bench_crowd_scheduler(c: &mut Criterion) {
 // ---------------------------------------------------------------------
 // Quick mode: `BNM_BENCH_QUICK=1 cargo bench -p bnm-bench --bench engine`
 // (what `scripts/check.sh --bench` runs) skips the statistics pass,
-// times the crowd workload directly — best of three for each scheduler —
-// and writes machine-readable `BENCH_engine.json` (events/sec for both
-// configurations, the speedup, peak RSS) to `$BNM_BENCH_OUT` or the
-// current directory.
+// times the crowd workload directly — best of three — and writes
+// machine-readable `BENCH_engine.json` (events/sec and peak RSS) to
+// `$BNM_BENCH_OUT` or the current directory.
 
 use bnm_bench::meta::peak_rss_kib;
 
-fn time_crowd(reference: bool, pooled: bool) -> (u64, f64) {
+fn time_crowd() -> (u64, f64) {
     let mut best = f64::INFINITY;
     let mut events = 0;
     for _ in 0..3 {
         let start = std::time::Instant::now();
-        let (ev, _) = run_crowd(CROWD_CLIENTS, CROWD_TIMERS, reference, pooled);
+        let (ev, _) = run_crowd(CROWD_CLIENTS, CROWD_TIMERS);
         let dt = start.elapsed().as_secs_f64();
         events = ev;
         if dt < best {
@@ -288,28 +276,19 @@ fn time_crowd(reference: bool, pooled: bool) -> (u64, f64) {
 }
 
 fn quick_crowd_report() {
-    let (ev_wheel, s_wheel) = time_crowd(false, true);
-    let (ev_heap, s_heap) = time_crowd(true, false);
-    assert_eq!(
-        ev_wheel, ev_heap,
-        "schedulers must process identical event streams"
-    );
-    let eps_wheel = ev_wheel as f64 / s_wheel;
-    let eps_heap = ev_heap as f64 / s_heap;
-    let speedup = eps_wheel / eps_heap;
+    let (events, seconds) = time_crowd();
+    let eps = events as f64 / seconds;
     let rss = peak_rss_kib();
     let json = format!(
-        "{{\n  \"bench\": \"engine_crowd\",\n  \"meta\": {},\n  \"clients\": {CROWD_CLIENTS},\n  \"timers_per_client\": {CROWD_TIMERS},\n  \"events\": {ev_wheel},\n  \"wheel_pooled\": {{ \"seconds\": {s_wheel:.6}, \"events_per_sec\": {eps_wheel:.0} }},\n  \"reference_heap\": {{ \"seconds\": {s_heap:.6}, \"events_per_sec\": {eps_heap:.0} }},\n  \"speedup\": {speedup:.2},\n  \"peak_rss_kib\": {rss}\n}}\n",
+        "{{\n  \"bench\": \"engine_crowd\",\n  \"meta\": {},\n  \"clients\": {CROWD_CLIENTS},\n  \"timers_per_client\": {CROWD_TIMERS},\n  \"events\": {events},\n  \"wheel_pooled\": {{ \"seconds\": {seconds:.6}, \"events_per_sec\": {eps:.0} }},\n  \"peak_rss_kib\": {rss}\n}}\n",
         bnm_bench::meta::json_object()
     );
     let out = std::env::var("BNM_BENCH_OUT").unwrap_or_else(|_| "BENCH_engine.json".into());
     std::fs::write(&out, &json).expect("write BENCH_engine.json");
     println!(
-        "engine crowd bench ({CROWD_CLIENTS} clients x {CROWD_TIMERS} timers, {ev_wheel} events)"
+        "engine crowd bench ({CROWD_CLIENTS} clients x {CROWD_TIMERS} timers, {events} events)"
     );
-    println!("  wheel+pool      {eps_wheel:>12.0} events/sec  ({s_wheel:.3} s)");
-    println!("  reference heap  {eps_heap:>12.0} events/sec  ({s_heap:.3} s)");
-    println!("  speedup         {speedup:>12.2}x");
+    println!("  wheel+pool      {eps:>12.0} events/sec  ({seconds:.3} s)");
     println!("  peak RSS        {rss:>12} KiB");
     println!("  wrote {out}");
 }

@@ -15,7 +15,7 @@ use bnm_methods::MethodId;
 use bnm_stats::Summary;
 use bnm_time::OsKind;
 
-/// One appraisal row per cell, the columns `summary_line` used to print.
+/// One appraisal row per cell: Δd medians, pooled IQR and verdict.
 fn appraisal_table(title: &str, results: &[(ExperimentCell, bnm_core::CellResult)]) -> Table {
     let mut table = Table::new(title, &["cell", "d1_median", "d2_median", "iqr", "verdict"]);
     for (cell, result) in results {
@@ -77,7 +77,7 @@ fn main() {
     }
     let results = run_cells(cells);
     let table = appraisal_table("Appraisal verdicts (best runtime per OS)", &results);
-    println!("{}", table.render(args.format.report_format()));
+    println!("{}", table.render(args.stdout_format()));
     args.save_artifact("appraisals.csv", &table.to_csv());
 
     heading("Extension: mobile WebKit runtime (§7) — native methods only");
@@ -92,7 +92,7 @@ fn main() {
         .collect();
     let mobile_results = run_cells(mobile_cells);
     let table = appraisal_table("Mobile WebKit appraisals", &mobile_results);
-    println!("{}", table.render(args.format.report_format()));
+    println!("{}", table.render(args.stdout_format()));
     println!(
         "Reading: without plug-ins, WebSocket is \"the remaining choice for performing\n\
          socket-based measurement in both fixed and mobile network platforms\" (§2.1)."

@@ -9,73 +9,44 @@
 //! the medians.
 
 use bnm_bench::cli::BenchArgs;
-use bnm_bench::heading;
+use bnm_bench::{heading, skip_failed};
 use bnm_browser::BrowserKind;
-use bnm_core::report::{DistSummary, Render, Table, Value};
-use bnm_core::{ExperimentCell, ExperimentRunner, Impairment, RuntimeSel};
+use bnm_core::experiments::sweep_table;
+use bnm_core::{ExperimentCell, Impairment, RuntimeSel};
 use bnm_methods::MethodId;
 use bnm_time::OsKind;
+
+/// The three socket methods (echo transports, where a retransmitted
+/// probe is indistinguishable from a slow one without the capture) plus
+/// DOM, the HTTP method with the heaviest per-round machinery.
+const ROSTER: [(MethodId, BrowserKind, OsKind); 4] = [
+    (MethodId::WebSocket, BrowserKind::Chrome, OsKind::Ubuntu1204),
+    (MethodId::JavaTcp, BrowserKind::Chrome, OsKind::Ubuntu1204),
+    (MethodId::FlashTcp, BrowserKind::Chrome, OsKind::Windows7),
+    (MethodId::Dom, BrowserKind::Chrome, OsKind::Ubuntu1204),
+];
+const LOSS_PCTS: [f64; 5] = [0.0, 0.5, 1.0, 2.0, 5.0];
 
 fn main() {
     let args = BenchArgs::parse();
     let n = args.reps.min(20);
     heading("Extension: Δd vs loss — the §3 retransmission-exclusion rule at work");
 
-    // The three socket methods (echo transports, where a retransmitted
-    // probe is indistinguishable from a slow one without the capture)
-    // plus DOM, the HTTP method with the heaviest per-round machinery.
-    let methods = [
-        (MethodId::WebSocket, BrowserKind::Chrome, OsKind::Ubuntu1204),
-        (MethodId::JavaTcp, BrowserKind::Chrome, OsKind::Ubuntu1204),
-        (MethodId::FlashTcp, BrowserKind::Chrome, OsKind::Windows7),
-        (MethodId::Dom, BrowserKind::Chrome, OsKind::Ubuntu1204),
-    ];
-    let loss_pcts = [0.0f64, 0.5, 1.0, 2.0, 5.0];
-
-    let med = |v: &[f64]| DistSummary::of_samples(v).p50;
-    let mut table = Table::new(
-        format!("Δd vs loss ({n} reps, seed {:#x})", args.seed),
-        &[
-            "method",
-            "runtime",
-            "loss_pct",
-            "d1_median_ms",
-            "d2_median_ms",
-            "d1_n",
-            "d2_n",
-            "excluded_rounds",
-            "failures",
-        ],
-    );
-    for (method, browser, os) in methods {
-        let label = format!("{} / {}", method.display_name(), browser.initial());
-        for pct in loss_pcts {
-            let cell = ExperimentCell::builder(method, RuntimeSel::Browser(browser), os)
-                .reps(n)
-                .seed(args.seed)
-                .impairment(Impairment::loss(pct / 100.0))
-                .build()
-                .expect("sweep cells are runnable");
-            let r = match ExperimentRunner::try_run(&cell) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("skipping {label} @ {pct}%: {e}");
-                    continue;
-                }
-            };
-            table.row(vec![
-                Value::Text(method.label().to_string()),
-                Value::Text(browser.initial().to_string()),
-                Value::Num(pct),
-                Value::Num(med(&r.d1)),
-                Value::Num(med(&r.d2)),
-                Value::Int(r.d1.len() as i64),
-                Value::Int(r.d2.len() as i64),
-                Value::Int(r.excluded_rounds as i64),
-                Value::Int(r.failures as i64),
-            ]);
-        }
-    }
+    let cells: Vec<ExperimentCell> = ROSTER
+        .iter()
+        .flat_map(|&(method, browser, os)| {
+            LOSS_PCTS.map(|pct| {
+                ExperimentCell::builder(method, RuntimeSel::Browser(browser), os)
+                    .reps(n)
+                    .seed(args.seed)
+                    .impairment(Impairment::loss(pct / 100.0))
+                    .build()
+                    .expect("sweep cells are runnable")
+            })
+        })
+        .collect();
+    let title = format!("Δd vs loss ({n} reps, seed {:#x})", args.seed);
+    let mut table = skip_failed(sweep_table(title, &cells));
     table.note(
         "Reading: the Δd medians barely move across the loss sweep — excluded rounds \
          (those whose probes were retransmitted) absorb the RTO penalty, so the included \
@@ -83,7 +54,5 @@ fn main() {
          exclusion rule intends. Without it, every leaked retransmission would inflate \
          Δd by a full retransmission timeout.",
     );
-    println!("{}", table.render(args.format.report_format()));
-    let path = args.save_artifact("impair.csv", &table.to_csv());
-    println!("Artifact written to {}", path.display());
+    args.emit("impair.csv", &table);
 }

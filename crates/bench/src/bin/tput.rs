@@ -7,22 +7,29 @@
 //! Yeboah et al. comparison).
 
 use bnm_bench::cli::BenchArgs;
-use bnm_bench::heading;
+use bnm_bench::{heading, skip_failed};
 use bnm_browser::BrowserKind;
 use bnm_core::baseline::ping_baseline;
-use bnm_core::throughput::run_bulk_rep;
+use bnm_core::experiments::throughput_table;
 use bnm_core::{ExperimentCell, RuntimeSel};
 use bnm_methods::MethodId;
 use bnm_stats::Summary;
 use bnm_time::OsKind;
 
+const METHODS: [MethodId; 4] = [
+    MethodId::XhrGet,
+    MethodId::FlashGet,
+    MethodId::JavaGet,
+    MethodId::WebSocket,
+];
+const SIZES: [usize; 3] = [16 * 1024, 128 * 1024, 1024 * 1024];
+
 fn main() {
     let args = BenchArgs::parse();
     let n_reps = args.reps.min(10); // bulk repetitions are heavier
-    let seed = args.seed;
 
     heading("Extension: ICMP ping baseline (§6)");
-    let pings = ping_baseline(10, bnm_sim::time::SimDuration::from_millis(50), seed);
+    let pings = ping_baseline(10, bnm_sim::time::SimDuration::from_millis(50), args.seed);
     let s = Summary::of(&pings);
     println!(
         "ping RTT over the testbed: median {:.3} ms (min {:.3}, max {:.3}) — the ground truth\n\
@@ -31,68 +38,28 @@ fn main() {
     );
 
     heading("Extension: throughput-estimate accuracy by method and size");
-    println!(
-        "{:<22} {:>9} {:>12} {:>12} {:>10}",
-        "method", "size", "wire Mbps", "meas Mbps", "underest"
+    let runs: Vec<(ExperimentCell, usize)> = METHODS
+        .iter()
+        .flat_map(|&method| {
+            SIZES.map(|size| {
+                let cell = ExperimentCell::paper(
+                    method,
+                    RuntimeSel::Browser(BrowserKind::Chrome),
+                    OsKind::Ubuntu1204,
+                );
+                (cell.with_seed(args.seed), size)
+            })
+        })
+        .collect();
+    let title = format!(
+        "Browser vs wire throughput ({n_reps} reps, seed {:#x})",
+        args.seed
     );
-    let mut csv =
-        String::from("method,browser,size_bytes,round,wire_mbps,browser_mbps,underestimation\n");
-    for method in [
-        MethodId::XhrGet,
-        MethodId::FlashGet,
-        MethodId::JavaGet,
-        MethodId::WebSocket,
-    ] {
-        for size in [16 * 1024usize, 128 * 1024, 1024 * 1024] {
-            let cell = ExperimentCell::paper(
-                method,
-                RuntimeSel::Browser(BrowserKind::Chrome),
-                OsKind::Ubuntu1204,
-            )
-            .with_seed(seed);
-            let mut wire = Vec::new();
-            let mut meas = Vec::new();
-            for rep in 0..n_reps {
-                let Ok(ms) = run_bulk_rep(&cell, rep, size) else {
-                    continue;
-                };
-                for m in &ms {
-                    // Round 2 is the reuse round speedtests resemble.
-                    if m.round == 2 {
-                        wire.push(m.wire_bps() / 1e6);
-                        meas.push(m.browser_bps() / 1e6);
-                    }
-                    csv.push_str(&format!(
-                        "{},{},{},{},{:.4},{:.4},{:.4}\n",
-                        method.label(),
-                        "C (U)",
-                        size,
-                        m.round,
-                        m.wire_bps() / 1e6,
-                        m.browser_bps() / 1e6,
-                        m.underestimation()
-                    ));
-                }
-            }
-            if wire.is_empty() {
-                continue;
-            }
-            let w = Summary::of(&wire).median;
-            let b = Summary::of(&meas).median;
-            println!(
-                "{:<22} {:>6} KB {:>12.2} {:>12.2} {:>9.1}%",
-                method.display_name(),
-                size / 1024,
-                w,
-                b,
-                (1.0 - b / w) * 100.0
-            );
-        }
-    }
-    println!(
-        "\nReading: the overhead is a fixed per-transfer tax, so it dominates small\n\
-         transfers and dilutes on large ones — and Flash taxes every size hardest (§2.2)."
+    let mut table = skip_failed(throughput_table(title, &runs, n_reps));
+    table.note(
+        "Reading: the overhead is a fixed per-transfer tax, so it dominates small \
+         transfers and dilutes on large ones — and Flash taxes every size hardest (§2.2). \
+         Round 2, the reuse round, is the one speedtests resemble.",
     );
-    let path = args.save_artifact("tput.csv", &csv);
-    println!("Artifact written to {}", path.display());
+    args.emit("tput.csv", &table);
 }

@@ -17,84 +17,43 @@
 //! injected `loss_pct` while its delivered-probe medians stay put.
 
 use bnm_bench::cli::BenchArgs;
-use bnm_bench::heading;
+use bnm_bench::{heading, skip_failed};
 use bnm_browser::BrowserKind;
-use bnm_core::report::{DistSummary, Render, Table, Value};
-use bnm_core::{ExperimentCell, ExperimentRunner, Impairment, RuntimeSel};
+use bnm_core::experiments::sweep_table;
+use bnm_core::{ExperimentCell, Impairment, RuntimeSel};
 use bnm_methods::MethodId;
 use bnm_time::OsKind;
+
+const METHODS: [MethodId; 2] = [MethodId::WebRtc, MethodId::WebSocket];
+const LOSS_PCTS: [f64; 5] = [0.0, 0.5, 1.0, 2.0, 5.0];
 
 fn main() {
     let args = BenchArgs::parse();
     let n = args.reps.min(20);
     heading("Extension: WebRTC datagrams vs WebSocket — loss as a measurement vs an exclusion");
 
-    let methods = [MethodId::WebRtc, MethodId::WebSocket];
-    let loss_pcts = [0.0f64, 0.5, 1.0, 2.0, 5.0];
-
-    let med = |v: &[f64]| DistSummary::of_samples(v).p50;
-    let blank = || Value::Text(String::new());
-    let mut table = Table::new(
-        format!(
-            "WebRTC vs WebSocket under loss ({n} reps, seed {:#x})",
-            args.seed
-        ),
-        &[
-            "method",
-            "loss_pct",
-            "d1_median_ms",
-            "d2_median_ms",
-            "excluded_rounds",
-            "failures",
-            "probes_sent",
-            "probes_delivered",
-            "loss_pct_meas",
-            "owd_up_p50_ms",
-            "owd_down_p50_ms",
-            "wire_jitter_p50_ms",
-        ],
+    let cells: Vec<ExperimentCell> = METHODS
+        .iter()
+        .flat_map(|&method| {
+            LOSS_PCTS.map(|pct| {
+                ExperimentCell::builder(
+                    method,
+                    RuntimeSel::Browser(BrowserKind::Chrome),
+                    OsKind::Ubuntu1204,
+                )
+                .reps(n)
+                .seed(args.seed)
+                .impairment(Impairment::loss(pct / 100.0))
+                .build()
+                .expect("sweep cells are runnable")
+            })
+        })
+        .collect();
+    let title = format!(
+        "WebRTC vs WebSocket under loss ({n} reps, seed {:#x})",
+        args.seed
     );
-    for method in methods {
-        for pct in loss_pcts {
-            let cell = ExperimentCell::builder(
-                method,
-                RuntimeSel::Browser(BrowserKind::Chrome),
-                OsKind::Ubuntu1204,
-            )
-            .reps(n)
-            .seed(args.seed)
-            .impairment(Impairment::loss(pct / 100.0))
-            .build()
-            .expect("sweep cells are runnable");
-            let r = match ExperimentRunner::try_run(&cell) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("skipping {} @ {pct}%: {e}", method.label());
-                    continue;
-                }
-            };
-            let mut row = vec![
-                Value::Text(method.label().to_string()),
-                Value::Num(pct),
-                Value::Num(med(&r.d1)),
-                Value::Num(med(&r.d2)),
-                Value::Int(r.excluded_rounds as i64),
-                Value::Int(r.failures as i64),
-            ];
-            match r.sessions.iter().find_map(|s| s.datagram.as_ref()) {
-                Some(d) => {
-                    row.push(Value::Int(d.sent as i64));
-                    row.push(Value::Int(d.delivered as i64));
-                    row.push(Value::Num(d.loss_rate() * 100.0));
-                    row.push(Value::Num(DistSummary::of_samples(&d.owd_up_ms).p50));
-                    row.push(Value::Num(DistSummary::of_samples(&d.owd_down_ms).p50));
-                    row.push(Value::Num(DistSummary::of_samples(&d.wire_jitter_ms).p50));
-                }
-                None => row.extend([blank(), blank(), blank(), blank(), blank(), blank()]),
-            }
-            table.row(row);
-        }
-    }
+    let mut table = skip_failed(sweep_table(title, &cells));
     table.note(
         "Reading: both transports keep their Δd medians flat across the sweep, but for \
          opposite reasons. WebSocket hides loss behind TCP retransmission, so affected \
@@ -103,7 +62,5 @@ fn main() {
          tracks the injected loss_pct, the delivered probes keep their one-way delays, and \
          nothing needs excluding.",
     );
-    println!("{}", table.render(args.format.report_format()));
-    let path = args.save_artifact("webrtc.csv", &table.to_csv());
-    println!("Artifact written to {}", path.display());
+    args.emit("webrtc.csv", &table);
 }

@@ -1,45 +1,24 @@
-//! Shared command-line parsing for the regenerator binaries.
-//!
-//! Every binary understands the same four flags, each falling back to
-//! the historical environment variable, then to the paper's default:
+//! The regenerator binaries' shared flags, read by the same
+//! [`bnm_core::cli`] parser as every `bnm` subcommand:
 //!
 //! ```text
-//! --seed S                 master seed        (env BNM_SEED,    default 0xB32B_2013)
-//! --reps N                 repetitions/cell   (env BNM_REPS,    default 50)
-//! --results DIR            artifact directory (env BNM_RESULTS, default results/)
+//! --seed S                 master seed        (decimal or 0x hex, default bnm_core::DEFAULT_SEED)
+//! --reps N                 repetitions/cell   (default 50)
+//! --results DIR            artifact directory (default results/)
 //! --format text|json|csv   artifact format    (default csv)
 //! ```
 //!
-//! `--format` governs [`BenchArgs::save_artifact`]: `json` converts the
-//! CSV table into an array of objects before writing; `text` and `csv`
-//! write the CSV as-is (stdout is already the human-readable view).
+//! An unknown flag or a malformed or out-of-range value exits 2 with
+//! usage, as in the CLI. `--format` governs [`BenchArgs::save_artifact`]:
+//! `json` converts the CSV table into an array of objects before
+//! writing; `text` and `csv` write the CSV as-is (stdout is already the
+//! human-readable view).
 
 use std::fs;
 use std::path::PathBuf;
 
-/// Artifact format selected with `--format`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OutputFormat {
-    /// Human-oriented: artifacts stay CSV, stdout is the report.
-    Text,
-    /// Artifacts converted to JSON (array of objects).
-    Json,
-    /// Plain CSV artifacts (the default).
-    #[default]
-    Csv,
-}
-
-impl OutputFormat {
-    /// The core rendering backend this artifact format maps onto.
-    /// `Text` and `Csv` both keep stdout human-readable (the CSV lives
-    /// in the artifact file); `Json` switches stdout to JSON too.
-    pub fn report_format(self) -> bnm_core::report::ReportFormat {
-        match self {
-            OutputFormat::Json => bnm_core::report::ReportFormat::Json,
-            OutputFormat::Text | OutputFormat::Csv => bnm_core::report::ReportFormat::Text,
-        }
-    }
-}
+use bnm_core::cli::{ArgError, Args};
+use bnm_core::report::{Render, ReportFormat, Table};
 
 /// Parsed arguments shared by every regenerator binary.
 #[derive(Debug, Clone)]
@@ -50,67 +29,66 @@ pub struct BenchArgs {
     pub reps: u32,
     /// Directory artifacts are written into (created on first save).
     pub results_dir: PathBuf,
-    /// Artifact format.
-    pub format: OutputFormat,
+    /// Artifact format: JSON under `Json`, CSV otherwise.
+    pub format: ReportFormat,
 }
 
 impl Default for BenchArgs {
     fn default() -> Self {
         BenchArgs {
-            seed: crate::master_seed(),
-            reps: crate::reps(),
-            results_dir: PathBuf::from(
-                std::env::var("BNM_RESULTS").unwrap_or_else(|_| "results".to_string()),
-            ),
-            format: OutputFormat::Csv,
+            seed: bnm_core::DEFAULT_SEED,
+            reps: crate::PAPER_REPS,
+            results_dir: PathBuf::from("results"),
+            format: ReportFormat::Csv,
         }
     }
 }
 
 impl BenchArgs {
-    /// Parse the process arguments, exiting with usage on a bad flag.
+    /// The value flags every regenerator takes.
+    const FLAGS: [&'static str; 4] = ["seed", "reps", "results", "format"];
+
+    /// Parse the process arguments, exiting 2 with usage on a bad flag.
     pub fn parse() -> BenchArgs {
-        match Self::from_args(std::env::args().skip(1)) {
-            Ok(a) => a,
-            Err(e) => {
+        Args::parse(std::env::args().skip(1), &Self::FLAGS, &[])
+            .and_then(|args| Self::from_parsed(&args))
+            .unwrap_or_else(|e| {
                 eprintln!(
                     "{e}\nusage: [--seed S] [--reps N] [--results DIR] [--format text|json|csv]"
                 );
                 std::process::exit(2);
-            }
+            })
+    }
+
+    /// The typed view of a command line parsed against
+    /// [`BenchArgs::FLAGS`]; absent flags keep their defaults.
+    fn from_parsed(args: &Args) -> Result<BenchArgs, ArgError> {
+        let default = BenchArgs::default();
+        Ok(BenchArgs {
+            seed: args.seed()?.unwrap_or(default.seed),
+            reps: args.reps()?.unwrap_or(default.reps),
+            results_dir: args
+                .value("results")
+                .map_or(default.results_dir, PathBuf::from),
+            format: args.format()?.unwrap_or(default.format),
+        })
+    }
+
+    /// What stdout renders in: JSON under `--format json`, else the text
+    /// report (the CSV goes to the artifact).
+    pub fn stdout_format(&self) -> ReportFormat {
+        match self.format {
+            ReportFormat::Json => ReportFormat::Json,
+            ReportFormat::Text | ReportFormat::Csv => ReportFormat::Text,
         }
     }
 
-    /// Parse from an explicit argument list (testable core of
-    /// [`BenchArgs::parse`]). Environment fallbacks still apply for
-    /// flags that are absent.
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<BenchArgs, String> {
-        let mut out = BenchArgs::default();
-        let mut it = args.into_iter();
-        while let Some(a) = it.next() {
-            let mut take = || it.next().ok_or_else(|| format!("{a} needs a value"));
-            match a.as_str() {
-                "--seed" => {
-                    let v = take()?;
-                    out.seed = parse_seed(&v).ok_or_else(|| format!("bad seed: {v}"))?;
-                }
-                "--reps" => {
-                    let v = take()?;
-                    out.reps = v.parse().map_err(|_| format!("bad reps: {v}"))?;
-                }
-                "--results" => out.results_dir = PathBuf::from(take()?),
-                "--format" => {
-                    out.format = match take()?.as_str() {
-                        "text" => OutputFormat::Text,
-                        "json" => OutputFormat::Json,
-                        "csv" => OutputFormat::Csv,
-                        other => return Err(format!("bad format: {other}")),
-                    }
-                }
-                other => return Err(format!("unknown flag: {other}")),
-            }
-        }
-        Ok(out)
+    /// Print `table` in the stdout format, then save it as the CSV
+    /// artifact `name`.
+    pub fn emit(&self, name: &str, table: &Table) {
+        println!("{}", table.render(self.stdout_format()));
+        let path = self.save_artifact(name, &table.to_csv());
+        println!("Artifact written to {}", path.display());
     }
 
     /// Write a CSV artifact under the results directory, honouring the
@@ -120,7 +98,7 @@ impl BenchArgs {
     pub fn save_artifact(&self, name: &str, csv: &str) -> PathBuf {
         fs::create_dir_all(&self.results_dir).expect("create results dir");
         let (path, contents) = match self.format {
-            OutputFormat::Json => {
+            ReportFormat::Json => {
                 let json_name = match name.strip_suffix(".csv") {
                     Some(stem) => format!("{stem}.json"),
                     None => format!("{name}.json"),
@@ -131,14 +109,6 @@ impl BenchArgs {
         };
         fs::write(&path, contents).expect("write artifact");
         path
-    }
-}
-
-fn parse_seed(v: &str) -> Option<u64> {
-    if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        u64::from_str_radix(&hex.replace('_', ""), 16).ok()
-    } else {
-        v.parse().ok()
     }
 }
 
@@ -209,8 +179,9 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<BenchArgs, String> {
-        BenchArgs::from_args(args.iter().map(|s| s.to_string()))
+    fn parse(argv: &[&str]) -> Result<BenchArgs, ArgError> {
+        let args = Args::parse(argv.iter().map(|s| s.to_string()), &BenchArgs::FLAGS, &[])?;
+        BenchArgs::from_parsed(&args)
     }
 
     #[test]
@@ -229,20 +200,32 @@ mod tests {
         assert_eq!(a.seed, 0xAB);
         assert_eq!(a.reps, 7);
         assert_eq!(a.results_dir, PathBuf::from("/tmp/r"));
-        assert_eq!(a.format, OutputFormat::Json);
+        assert_eq!(a.format, ReportFormat::Json);
+        assert_eq!(a.stdout_format(), ReportFormat::Json);
         assert_eq!(parse(&["--seed", "12"]).unwrap().seed, 12);
+        let d = parse(&[]).unwrap();
+        assert_eq!(
+            (d.seed, d.reps),
+            (bnm_core::DEFAULT_SEED, crate::PAPER_REPS)
+        );
+        assert_eq!(d.results_dir, PathBuf::from("results"));
+        assert_eq!(d.stdout_format(), ReportFormat::Text);
     }
 
     #[test]
     fn bad_flags_are_reported() {
-        assert!(parse(&["--format", "xml"])
-            .unwrap_err()
-            .contains("bad format"));
-        assert!(parse(&["--reps"]).unwrap_err().contains("needs a value"));
-        assert!(parse(&["--frobnicate"])
-            .unwrap_err()
-            .contains("unknown flag"));
-        assert!(parse(&["--seed", "zap"]).unwrap_err().contains("bad seed"));
+        let invalid = |argv: &[&str]| matches!(parse(argv), Err(ArgError::Invalid { .. }));
+        assert!(invalid(&["--format", "xml"]));
+        assert!(invalid(&["--seed", "zap"]));
+        assert!(invalid(&["--reps", "0"]));
+        assert_eq!(
+            parse(&["--reps"]).unwrap_err(),
+            ArgError::MissingValue("reps".into())
+        );
+        assert_eq!(
+            parse(&["--frobnicate"]).unwrap_err(),
+            ArgError::Unknown("frobnicate".into())
+        );
     }
 
     #[test]
@@ -267,12 +250,13 @@ mod tests {
     fn save_artifact_honours_format() {
         let dir = std::env::temp_dir().join("bnm_cli_test");
         let _ = fs::remove_dir_all(&dir);
-        let mut a = parse(&[]).unwrap();
-        a.results_dir = dir.clone();
-        a.format = OutputFormat::Csv;
+        let mut a = BenchArgs {
+            results_dir: dir.clone(),
+            ..BenchArgs::default()
+        };
         let p = a.save_artifact("t.csv", "a,b\n1,2\n");
         assert!(p.to_string_lossy().ends_with("t.csv"));
-        a.format = OutputFormat::Json;
+        a.format = ReportFormat::Json;
         let p = a.save_artifact("t.csv", "a,b\n1,2\n");
         assert!(p.to_string_lossy().ends_with("t.json"));
         assert_eq!(fs::read_to_string(&p).unwrap(), "[{\"a\":1,\"b\":2}]");

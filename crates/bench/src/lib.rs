@@ -16,46 +16,26 @@
 //! Run with `cargo run --release -p bnm-bench --bin fig3`.
 //!
 //! Every binary accepts the shared flags of [`cli::BenchArgs`]
-//! (`--seed`, `--reps`, `--results`, `--format text|json|csv`).
+//! (`--seed`, `--reps`, `--results`, `--format text|json|csv`), read by
+//! the same [`bnm_core::cli`] parser as the `bnm` CLI. The extension
+//! sweeps (`impair`, `contend`, `webrtc`, `tput`) are cell lists handed
+//! to [`bnm_core::experiments`], which builds the rows `bnm impair`,
+//! `bnm contend` and `bnm tput` print too.
 
 #![deny(deprecated)]
 
 pub mod cli;
 pub mod meta;
 
-use std::fs;
 use std::io::IsTerminal;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+use bnm_core::experiments::Failed;
+use bnm_core::report::Table;
 use bnm_core::{CellResult, Executor, ExperimentCell};
 
 /// Repetitions per cell: the paper's 50.
 pub const PAPER_REPS: u32 = 50;
-
-/// The master seed all regenerators share (override with `BNM_SEED`).
-pub fn master_seed() -> u64 {
-    std::env::var("BNM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xB32B_2013)
-}
-
-/// Repetitions to run (override with `BNM_REPS`, e.g. for quick smoke
-/// runs).
-pub fn reps() -> u32 {
-    std::env::var("BNM_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(PAPER_REPS)
-}
-
-/// Where CSV artifacts go.
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("BNM_RESULTS").unwrap_or_else(|_| "results".to_string());
-    let path = PathBuf::from(dir);
-    fs::create_dir_all(&path).expect("create results dir");
-    path
-}
 
 /// Run a batch of cells on `bnm_core`'s work-stealing executor.
 ///
@@ -86,11 +66,14 @@ pub fn run_cells(cells: Vec<ExperimentCell>) -> Vec<(ExperimentCell, CellResult)
         .collect()
 }
 
-/// Write a string artifact into the results directory.
-pub fn save(name: &str, contents: &str) -> PathBuf {
-    let path = results_dir().join(name);
-    fs::write(&path, contents).expect("write artifact");
-    path
+/// The rows of a [`bnm_core::experiments`] table, reporting each cell
+/// that did not run to stderr: a regenerator skips a failed cell rather
+/// than abort the sweep.
+pub fn skip_failed((table, failed): (Table, Failed)) -> Table {
+    for (cell, e) in failed {
+        eprintln!("skipping {}: {e}", cell.label());
+    }
+    table
 }
 
 /// Print a horizontal rule + heading.
@@ -174,13 +157,5 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0.method, MethodId::XhrGet);
         assert_eq!(out[0].1.d1.len(), 2);
-    }
-
-    #[test]
-    fn defaults_without_env() {
-        // (Environment overrides are tested manually; here just the
-        // defaults' sanity.)
-        assert_eq!(PAPER_REPS, 50);
-        assert!(master_seed() != 0);
     }
 }

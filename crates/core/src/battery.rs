@@ -56,7 +56,7 @@ impl Default for BatteryConfig {
     fn default() -> BatteryConfig {
         BatteryConfig {
             reps: FULL_REPS,
-            seed: 0xB32B_2013,
+            seed: crate::config::DEFAULT_SEED,
         }
     }
 }

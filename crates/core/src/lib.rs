@@ -35,10 +35,12 @@ pub mod attribution;
 pub mod baseline;
 pub mod battery;
 pub mod calibration;
+pub mod cli;
 pub mod config;
 pub mod delta;
 pub mod error;
 pub mod exec;
+pub mod experiments;
 pub mod frames;
 pub mod impact;
 pub mod matching;
@@ -59,7 +61,9 @@ pub use battery::{
     run_battery, BatteryConfig, BatteryEntry, BatteryReport, BatteryScenario, ScenarioOutcome,
 };
 pub use bnm_sim::{FaultSpec, Impairment, LinkDynamics, LinkShape, QueueDiscipline, RateSchedule};
-pub use config::{CellBuilder, ContentionSpec, ExperimentCell, RuntimeSel, StreamingSpec};
+pub use config::{
+    CellBuilder, ContentionSpec, ExperimentCell, RuntimeSel, StreamingSpec, DEFAULT_SEED,
+};
 pub use delta::RoundMeasurement;
 pub use error::RunError;
 pub use exec::{ExecStats, Executor, Progress};

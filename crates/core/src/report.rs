@@ -953,23 +953,6 @@ pub fn to_csv(cell: &ExperimentCell, result: &CellResult) -> String {
     out
 }
 
-/// A one-line summary of an appraisal, for harness stdout.
-#[deprecated(
-    since = "0.4.0",
-    note = "build a ReportSnapshot (CellResult::summary) and use the Render trait"
-)]
-pub fn summary_line(cell: &ExperimentCell, a: &Appraisal) -> String {
-    format!(
-        "{:40} Δd1 med {:8.2}  Δd2 med {:8.2}  IQR {:6.2}  mean {}  verdict {:?}",
-        cell.label(),
-        a.d1.median,
-        a.d2.median,
-        a.pooled.iqr(),
-        a.mean_ci.format_table4(),
-        a.verdict
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1020,15 +1003,6 @@ mod tests {
         assert_eq!(lines[0], "method,runtime,os,round,index,delta_ms");
         assert_eq!(lines.len(), 1 + 40);
         assert!(lines[1].starts_with("xhr_get,C (U),U,1,0,"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn summary_line_mentions_verdict() {
-        let a = Appraisal::try_of(&result()).unwrap();
-        let line = summary_line(&cell(), &a);
-        assert!(line.contains("XHR GET"));
-        assert!(line.contains("verdict"));
     }
 
     #[test]

@@ -185,21 +185,6 @@ impl Engine {
         self.trace = trace;
     }
 
-    /// Swap the scheduler for the reference `BinaryHeap` implementation
-    /// (see [`EventQueue::reference_heap`]). Pop order — and therefore
-    /// every simulation result — is identical to the default timer
-    /// wheel; this exists for differential tests and as the benchmark
-    /// baseline.
-    ///
-    /// Panics if the simulation has already started.
-    pub fn use_reference_scheduler(&mut self) {
-        assert!(
-            !self.started && self.queue.is_empty(),
-            "scheduler must be selected before the simulation starts"
-        );
-        self.queue = EventQueue::reference_heap();
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now

@@ -5,22 +5,19 @@
 //! simulation deterministic: two events scheduled for the same instant
 //! are always delivered in the order they were scheduled.
 //!
-//! Two interchangeable scheduler implementations sit behind
-//! [`EventQueue`]: the default hierarchical timer wheel
-//! ([`crate::sched::TimerWheel`], `O(1)` insert) and the original
-//! binary heap, kept as the executable specification. They produce
-//! bit-identical pop orders — `tests/properties.rs` holds an
-//! exhaustive equivalence proptest — and
-//! [`EventQueue::reference_heap`] selects the heap for baselining and
-//! differential testing.
+//! [`EventQueue`] stamps the sequence numbers and files every event in
+//! the hierarchical timer wheel ([`crate::sched::TimerWheel`], `O(1)`
+//! insert). [`Event`]'s `Ord` is the exact pop order, so a plain
+//! `BinaryHeap<Event>` is the executable specification the wheel is
+//! checked against, pop for pop, in `tests/properties.rs`.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use bytes::Bytes;
 
 use crate::engine::{NodeId, PortNo};
 use crate::link::{Dir, LinkId};
+use crate::sched::TimerWheel;
 use crate::time::SimTime;
 
 /// What happens when an event fires.
@@ -91,66 +88,29 @@ impl Ord for Event {
     }
 }
 
-/// Which scheduler backs an [`EventQueue`].
-#[derive(Debug)]
-enum QueueImpl {
-    /// Hierarchical timer wheel — the production scheduler.
-    Wheel(crate::sched::TimerWheel),
-    /// The original `BinaryHeap` — the reference implementation, kept
-    /// for differential testing and as the benchmark baseline.
-    Heap(BinaryHeap<Event>),
-}
-
 /// Deterministic priority queue of simulation events.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    inner: QueueImpl,
+    wheel: TimerWheel,
     next_seq: u64,
 }
 
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl EventQueue {
-    /// An empty queue backed by the timer wheel.
+    /// An empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            inner: QueueImpl::Wheel(crate::sched::TimerWheel::new()),
-            next_seq: 0,
-        }
-    }
-
-    /// An empty queue backed by the reference `BinaryHeap` scheduler.
-    ///
-    /// Pops in exactly the same order as [`EventQueue::new`]; exists so
-    /// tests can check that claim and benchmarks can measure the gap.
-    pub fn reference_heap() -> Self {
-        EventQueue {
-            inner: QueueImpl::Heap(BinaryHeap::new()),
-            next_seq: 0,
-        }
+        Self::default()
     }
 
     /// Schedule `kind` to fire at `at`.
     pub fn push(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let ev = Event { at, seq, kind };
-        match &mut self.inner {
-            QueueImpl::Wheel(w) => w.push(ev),
-            QueueImpl::Heap(h) => h.push(ev),
-        }
+        self.wheel.push(Event { at, seq, kind });
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        match &mut self.inner {
-            QueueImpl::Wheel(w) => w.pop(),
-            QueueImpl::Heap(h) => h.pop(),
-        }
+        self.wheel.pop()
     }
 
     /// When the next event would fire, if any.
@@ -158,23 +118,17 @@ impl EventQueue {
     /// Takes `&mut self` because the wheel may cascade internally; the
     /// observable queue content is unchanged.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.inner {
-            QueueImpl::Wheel(w) => w.peek_time(),
-            QueueImpl::Heap(h) => h.peek().map(|e| e.at),
-        }
+        self.wheel.peek_time()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            QueueImpl::Wheel(w) => w.len(),
-            QueueImpl::Heap(h) => h.len(),
-        }
+        self.wheel.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.wheel.is_empty()
     }
 }
 
@@ -226,50 +180,5 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn wheel_and_heap_agree() {
-        // A deterministic but irregular schedule spanning several wheel
-        // levels, with interleaved pops. The exhaustive randomized
-        // version of this check lives in `tests/properties.rs`.
-        let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::reference_heap();
-        let mut x: u64 = 0x243F_6A88_85A3_08D3; // deterministic xorshift
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut last = 0u64;
-        for i in 0..2_000u64 {
-            // Mostly short hops, occasionally seconds ahead.
-            let hop = match next() % 10 {
-                0 => next() % 4_000_000_000,
-                1..=3 => next() % 1_000_000,
-                _ => next() % 10_000,
-            };
-            let at = SimTime::from_nanos(last + hop);
-            wheel.push(at, timer(0, i));
-            heap.push(at, timer(0, i));
-            if next() % 3 == 0 {
-                let (a, b) = (wheel.pop(), heap.pop());
-                let a = a.expect("wheel empty while heap has events");
-                let b = b.unwrap();
-                assert_eq!((a.at, a.seq), (b.at, b.seq));
-                last = last.max(a.at.as_nanos());
-            }
-        }
-        loop {
-            match (wheel.pop(), heap.pop()) {
-                (None, None) => break,
-                (a, b) => {
-                    let a = a.expect("wheel drained early");
-                    let b = b.expect("heap drained early");
-                    assert_eq!((a.at, a.seq), (b.at, b.seq));
-                }
-            }
-        }
     }
 }

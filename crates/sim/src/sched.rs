@@ -23,9 +23,9 @@
 //! coarser-level slots downward as time reaches them.
 //!
 //! Determinism is inherited rather than re-proven: the wheel never
-//! compares events beyond `(at, seq)`, and `tests/properties.rs` holds
-//! an exhaustive equivalence proptest against the reference
-//! `BinaryHeap` implementation in [`crate::event`].
+//! compares events beyond `(at, seq)`, and `tests/properties.rs` checks
+//! it pop for pop against a plain `BinaryHeap<Event>`, whose order
+//! [`Event`]'s `Ord` defines.
 
 use std::collections::BinaryHeap;
 use std::mem;

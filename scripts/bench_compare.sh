@@ -27,8 +27,8 @@ tol="${BNM_BENCH_TOLERANCE_PCT:-20}"
 fail=0
 
 # json_num FILE KEY NTH — the NTH numeric value of "KEY": N in FILE
-# (files are flat enough that position disambiguates the section:
-# wheel comes before heap).
+# (files are flat enough that position disambiguates the section: the
+# engine report's first events_per_sec is the timer wheel's).
 json_num() {
   grep -o "\"$2\": *[0-9.]*" "$1" | sed -n "$3{s/.*: *//;p}"
 }

@@ -83,6 +83,10 @@ cargo test -q --test webrtc_parity
 echo "==> cargo test -q --test dynamics_parity"
 cargo test -q --test dynamics_parity
 
+# The front door: every bad flag exits 2 naming itself, and hex and decimal seeds agree.
+echo "==> cargo test -q --test cli"
+cargo test -q --test cli
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -135,7 +139,7 @@ if [[ $quick -eq 0 && $fast -eq 0 ]]; then
 fi
 
 # Benchmarks, quick mode: one timed run per configuration — engine
-# (wheel+pool vs the reference BinaryHeap), serve, webrtc and battery —
+# (timer wheel + frame pool), serve, webrtc and battery —
 # written to BENCH_*.json at the repo root, then gated against the
 # committed baselines.
 if [[ $bench -eq 1 ]]; then

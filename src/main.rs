@@ -14,65 +14,62 @@
 //! bnm battery [options]            the full scored appraisal battery
 //! ```
 //!
+//! Every subcommand reads its flags through one typed parser,
+//! [`bnm::core::cli::Args`]: an unknown, repeated, malformed or
+//! out-of-range flag, or a stray positional, prints usage and exits 2.
 //! Every data-producing subcommand shares one `--format {text,json,csv}`
 //! code path: it builds a [`Render`]able (`Table`, `ReportSnapshot` or
-//! `TraceReport`) and emits it — no per-command formatters.
+//! `TraceReport`) and emits it — no per-command formatters. The sweep
+//! and throughput tables are built by [`bnm::core::experiments`], as
+//! the regenerators' are.
 
 #![deny(deprecated)]
-
-use std::collections::HashMap;
 
 use bnm::browser::BrowserKind;
 use bnm::core::appraisal::Appraisal;
 use bnm::core::baseline::ping_baseline;
+use bnm::core::cli::{ArgError, Args};
+use bnm::core::experiments::{sweep_table, throughput_table, Failed};
 use bnm::core::recommend::{self, Constraints};
 use bnm::core::report::{Table, TraceReport, Value};
-use bnm::core::throughput::run_bulk_rep;
 use bnm::core::{
-    ContentionSpec, DistSummary, ExperimentCell, ExperimentRunner, FaultSpec, Impairment, Monitor,
-    MonitorConfig, Render, ReportFormat, RuntimeSel, StreamingSpec,
+    CellBuilder, CellResult, ContentionSpec, ExperimentCell, ExperimentRunner, FaultSpec,
+    Impairment, Monitor, MonitorConfig, Render, ReportFormat, RuntimeSel, StreamingSpec,
+    DEFAULT_SEED,
 };
 use bnm::methods::{table1_rows, MethodId};
 use bnm::sim::time::{SimDuration, SimTime};
 use bnm::stats::Summary;
 use bnm::timeapi::{make_api, probe_granularity, MachineTimer, OsKind, TimingApiKind};
 
-fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
-    let mut positional = Vec::new();
-    let mut flags = HashMap::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().unwrap().clone(),
-                _ => "true".to_string(),
-            };
-            flags.insert(name.to_string(), value);
-        } else {
-            positional.push(a.clone());
-        }
-    }
-    (positional, flags)
-}
+/// A subcommand: its name, the value flags and switches it takes, and
+/// its body.
+type Command = (
+    &'static str,
+    &'static [&'static str],
+    &'static [&'static str],
+    fn(&Args) -> Result<(), ArgError>,
+);
 
-fn method_by_label(label: &str) -> Option<MethodId> {
-    // EXTENDED = the Table 1 eleven plus post-paper additions (webrtc).
-    MethodId::EXTENDED.into_iter().find(|m| m.label() == label)
-}
-
-fn browser_by_name(name: &str) -> Option<BrowserKind> {
-    BrowserKind::ALL
-        .into_iter()
-        .find(|b| b.name().eq_ignore_ascii_case(name))
-}
-
-fn os_by_name(name: &str) -> Option<OsKind> {
-    match name.to_ascii_lowercase().as_str() {
-        "windows" | "win" | "w" => Some(OsKind::Windows7),
-        "ubuntu" | "linux" | "u" => Some(OsKind::Ubuntu1204),
-        _ => None,
-    }
-}
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    ("list", &[], &[], cmd_list),
+    ("appraise", &["method", "browser", "os", "reps", "seed"], &["nanotime"], cmd_appraise),
+    ("trace", &["method", "browser", "os", "reps", "seed", "format"], &["events"], cmd_trace),
+    ("impair", &["method", "browser", "os", "reps", "seed", "loss", "corrupt", "duplicate",
+                 "jitter", "format"], &[], cmd_impair),
+    ("contend", &["method", "browser", "os", "reps", "seed", "clients", "rate-mbps", "format"],
+                &[], cmd_contend),
+    ("serve", &["method", "browser", "os", "seed", "clients", "rate-mbps", "loss", "duration",
+                "every", "period", "format"], &[], cmd_serve),
+    ("webrtc", &["browser", "os", "reps", "seed", "loss", "jitter", "format"], &[], cmd_webrtc),
+    ("probe", &["os"], &[], cmd_probe),
+    ("ping", &[], &[], cmd_ping),
+    ("tput", &["method", "size", "format"], &[], cmd_tput),
+    ("recommend", &["format"], &["mobile", "no-plugins", "no-ports", "strict-origin"],
+                  cmd_recommend),
+    ("battery", &["reps", "seed", "format"], &["quick", "serial"], cmd_battery),
+];
 
 fn usage() -> ! {
     eprintln!(
@@ -114,12 +111,10 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// The one `--format` flag shared by every data-producing subcommand.
-fn parse_format(flags: &HashMap<String, String>) -> ReportFormat {
-    match flags.get("format") {
-        None => ReportFormat::Text,
-        Some(f) => f.parse().unwrap_or_else(|_| usage()),
-    }
+/// Print why a run could not finish, and exit 1.
+fn fail(why: impl std::fmt::Display) -> ! {
+    eprintln!("{why}");
+    std::process::exit(1);
 }
 
 /// Emit a renderable in the chosen format — text gets a trailing-newline
@@ -134,28 +129,64 @@ fn emit(r: &impl Render, fmt: ReportFormat) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage() };
-    let (_, flags) = parse_flags(&args[1..]);
-
-    match cmd.as_str() {
-        "list" => cmd_list(),
-        "appraise" => cmd_appraise(&flags),
-        "trace" => cmd_trace(&flags),
-        "impair" => cmd_impair(&flags),
-        "contend" => cmd_contend(&flags),
-        "serve" => cmd_serve(&flags),
-        "webrtc" => cmd_webrtc(&flags),
-        "probe" => cmd_probe(&flags),
-        "ping" => cmd_ping(),
-        "tput" => cmd_tput(&flags),
-        "recommend" => cmd_recommend(&flags),
-        "battery" => cmd_battery(&flags),
-        _ => usage(),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((cmd, rest)) = argv.split_first() else {
+        usage()
+    };
+    let Some(&(_, values, switches, run)) = COMMANDS.iter().find(|c| c.0 == cmd.as_str()) else {
+        usage()
+    };
+    let outcome = Args::parse(rest.iter().cloned(), values, switches).and_then(|args| run(&args));
+    if let Err(e) = outcome {
+        eprintln!("bnm {cmd}: {e}");
+        usage();
     }
 }
 
-fn cmd_list() {
+/// The method/browser/OS/reps/seed block the experiment subcommands
+/// share, over each subcommand's own defaults. A flag the subcommand
+/// does not take keeps its default.
+fn cell_builder(
+    args: &Args,
+    method: MethodId,
+    browser: BrowserKind,
+    os: OsKind,
+    reps: u32,
+) -> Result<CellBuilder, ArgError> {
+    let runtime = RuntimeSel::Browser(args.browser()?.unwrap_or(browser));
+    let builder = ExperimentCell::builder(
+        args.method()?.unwrap_or(method),
+        runtime,
+        args.os()?.unwrap_or(os),
+    );
+    Ok(builder
+        .reps(args.reps()?.unwrap_or(reps))
+        .seed(args.seed()?.unwrap_or(DEFAULT_SEED)))
+}
+
+/// Validate a cell, exiting 1 with the reason when it cannot run.
+fn build_cell(builder: CellBuilder) -> ExperimentCell {
+    builder.build().unwrap_or_else(|e| match e {
+        bnm::RunError::Unrunnable { .. } => fail(format!("{e} (Table 2 feature matrix)")),
+        _ => fail(e),
+    })
+}
+
+/// Run a cell, exiting 1 when it cannot.
+fn run_cell(cell: &ExperimentCell) -> CellResult {
+    ExperimentRunner::try_run(cell).unwrap_or_else(|e| fail(format!("run failed: {e}")))
+}
+
+/// An experiments table's rows, exiting 1 at the first cell that did not
+/// run: a CLI table is printed whole or not at all.
+fn all_rows((table, failed): (Table, Failed)) -> Table {
+    if let Some((cell, e)) = failed.first() {
+        fail(format!("run failed for {}: {e}", cell.label()));
+    }
+    table
+}
+
+fn cmd_list(_: &Args) -> Result<(), ArgError> {
     println!(
         "{:<12} {:<13} {:<12} {:<10} {:<11} metrics",
         "label", "approach", "technology", "method", "same-origin"
@@ -190,63 +221,29 @@ fn cmd_list() {
             m.metrics()
         );
     }
+    Ok(())
 }
 
-fn cmd_appraise(flags: &HashMap<String, String>) {
-    let method = flags
-        .get("method")
-        .map(|m| method_by_label(m).unwrap_or_else(|| usage()))
-        .unwrap_or(MethodId::WebSocket);
-    let browser = flags
-        .get("browser")
-        .map(|b| browser_by_name(b).unwrap_or_else(|| usage()))
-        .unwrap_or(BrowserKind::Chrome);
-    let os = flags
-        .get("os")
-        .map(|o| os_by_name(o).unwrap_or_else(|| usage()))
-        .unwrap_or(OsKind::Ubuntu1204);
-    let reps: u32 = flags.get("reps").and_then(|r| r.parse().ok()).unwrap_or(25);
-    let seed: u64 = flags
-        .get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xB32B_2013);
-
-    let mut builder = ExperimentCell::builder(method, RuntimeSel::Browser(browser), os)
-        .reps(reps)
-        .seed(seed);
-    if flags.contains_key("nanotime") {
+fn cmd_appraise(args: &Args) -> Result<(), ArgError> {
+    let mut builder = cell_builder(
+        args,
+        MethodId::WebSocket,
+        BrowserKind::Chrome,
+        OsKind::Ubuntu1204,
+        25,
+    )?;
+    if args.switch("nanotime") {
         builder = builder.timing(TimingApiKind::JavaNanoTime);
     }
-    let cell = match builder.build() {
-        Ok(cell) => cell,
-        Err(e @ bnm::RunError::Unrunnable { .. }) => {
-            eprintln!("{e} (Table 2 feature matrix)");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
+    let cell = build_cell(builder);
     println!(
-        "Appraising {} ({} reps, seed {seed:#x}) …",
+        "Appraising {} ({} reps, seed {:#x}) …",
         cell.label(),
-        reps
+        cell.reps,
+        cell.seed
     );
-    let result = match ExperimentRunner::try_run(&cell) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let a = match Appraisal::try_of(&result) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("appraisal failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let result = run_cell(&cell);
+    let a = Appraisal::try_of(&result).unwrap_or_else(|e| fail(format!("appraisal failed: {e}")));
     println!(
         "\nΔd1: median {:8.3} ms  IQR [{:8.3}, {:8.3}]  outliers {}",
         a.d1.median,
@@ -266,53 +263,27 @@ fn cmd_appraise(flags: &HashMap<String, String>) {
     if result.failures > 0 {
         println!("({} repetitions failed)", result.failures);
     }
+    Ok(())
 }
 
-fn cmd_trace(flags: &HashMap<String, String>) {
-    let method = flags
-        .get("method")
-        .map(|m| method_by_label(m).unwrap_or_else(|| usage()))
-        .unwrap_or(MethodId::XhrGet);
-    let browser = flags
-        .get("browser")
-        .map(|b| browser_by_name(b).unwrap_or_else(|| usage()))
-        .unwrap_or(BrowserKind::Chrome);
-    let os = flags
-        .get("os")
-        .map(|o| os_by_name(o).unwrap_or_else(|| usage()))
-        .unwrap_or(OsKind::Ubuntu1204);
-    let reps: u32 = flags.get("reps").and_then(|r| r.parse().ok()).unwrap_or(5);
-    let seed: u64 = flags
-        .get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xB32B_2013);
-    let format = parse_format(flags);
-
-    let cell = match ExperimentCell::builder(method, RuntimeSel::Browser(browser), os)
-        .reps(reps)
-        .seed(seed)
-        .trace(true)
-        .build()
-    {
-        Ok(cell) => cell,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
-    let result = match ExperimentRunner::try_run(&cell) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            std::process::exit(1);
-        }
-    };
+fn cmd_trace(args: &Args) -> Result<(), ArgError> {
+    let builder = cell_builder(
+        args,
+        MethodId::XhrGet,
+        BrowserKind::Chrome,
+        OsKind::Ubuntu1204,
+        5,
+    )?;
+    let format = args.format()?.unwrap_or_default();
+    let cell = build_cell(builder.trace(true));
+    let result = run_cell(&cell);
 
     if format == ReportFormat::Text {
         println!(
-            "Δd attribution for {} ({} reps, seed {seed:#x}), ms:\n",
+            "Δd attribution for {} ({} reps, seed {:#x}), ms:\n",
             cell.label(),
-            reps
+            cell.reps,
+            cell.seed
         );
     }
     emit(&TraceReport::new(&result.attributions), format);
@@ -321,7 +292,7 @@ fn cmd_trace(flags: &HashMap<String, String>) {
     }
 
     // Raw event dump for the first repetition, in the same format.
-    if flags.contains_key("events") {
+    if args.switch("events") {
         if let Some(t) = result.traces.first() {
             match format {
                 ReportFormat::Json => println!("{}", t.to_json()),
@@ -329,180 +300,58 @@ fn cmd_trace(flags: &HashMap<String, String>) {
             }
         }
     }
+    Ok(())
 }
 
-fn cmd_impair(flags: &HashMap<String, String>) {
-    let method = flags
-        .get("method")
-        .map(|m| method_by_label(m).unwrap_or_else(|| usage()))
-        .unwrap_or(MethodId::WebSocket);
-    let browser = flags
-        .get("browser")
-        .map(|b| browser_by_name(b).unwrap_or_else(|| usage()))
-        .unwrap_or(BrowserKind::Chrome);
-    let os = flags
-        .get("os")
-        .map(|o| os_by_name(o).unwrap_or_else(|| usage()))
-        .unwrap_or(OsKind::Ubuntu1204);
-    let reps: u32 = flags.get("reps").and_then(|r| r.parse().ok()).unwrap_or(25);
-    let seed: u64 = flags
-        .get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xB32B_2013);
-    let format = parse_format(flags);
-    let prob = |name: &str| -> f64 {
-        let p = flags.get(name).and_then(|v| v.parse().ok()).unwrap_or(0.0);
-        if !(0.0..=1.0).contains(&p) {
-            usage();
-        }
-        p
-    };
+fn cmd_impair(args: &Args) -> Result<(), ArgError> {
+    let builder = cell_builder(
+        args,
+        MethodId::WebSocket,
+        BrowserKind::Chrome,
+        OsKind::Ubuntu1204,
+        25,
+    )?;
     let spec = FaultSpec {
-        drop_chance: prob("loss"),
-        corrupt_chance: prob("corrupt"),
-        duplicate_chance: prob("duplicate"),
+        drop_chance: args.probability("loss")?.unwrap_or(0.0),
+        corrupt_chance: args.probability("corrupt")?.unwrap_or(0.0),
+        duplicate_chance: args.probability("duplicate")?.unwrap_or(0.0),
         ..FaultSpec::CLEAN
     };
-    let jitter_ms: f64 = flags
-        .get("jitter")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    let imp = Impairment {
+    let jitter_ms = args.non_negative("jitter")?.unwrap_or(0.0);
+    let format = args.format()?.unwrap_or_default();
+    let cell = build_cell(builder.impairment(Impairment {
         up: spec,
         down: spec,
         jitter: SimDuration::from_millis_f64(jitter_ms),
-    };
-
-    let cell = match ExperimentCell::builder(method, RuntimeSel::Browser(browser), os)
-        .reps(reps)
-        .seed(seed)
-        .impairment(imp)
-        .build()
-    {
-        Ok(cell) => cell,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
-    let result = match ExperimentRunner::try_run(&cell) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let med = |v: &[f64]| DistSummary::of_samples(v).p50;
-    let mut table = Table::new(
-        format!(
-            "{} on an impaired network ({} reps, seed {seed:#x})",
-            cell.label(),
-            reps
-        ),
-        &[
-            "cell",
-            "loss",
-            "corrupt",
-            "duplicate",
-            "jitter_ms",
-            "d1_median_ms",
-            "d2_median_ms",
-            "d1_n",
-            "d2_n",
-            "excluded_rounds",
-            "failures",
-            "dgram_delivered",
-            "dgram_lost",
-            "dgram_reordered",
-        ],
+    }));
+    let title = format!(
+        "{} on an impaired network ({} reps, seed {:#x})",
+        cell.label(),
+        cell.reps,
+        cell.seed
     );
-    let (dg_delivered, dg_lost, dg_reordered) = datagram_cells(&result);
-    table.row(vec![
-        Value::Text(cell.label()),
-        Value::Num(spec.drop_chance),
-        Value::Num(spec.corrupt_chance),
-        Value::Num(spec.duplicate_chance),
-        Value::Num(jitter_ms),
-        Value::Num(med(&result.d1)),
-        Value::Num(med(&result.d2)),
-        Value::Int(result.d1.len() as i64),
-        Value::Int(result.d2.len() as i64),
-        Value::Int(result.excluded_rounds as i64),
-        Value::Int(result.failures as i64),
-        dg_delivered,
-        dg_lost,
-        dg_reordered,
-    ]);
+    let mut table = all_rows(sweep_table(title, &[cell]));
     table.note(
         "Rounds hit by retransmission are excluded per §3.2; medians are R-7 \
-         over the surviving rounds. The dgram_* columns are populated only for \
-         datagram methods (webrtc), whose losses are measured, not excluded.",
+         over the surviving rounds. The datagram columns (dgram_* through \
+         wire_jitter_p50_ms) are populated only for datagram methods (webrtc), \
+         whose losses are measured, not excluded.",
     );
     emit(&table, format);
+    Ok(())
 }
 
-/// The three `dgram_*` sweep cells: per-probe counters summed over every
-/// session for datagram methods, empty fields otherwise.
-fn datagram_cells(result: &bnm::core::runner::CellResult) -> (Value, Value, Value) {
-    let stats: Vec<_> = result
-        .sessions
-        .iter()
-        .filter_map(|s| s.datagram.as_ref())
-        .collect();
-    if stats.is_empty() {
-        return (
-            Value::Text(String::new()),
-            Value::Text(String::new()),
-            Value::Text(String::new()),
-        );
-    }
-    let delivered: u64 = stats.iter().map(|d| d.delivered).sum();
-    let lost: u64 = stats
-        .iter()
-        .map(|d| d.lost_upstream + d.lost_downstream)
-        .sum();
-    let reordered: u64 = stats.iter().map(|d| d.reordered).sum();
-    (
-        Value::Int(delivered as i64),
-        Value::Int(lost as i64),
-        Value::Int(reordered as i64),
-    )
-}
-
-fn cmd_contend(flags: &HashMap<String, String>) {
-    let method = flags
-        .get("method")
-        .map(|m| method_by_label(m).unwrap_or_else(|| usage()))
-        .unwrap_or(MethodId::FlashGet);
-    let browser = flags
-        .get("browser")
-        .map(|b| browser_by_name(b).unwrap_or_else(|| usage()))
-        .unwrap_or(BrowserKind::Opera);
-    let os = flags
-        .get("os")
-        .map(|o| os_by_name(o).unwrap_or_else(|| usage()))
-        .unwrap_or(OsKind::Windows7);
-    let max_clients: u32 = flags
-        .get("clients")
-        .and_then(|c| c.parse().ok())
-        .unwrap_or(64);
-    if !(1..=4096).contains(&max_clients) {
-        usage();
-    }
-    let reps: u32 = flags.get("reps").and_then(|r| r.parse().ok()).unwrap_or(10);
-    let seed: u64 = flags
-        .get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xB32B_2013);
-    let rate_mbps: f64 = flags
-        .get("rate-mbps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.4);
-    if rate_mbps <= 0.0 || !rate_mbps.is_finite() {
-        usage();
-    }
-    let rate_bps = (rate_mbps * 1e6) as u64;
-    let format = parse_format(flags);
+fn cmd_contend(args: &Args) -> Result<(), ArgError> {
+    let builder = cell_builder(
+        args,
+        MethodId::FlashGet,
+        BrowserKind::Opera,
+        OsKind::Windows7,
+        10,
+    )?;
+    let max_clients = args.clients()?.unwrap_or(64);
+    let rate_mbps = args.positive("rate-mbps")?.unwrap_or(0.4);
+    let format = args.format()?.unwrap_or_default();
 
     // Sweep the powers of two up to the requested cap (the cap itself is
     // always included so `--clients 48` still ends at 48).
@@ -510,76 +359,18 @@ fn cmd_contend(flags: &HashMap<String, String>) {
         .take_while(|c| *c < max_clients)
         .collect();
     counts.push(max_clients);
-
-    let med = |v: &[f64]| DistSummary::of_samples(v).p50;
-    let mut table = Table::new(
-        format!(
-            "{} vs concurrent clients on a {rate_mbps} Mbps server link \
-             ({reps} reps, seed {seed:#x})",
-            method.display_name()
-        ),
-        &[
-            "cell",
-            "clients",
-            "rate_mbps",
-            "d1_median_ms",
-            "d2_median_ms",
-            "d1_n",
-            "d2_n",
-            "excluded_rounds",
-            "failures",
-            "dgram_delivered",
-            "dgram_lost",
-            "dgram_reordered",
-        ],
+    let link = |c| ContentionSpec::clients(c).with_server_link_rate((rate_mbps * 1e6) as u64);
+    let cells: Vec<ExperimentCell> = counts
+        .into_iter()
+        .map(|c| build_cell(builder.clone().contention(link(c))))
+        .collect();
+    let title = format!(
+        "{} vs concurrent clients on a {rate_mbps} Mbps server link ({} reps, seed {:#x})",
+        cells[0].method.display_name(),
+        cells[0].reps,
+        cells[0].seed
     );
-    for c in counts {
-        let cell = match ExperimentCell::builder(method, RuntimeSel::Browser(browser), os)
-            .reps(reps)
-            .seed(seed)
-            .contention(ContentionSpec::clients(c).with_server_link_rate(rate_bps))
-            .build()
-        {
-            Ok(cell) => cell,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        };
-        let result = match ExperimentRunner::try_run(&cell) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("run failed at {c} client(s): {e}");
-                std::process::exit(1);
-            }
-        };
-        // Every session is a measuring client, so pool them all.
-        let d1: Vec<f64> = result
-            .sessions
-            .iter()
-            .flat_map(|s| s.d1.iter().copied())
-            .collect();
-        let d2: Vec<f64> = result
-            .sessions
-            .iter()
-            .flat_map(|s| s.d2.iter().copied())
-            .collect();
-        let (dg_delivered, dg_lost, dg_reordered) = datagram_cells(&result);
-        table.row(vec![
-            Value::Text(cell.label()),
-            Value::Int(c as i64),
-            Value::Num(rate_mbps),
-            Value::Num(med(&d1)),
-            Value::Num(med(&d2)),
-            Value::Int(d1.len() as i64),
-            Value::Int(d2.len() as i64),
-            Value::Int(result.excluded_rounds as i64),
-            Value::Int(result.failures as i64),
-            dg_delivered,
-            dg_lost,
-            dg_reordered,
-        ]);
-    }
+    let mut table = all_rows(sweep_table(title, &cells));
     table.note(
         "Fresh-connection methods (Flash GET round 1, Flash POST every round) \
          queue their in-round handshake behind the crowd's traffic — that wait \
@@ -587,41 +378,23 @@ fn cmd_contend(flags: &HashMap<String, String>) {
          crowd's queueing because it falls between tN_s and tN_r (Eq. 1).",
     );
     emit(&table, format);
+    Ok(())
 }
 
 /// `bnm webrtc` — run the WebRTC data-channel cell and emit its
 /// per-probe appraisal: OWD both ways, RFC 3550 jitter (wire vs
 /// browser), loss and reordering, plus the usual Δd digests.
-fn cmd_webrtc(flags: &HashMap<String, String>) {
-    let browser = flags
-        .get("browser")
-        .map(|b| browser_by_name(b).unwrap_or_else(|| usage()))
-        .unwrap_or(BrowserKind::Chrome);
-    let os = flags
-        .get("os")
-        .map(|o| os_by_name(o).unwrap_or_else(|| usage()))
-        .unwrap_or(OsKind::Ubuntu1204);
-    let reps: u32 = flags.get("reps").and_then(|r| r.parse().ok()).unwrap_or(25);
-    let seed: u64 = flags
-        .get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xB32B_2013);
-    let loss: f64 = flags
-        .get("loss")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    if !(0.0..=1.0).contains(&loss) {
-        usage();
-    }
-    let jitter_ms: f64 = flags
-        .get("jitter")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    let format = parse_format(flags);
-
-    let mut builder = ExperimentCell::builder(MethodId::WebRtc, RuntimeSel::Browser(browser), os)
-        .reps(reps)
-        .seed(seed);
+fn cmd_webrtc(args: &Args) -> Result<(), ArgError> {
+    let mut builder = cell_builder(
+        args,
+        MethodId::WebRtc,
+        BrowserKind::Chrome,
+        OsKind::Ubuntu1204,
+        25,
+    )?;
+    let loss = args.probability("loss")?.unwrap_or(0.0);
+    let jitter_ms = args.non_negative("jitter")?.unwrap_or(0.0);
+    let format = args.format()?.unwrap_or_default();
     if loss > 0.0 || jitter_ms > 0.0 {
         let spec = FaultSpec {
             drop_chance: loss,
@@ -633,86 +406,31 @@ fn cmd_webrtc(flags: &HashMap<String, String>) {
             jitter: SimDuration::from_millis_f64(jitter_ms),
         });
     }
-    let cell = match builder.build() {
-        Ok(cell) => cell,
-        Err(e @ bnm::RunError::Unrunnable { .. }) => {
-            eprintln!("{e} (WebRTC needs a WebSocket-era engine, Table 2)");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
-    let result = match ExperimentRunner::try_run(&cell) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    emit(&result.summary(&cell), format);
+    let cell = build_cell(builder);
+    emit(&run_cell(&cell).summary(&cell), format);
+    Ok(())
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) {
-    let method = flags
-        .get("method")
-        .map(|m| method_by_label(m).unwrap_or_else(|| usage()))
-        .unwrap_or(MethodId::XhrGet);
-    let browser = flags
-        .get("browser")
-        .map(|b| browser_by_name(b).unwrap_or_else(|| usage()))
-        .unwrap_or(BrowserKind::Chrome);
-    let os = flags
-        .get("os")
-        .map(|o| os_by_name(o).unwrap_or_else(|| usage()))
-        .unwrap_or(OsKind::Ubuntu1204);
-    let clients: u32 = flags
-        .get("clients")
-        .and_then(|c| c.parse().ok())
-        .unwrap_or(1);
-    if !(1..=4096).contains(&clients) {
-        usage();
-    }
-    let rate_mbps: Option<f64> = flags.get("rate-mbps").and_then(|v| v.parse().ok());
-    if rate_mbps.is_some_and(|r| r <= 0.0 || !r.is_finite()) {
-        usage();
-    }
-    let loss: f64 = flags
-        .get("loss")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    if !(0.0..=1.0).contains(&loss) {
-        usage();
-    }
-    let seed: u64 = flags
-        .get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xB32B_2013);
-    let duration_secs: f64 = flags
-        .get("duration")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60.0);
-    let every_secs: f64 = flags
-        .get("every")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10.0);
-    let period_ms: f64 = flags
-        .get("period")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000.0);
-    if duration_secs <= 0.0 || every_secs <= 0.0 || period_ms <= 0.0 {
-        usage();
-    }
-    let format = parse_format(flags);
-
+fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     // The monitor owns the round loop, so the cell's rep count is only a
     // label-level detail; streaming capture with bounded retention keeps
     // per-round memory flat no matter how long the run goes.
-    let mut builder = ExperimentCell::builder(method, RuntimeSel::Browser(browser), os)
-        .reps(1)
-        .seed(seed)
-        .streaming(StreamingSpec::serve());
+    let mut builder = cell_builder(
+        args,
+        MethodId::XhrGet,
+        BrowserKind::Chrome,
+        OsKind::Ubuntu1204,
+        1,
+    )?
+    .streaming(StreamingSpec::serve());
+    let clients = args.clients()?.unwrap_or(1);
+    let rate_mbps = args.positive("rate-mbps")?;
+    let loss = args.probability("loss")?.unwrap_or(0.0);
+    let duration_secs = args.positive("duration")?.unwrap_or(60.0);
+    let every_secs = args.positive("every")?.unwrap_or(10.0);
+    let period_ms = args.positive("period")?.unwrap_or(1000.0);
+    let format = args.format()?.unwrap_or_default();
+
     if clients > 1 || rate_mbps.is_some() {
         let mut spec = ContentionSpec::clients(clients);
         if let Some(r) = rate_mbps {
@@ -731,25 +449,13 @@ fn cmd_serve(flags: &HashMap<String, String>) {
             jitter: SimDuration::ZERO,
         });
     }
-    let cell = match builder.build() {
-        Ok(cell) => cell,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
+    let cell = build_cell(builder);
 
     let cfg = MonitorConfig {
         round_period: SimDuration::from_millis_f64(period_ms),
         ..MonitorConfig::default()
     };
-    let mut monitor = match Monitor::with_config(cell, cfg) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
+    let mut monitor = Monitor::with_config(cell, cfg).unwrap_or_else(|e| fail(e));
 
     let end = SimTime::ZERO + SimDuration::from_secs_f64(duration_secs);
     let every = SimDuration::from_secs_f64(every_secs);
@@ -783,13 +489,11 @@ fn cmd_serve(flags: &HashMap<String, String>) {
         }
         polls += 1;
     }
+    Ok(())
 }
 
-fn cmd_probe(flags: &HashMap<String, String>) {
-    let os = flags
-        .get("os")
-        .map(|o| os_by_name(o).unwrap_or_else(|| usage()))
-        .unwrap_or(OsKind::Windows7);
+fn cmd_probe(args: &Args) -> Result<(), ArgError> {
+    let os = args.os()?.unwrap_or(OsKind::Windows7);
     let machine = MachineTimer::new(os, 2013);
     println!("Granularity probe on {} (Figure 5):", os.name());
     for kind in [TimingApiKind::JavaDateGetTime, TimingApiKind::JavaNanoTime] {
@@ -814,9 +518,10 @@ fn cmd_probe(flags: &HashMap<String, String>) {
                 .join(", ")
         );
     }
+    Ok(())
 }
 
-fn cmd_ping() {
+fn cmd_ping(_: &Args) -> Result<(), ArgError> {
     let rtts = ping_baseline(10, SimDuration::from_millis(50), 1);
     let s = Summary::of(&rtts);
     for (i, r) in rtts.iter().enumerate() {
@@ -829,88 +534,60 @@ fn cmd_ping() {
         s.median,
         s.max
     );
+    Ok(())
 }
 
-fn cmd_tput(flags: &HashMap<String, String>) {
-    let method = flags
-        .get("method")
-        .map(|m| method_by_label(m).unwrap_or_else(|| usage()))
-        .unwrap_or(MethodId::XhrGet);
-    let size: usize = flags
-        .get("size")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(128 * 1024);
-    let format = parse_format(flags);
+fn cmd_tput(args: &Args) -> Result<(), ArgError> {
+    let method = args.method()?.unwrap_or(MethodId::XhrGet);
+    let size = args.count("size")?.unwrap_or(128 * 1024);
+    let format = args.format()?.unwrap_or_default();
+    // The tput regenerator's cell at its default seed: these rows are
+    // its first repetition's.
     let cell = ExperimentCell::paper(
         method,
         RuntimeSel::Browser(BrowserKind::Chrome),
         OsKind::Ubuntu1204,
-    );
-    let mut table = Table::new(
-        format!("Throughput check: {} downloading {} bytes", method, size),
-        &["round", "wire_mbps", "measured_mbps", "underestimated_pct"],
-    );
-    match run_bulk_rep(&cell, 0, size) {
-        Ok(ms) => {
-            for m in ms {
-                table.row(vec![
-                    Value::Int(m.round as i64),
-                    Value::Num(m.wire_bps() / 1e6),
-                    Value::Num(m.browser_bps() / 1e6),
-                    Value::Num(m.underestimation() * 100.0),
-                ]);
-            }
-        }
-        Err(e) => {
-            eprintln!("measurement failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    )
+    .with_seed(DEFAULT_SEED);
+    let title = format!("Throughput check: {method} downloading {size} bytes");
+    let table = all_rows(throughput_table(title, &[(cell, size)], 1));
     emit(&table, format);
+    Ok(())
 }
 
 /// `bnm battery` — the full scored appraisal suite: every roster method
 /// across the clean, impaired, contended, bufferbloat (drop-tail and
 /// CoDel) and time-varying scenarios, ranked per scenario by the
 /// measured deployment score.
-fn cmd_battery(flags: &HashMap<String, String>) {
-    let mut cfg = if flags.contains_key("quick") {
+fn cmd_battery(args: &Args) -> Result<(), ArgError> {
+    let mut cfg = if args.switch("quick") {
         bnm::BatteryConfig::quick()
     } else {
         bnm::BatteryConfig::default()
     };
-    if let Some(reps) = flags.get("reps") {
-        cfg.reps = reps.parse().unwrap_or_else(|_| usage());
-        if cfg.reps == 0 {
-            usage();
-        }
-    }
-    if let Some(seed) = flags.get("seed") {
-        cfg.seed = seed.parse().unwrap_or_else(|_| usage());
-    }
-    let format = parse_format(flags);
-    let exec = if flags.contains_key("serial") {
+    cfg.reps = args.reps()?.unwrap_or(cfg.reps);
+    cfg.seed = args.seed()?.unwrap_or(cfg.seed);
+    let format = args.format()?.unwrap_or_default();
+    let exec = if args.switch("serial") {
         bnm::Executor::serial()
     } else {
         bnm::Executor::new()
     };
     match bnm::run_battery(&cfg, &exec) {
         Ok(report) => emit(&report, format),
-        Err(e) => {
-            eprintln!("battery failed: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => fail(format!("battery failed: {e}")),
     }
+    Ok(())
 }
 
-fn cmd_recommend(flags: &HashMap<String, String>) {
+fn cmd_recommend(args: &Args) -> Result<(), ArgError> {
     let c = Constraints {
-        mobile: flags.contains_key("mobile"),
-        plugins_allowed: !flags.contains_key("no-plugins"),
-        can_open_ports: !flags.contains_key("no-ports"),
-        strict_cross_origin: flags.contains_key("strict-origin"),
+        mobile: args.switch("mobile"),
+        plugins_allowed: !args.switch("no-plugins"),
+        can_open_ports: !args.switch("no-ports"),
+        strict_cross_origin: args.switch("strict-origin"),
     };
-    let format = parse_format(flags);
+    let format = args.format()?.unwrap_or_default();
     let mut table = Table::new(
         format!("§5 method recommendations under {c:?}"),
         &["rank", "method", "timing", "rationale"],
@@ -927,4 +604,5 @@ fn cmd_recommend(flags: &HashMap<String, String>) {
         table.note(format!("Discouraged: {} — {}", m.display_name(), why));
     }
     emit(&table, format);
+    Ok(())
 }

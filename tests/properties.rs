@@ -335,52 +335,97 @@ proptest! {
 // ---------- scheduler equivalence ----------
 //
 // The engine's hierarchical timer wheel must be observationally
-// identical to the reference `BinaryHeap` scheduler: for ANY
-// interleaving of inserts and pops, both return the same events in the
-// same `(time, seq)` order. The heap is the executable specification;
-// the wheel is the optimisation. Determinism of every simulation rests
-// on this.
+// identical to a plain `BinaryHeap<Event>` (`Event`'s `Ord` is the heap
+// order): for ANY interleaving of inserts and pops, both return the
+// same events in the same `(time, seq)` order. The heap is the
+// executable specification; the wheel is the optimisation. Determinism
+// of every simulation rests on this.
+
+/// The wheel and the reference heap, fed the same events and checked
+/// pop for pop.
+#[derive(Default)]
+struct WheelAndHeap {
+    wheel: bnm::sim::sched::TimerWheel,
+    heap: std::collections::BinaryHeap<bnm::sim::event::Event>,
+    seq: u64,
+}
+
+impl WheelAndHeap {
+    fn push(&mut self, at_ns: u64) {
+        use bnm::sim::event::{Event, EventKind};
+        let ev = Event {
+            at: SimTime::from_nanos(at_ns),
+            seq: self.seq,
+            kind: EventKind::Timer {
+                node: 0,
+                token: self.seq,
+            },
+        };
+        self.seq += 1;
+        self.wheel.push(ev.clone());
+        self.heap.push(ev);
+        assert_eq!(self.wheel.len(), self.heap.len());
+    }
+
+    /// Pop from both, which must agree; returns the popped time.
+    fn pop(&mut self) -> Option<u64> {
+        let w = self.wheel.pop().map(|e| (e.at, e.seq));
+        let h = self.heap.pop().map(|e| (e.at, e.seq));
+        assert_eq!(w, h, "wheel and heap diverged");
+        w.map(|(at, _)| at.as_nanos())
+    }
+
+    /// Drain both: the tails must agree too, and both end empty.
+    fn drain(mut self) {
+        while self.pop().is_some() {}
+        assert!(self.wheel.is_empty());
+    }
+}
+
 proptest! {
     #[test]
     fn timer_wheel_matches_reference_heap(
         ops in proptest::collection::vec(any::<u64>(), 1..300),
+        seed in any::<u64>(),
     ) {
-        use bnm::sim::event::{Event, EventKind, EventQueue};
-
-        fn check_pop(wheel: &mut EventQueue, heap: &mut EventQueue) {
-            let key = |e: &Event| (e.at, e.seq);
-            let w = wheel.pop();
-            let h = heap.pop();
-            assert_eq!(
-                w.as_ref().map(key),
-                h.as_ref().map(key),
-                "wheel and heap diverged"
-            );
-        }
-
-        let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::reference_heap();
-        // Each sampled word encodes one step: bit 0 chooses pop-then-push
-        // vs push; bits 1..7 pick a magnitude shift so event times span
-        // every wheel level (nanoseconds up to the full u64 range, with
-        // plenty of exact duplicates at large shifts); the rotated word
-        // is the raw timestamp.
-        for (i, raw) in ops.into_iter().enumerate() {
+        // Arbitrary times. Each sampled word encodes one step: bit 0
+        // chooses pop-then-push vs push; bits 1..7 pick a magnitude
+        // shift so event times span every wheel level (nanoseconds up
+        // to the full u64 range, with plenty of exact duplicates at
+        // large shifts); the rotated word is the raw timestamp.
+        let mut q = WheelAndHeap::default();
+        for raw in ops {
             if raw & 1 == 1 {
-                check_pop(&mut wheel, &mut heap);
+                q.pop();
             }
             let shift = ((raw >> 1) & 63) as u32;
-            let at = SimTime::from_nanos(raw.rotate_left(7) >> shift);
-            let kind = EventKind::Timer { node: 0, token: i as u64 };
-            wheel.push(at, kind.clone());
-            heap.push(at, kind);
-            prop_assert_eq!(wheel.len(), heap.len());
+            q.push(raw.rotate_left(7) >> shift);
         }
-        // Drain both completely; the tails must agree too.
-        while !wheel.is_empty() || !heap.is_empty() {
-            check_pop(&mut wheel, &mut heap);
+        q.drain();
+
+        // An engine-like schedule: never behind the last pop, mostly
+        // short hops, occasionally seconds ahead, pops interleaved.
+        let mut q = WheelAndHeap::default();
+        let mut x = seed | 1; // a xorshift state must be non-zero
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut last = 0u64;
+        for _ in 0..500 {
+            let hop = match next() % 10 {
+                0 => next() % 4_000_000_000,
+                1..=3 => next() % 1_000_000,
+                _ => next() % 10_000,
+            };
+            q.push(last + hop);
+            if next() % 3 == 0 {
+                last = last.max(q.pop().expect("an event was just pushed"));
+            }
         }
-        check_pop(&mut wheel, &mut heap); // both report empty
+        q.drain();
     }
 }
 
