@@ -54,6 +54,11 @@ pub struct SessionSpec {
     pub seed: u64,
 }
 
+/// MAC of the cross-traffic noise source ([`TestbedConfig::cross_traffic`]).
+const NOISE_MAC: MacAddr = MacAddr::local(3);
+/// Address of the cross-traffic noise source, outside every client range.
+const NOISE_IP: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 3);
+
 /// Highest client position still using the original single-octet
 /// addressing scheme. Keeping the original formula for these positions
 /// preserves existing multi-client traces bit for bit.
@@ -67,8 +72,9 @@ const LEGACY_ADDR_POSITIONS: usize = 190;
 /// cross-traffic noise source (`.3`). Positions beyond that exhaust the
 /// `192.168.1.0/24` octet and move to a two-octet scheme: MACs
 /// `02-42-4e-4d-HH-LL` and addresses `10.77.HH.LL` keyed by the
-/// position's two low bytes. Neighbor tables are static, so the mixed
-/// "subnets" are purely cosmetic — every host is one switch hop away.
+/// position's two low bytes. Neighbor tables and the switch's forwarding
+/// table are static, so the mixed "subnets" are purely cosmetic — every
+/// host is one switch hop away.
 pub fn client_addr(position: usize) -> (String, MacAddr, Ipv4Addr) {
     if position == 0 {
         ("client".to_string(), CLIENT_MAC, CLIENT_IP)
@@ -198,6 +204,7 @@ impl Scenario {
 
         let mut clients = Vec::with_capacity(n);
         let mut session_ids = Vec::with_capacity(n);
+        let mut client_nics = Vec::with_capacity(n);
         for (i, spec) in specs.into_iter().enumerate() {
             let session_trace = if i == 0 {
                 trace.clone()
@@ -205,6 +212,7 @@ impl Scenario {
                 Trace::disabled()
             };
             let (name, mac, ip) = client_addr(i);
+            client_nics.push((mac, ip));
             let session = BrowserSession::new(SessionConfig {
                 server_ip: SERVER_IP,
                 http_port: cfg.server.http_port,
@@ -240,17 +248,32 @@ impl Scenario {
         }
 
         let mut server_cfg = HostConfig::new("server", SERVER_MAC, SERVER_IP);
-        for i in 0..n {
-            let (_, mac, ip) = client_addr(i);
+        for &(mac, ip) in &client_nics {
             server_cfg = server_cfg.with_neighbor(ip, mac);
+        }
+        if cfg.cross_traffic.is_some() {
+            server_cfg = server_cfg.with_neighbor(NOISE_IP, NOISE_MAC);
         }
         let server = engine.add_node(Box::new(Host::new(
             server_cfg,
             WebServer::new(cfg.server.clone()),
         )));
 
-        let switch_ports = n + 1 + usize::from(cfg.cross_traffic.is_some());
-        let switch = engine.add_node(Box::new(Switch::new(switch_ports)));
+        // The forwarding table is provisioned like the neighbor tables:
+        // client i on port i, the server on port n, the noise source on
+        // port n + 1. Frames sent before the switch would have learned
+        // their destination (a crowd's boot-time SYNs) are then unicast
+        // instead of flooded to every client link and tap.
+        let mut ports: Vec<(MacAddr, PortNo)> = client_nics
+            .iter()
+            .enumerate()
+            .map(|(i, &(mac, _))| (mac, i))
+            .collect();
+        ports.push((SERVER_MAC, n));
+        if cfg.cross_traffic.is_some() {
+            ports.push((NOISE_MAC, n + 1));
+        }
+        let switch = engine.add_node(Box::new(Switch::new(ports.len()).with_table(ports)));
 
         let mut client_links = Vec::with_capacity(n);
         for (i, &client) in clients.iter().enumerate() {
@@ -330,8 +353,7 @@ impl Scenario {
             let interval = SimDuration::from_nanos((1_000_000_000u64 / ct.rate_pps.max(1)).max(1));
             let sends = ct.duration.as_nanos() / interval.as_nanos().max(1);
             let noise = engine.add_node(Box::new(Host::new(
-                HostConfig::new("noise", MacAddr::local(3), Ipv4Addr::new(192, 168, 1, 3))
-                    .with_neighbor(SERVER_IP, SERVER_MAC),
+                HostConfig::new("noise", NOISE_MAC, NOISE_IP).with_neighbor(SERVER_IP, SERVER_MAC),
                 NoiseSource::new(
                     (SERVER_IP, cfg.server.udp_echo_port),
                     interval,
@@ -394,7 +416,8 @@ impl Scenario {
     }
 
     /// Run all sessions to completion (generous horizon as a hang
-    /// backstop) and return the finishing time.
+    /// backstop) and return the finishing time: the instant of the last
+    /// event, or the horizon if events remain beyond it.
     pub fn run(&mut self) -> SimTime {
         self.engine.run_until(SimTime::from_secs(300))
     }
@@ -633,7 +656,7 @@ mod tests {
             assert!(seen.insert((mac, ip)), "collision at position {i}");
             assert!(!name.is_empty());
             assert_ne!(ip, SERVER_IP);
-            assert_ne!(ip, Ipv4Addr::new(192, 168, 1, 3)); // noise source
+            assert_ne!(ip, NOISE_IP);
             assert!(!mac.is_multicast(), "unicast MAC required at {i}");
         }
         // The legacy formula is frozen: positions 1..=190 must keep

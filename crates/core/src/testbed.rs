@@ -252,7 +252,8 @@ impl Testbed {
     }
 
     /// Run to completion (with a generous horizon as a hang backstop) and
-    /// return the finishing time.
+    /// return the finishing time: the instant of the last event, or the
+    /// horizon if events remain beyond it.
     pub fn run(&mut self) -> SimTime {
         self.engine.run_until(SimTime::from_secs(300))
     }
@@ -449,7 +450,11 @@ mod tests {
     #[test]
     fn session_completes_and_taps_capture_traffic() {
         let mut tb = build_default();
-        tb.run();
+        // The run ends at its last event (the TIME-WAIT expiry), long
+        // before the hang backstop.
+        let end = tb.run();
+        assert!(end < SimTime::from_secs(300), "finished at {end:?}");
+        assert_eq!(end, tb.engine.now());
         assert!(tb.session().result().completed);
         assert!(!tb.engine.tap(tb.client_tap).is_empty());
         assert!(!tb.engine.tap(tb.server_tap).is_empty());

@@ -437,7 +437,8 @@ impl Engine {
     }
 
     /// Run while events fire strictly before `deadline`. Time stops at the
-    /// deadline if events remain beyond it.
+    /// deadline if events remain beyond it; if the queue drains first,
+    /// time stays at the last dispatched event.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
         self.ensure_started();
         while let Some(t) = self.queue.peek_time() {
@@ -447,8 +448,6 @@ impl Engine {
             }
             self.step();
         }
-        // Queue drained before the deadline.
-        self.now = self.now.max(deadline.min(self.now.max(deadline)));
         self.now
     }
 
@@ -799,6 +798,17 @@ mod tests {
         // Finishing the run delivers the reply.
         e.run();
         assert!(e.now() > SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn run_until_a_drained_queue_stops_at_the_last_event() {
+        let (mut e, p, _) = two_node_setup(LinkSpec::fast_ethernet(), 1);
+        let t = e.run_until(SimTime::from_secs(300));
+        // The echo's delivery is the last event; the horizon is not the
+        // finishing time.
+        assert_eq!(t, e.node_ref::<Pinger>(p).replies[0]);
+        assert_eq!(e.now(), t);
+        assert!(t < SimTime::from_millis(1));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A learning L2 switch, modelling the testbed switch of Figure 2.
 //!
 //! Store-and-forward with a fixed per-frame forwarding latency; MAC
-//! learning with flooding for unknown/broadcast destinations.
+//! learning over an optionally pre-installed table, with flooding for
+//! unknown/broadcast destinations.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -39,7 +40,27 @@ impl Switch {
         }
     }
 
-    /// The learned MAC table (for tests/diagnostics).
+    /// Pre-install forwarding entries, like a managed switch's static
+    /// MAC table: frames for a listed MAC leave on its port from the
+    /// first one on, instead of flooding until the MAC is learned.
+    /// Learning still runs, and unknown or broadcast destinations still
+    /// flood.
+    ///
+    /// Panics if a port is out of range (a wiring bug).
+    pub fn with_table(mut self, entries: impl IntoIterator<Item = (MacAddr, PortNo)>) -> Self {
+        for (mac, port) in entries {
+            assert!(
+                port < self.ports,
+                "port {port} is beyond the switch's {} ports",
+                self.ports
+            );
+            self.table.insert(mac, port);
+        }
+        self
+    }
+
+    /// The forwarding table, pre-installed and learned entries alike
+    /// (for tests/diagnostics).
     pub fn table(&self) -> &HashMap<MacAddr, PortNo> {
         &self.table
     }
@@ -194,6 +215,29 @@ mod tests {
         assert_eq!(e.node_ref::<Leaf>(leaves[2]).inbox.len(), 1);
         assert_eq!(e.node_ref::<Leaf>(leaves[1]).inbox.len(), 1);
         assert_eq!(e.node_ref::<Leaf>(leaves[0]).inbox.len(), 1);
+    }
+
+    #[test]
+    fn provisioned_destination_is_unicast_on_its_first_frame() {
+        let (mut e, leaves, sw) = star(3);
+        *e.node_mut::<Switch>(sw) = Switch::new(3).with_table([(MacAddr::local(2), 1)]);
+        // Leaf 1 never sends, so only the pre-installed entry can steer
+        // leaf 0's frame.
+        e.node_mut::<Leaf>(leaves[0])
+            .plan
+            .push((SimDuration::ZERO, MacAddr::local(2)));
+        e.run();
+        assert_eq!(e.node_ref::<Leaf>(leaves[1]).inbox.len(), 1);
+        assert_eq!(e.node_ref::<Leaf>(leaves[2]).inbox.len(), 0);
+        let s = e.node_ref::<Switch>(sw);
+        assert_eq!(s.flooded, 0);
+        assert_eq!(s.forwarded, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the switch")]
+    fn provisioning_an_unwired_port_panics() {
+        let _ = Switch::new(2).with_table([(MacAddr::local(1), 2)]);
     }
 
     #[test]

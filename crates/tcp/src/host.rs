@@ -13,7 +13,7 @@
 //! in the application layer where it is explicit and auditable.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
@@ -252,6 +252,10 @@ pub struct Host<A: HostApp> {
     app: A,
     ip_ident: u16,
     neighbor_cache: HashMap<Ipv4Addr, MacAddr>,
+    /// Instants with a stack-timer event queued in the engine, one event
+    /// per instant: a firing polls every deadline due by then, so a
+    /// second event at the same instant would find nothing to do.
+    stack_timers: BTreeSet<SimTime>,
     /// Frames that failed to parse or verify (diagnostics).
     pub rx_errors: u64,
 }
@@ -269,6 +273,7 @@ impl<A: HostApp> Host<A> {
             app,
             ip_ident: 0,
             neighbor_cache,
+            stack_timers: BTreeSet::new(),
             rx_errors: 0,
         }
     }
@@ -302,8 +307,9 @@ impl<A: HostApp> Host<A> {
         &self.tcp
     }
 
-    /// Run `f` with a [`HostCtx`], then deliver pending events and re-arm
-    /// timers. This is the single entry point wrapping every callback.
+    /// Run `f` with a [`HostCtx`], then deliver pending events and make
+    /// sure a stack timer is queued for the earliest deadline. This is
+    /// the single entry point wrapping every callback.
     fn with_ctx<F>(&mut self, sim: &mut Ctx, f: F)
     where
         F: FnOnce(&mut A, &mut HostCtx),
@@ -333,11 +339,15 @@ impl<A: HostApp> Host<A> {
             }
             hc.flush();
         }
-        // Re-arm the stack timer for the earliest deadline.
+        // Events are never cancelled, so an instant already queued keeps
+        // its first event; a deadline that moved leaves its old instant
+        // to fire once, idle.
         if let Some(dl) = self.tcp.next_deadline() {
             let now = sim.now();
-            let delay = dl.saturating_since(now);
-            sim.set_timer(delay, STACK_TIMER);
+            let at = dl.max(now);
+            if self.stack_timers.insert(at) {
+                sim.set_timer(at.saturating_since(now), STACK_TIMER);
+            }
         }
     }
 }
@@ -388,6 +398,7 @@ impl<A: HostApp> Node for Host<A> {
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
         if token == STACK_TIMER {
             let now = ctx.now();
+            self.stack_timers.remove(&now);
             self.tcp.on_timers(now);
             self.with_ctx(ctx, |_, _| {});
         } else {
@@ -603,6 +614,77 @@ mod tests {
         e.run();
         let app = e.node_ref::<Host<UdpClient>>(c).app();
         assert_eq!(app.got.as_deref(), Some(&b"udp-ping"[..]));
+    }
+
+    /// Client app: `left` request/response exchanges over one connection,
+    /// then an orderly close.
+    struct Exchanger {
+        left: u32,
+    }
+
+    impl HostApp for Exchanger {
+        fn on_boot(&mut self, ctx: &mut HostCtx) {
+            ctx.connect((SERVER_IP, 80));
+        }
+        fn on_event(&mut self, ctx: &mut HostCtx, ev: SockEvent) {
+            match ev {
+                SockEvent::Connected { sock } => {
+                    ctx.send(sock, b"req");
+                }
+                SockEvent::Data { sock } => {
+                    ctx.recv(sock);
+                    self.left -= 1;
+                    if self.left == 0 {
+                        ctx.close(sock);
+                    } else {
+                        ctx.send(sock, b"req");
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn one_stack_timer_event_per_deadline_instant() {
+        const EXCHANGES: u32 = 50;
+        let mut e = Engine::new();
+        let client = e.add_node(Box::new(Host::new(
+            HostConfig::new("client", CLIENT_MAC, CLIENT_IP).with_neighbor(SERVER_IP, SERVER_MAC),
+            Exchanger { left: EXCHANGES },
+        )));
+        let server = e.add_node(Box::new(Host::new(
+            HostConfig::new("server", SERVER_MAC, SERVER_IP).with_neighbor(CLIENT_IP, CLIENT_MAC),
+            EchoServer {
+                delay: SimDuration::ZERO,
+                pending: Vec::new(),
+            },
+        )));
+        let link = e.connect(client, 0, server, 0, LinkSpec::fast_ethernet());
+        e.set_one_way_delay(link, server, SimDuration::from_millis(5));
+        let tap = e.add_tap(link, client, bnm_sim::capture::CaptureBuffer::new("wire"));
+        // Every (host, deadline) pair either stack holds between events:
+        // each ACK moves the RTO deadline, and the close ends in TIME-WAIT.
+        let mut deadlines = BTreeSet::new();
+        while e.step() {
+            let c = e.node_mut::<Host<Exchanger>>(client).tcp.next_deadline();
+            let s = e.node_mut::<Host<EchoServer>>(server).tcp.next_deadline();
+            deadlines.extend(c.map(|d| (client, d)));
+            deadlines.extend(s.map(|d| (server, d)));
+        }
+        assert_eq!(e.node_ref::<Host<Exchanger>>(client).app().left, 0);
+        // A frame costs one transmit-done and one delivery event; beyond
+        // those, the two start events and the server's one handler timer
+        // per exchange, only one stack timer per distinct deadline may
+        // fire.
+        let frames = e.tap(tap).len() as u64;
+        let budget = 2 * frames + 2 + u64::from(EXCHANGES) + deadlines.len() as u64;
+        assert!(
+            e.events_processed() <= budget,
+            "{} events for {frames} frames and {} deadlines",
+            e.events_processed(),
+            deadlines.len()
+        );
     }
 }
 

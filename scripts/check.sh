@@ -3,7 +3,8 @@
 #
 #   scripts/check.sh            # fmt + build + test + parity + clippy + docs + smoke
 #   scripts/check.sh --fast     # skip the release build (debug test run only)
-#   scripts/check.sh --quick    # skip the bench-sweep smoke steps
+#   scripts/check.sh --quick    # skip the bench-sweep smoke steps and
+#                               # the benchmark's tests + traced run
 #   scripts/check.sh --bench    # also run the engine bench (quick mode),
 #                               # writing machine-readable BENCH_engine.json
 set -euo pipefail
@@ -136,6 +137,21 @@ if [[ $quick -eq 0 && $fast -eq 0 ]]; then
       exit 1
     fi
   done
+
+  # The benchmark's replay mirrors the runner's layer calls, and its
+  # traced run checks every replayed unit against `run_rep_traced`: a
+  # runner change the replay no longer follows fails here. Its own unit
+  # tests first, then a 1 s traced run of every workload.
+  bench_manifest=crates/bench/src/bin/benchmark/Cargo.toml
+  echo "==> benchmark unit tests"
+  cargo test -q --offline --manifest-path "$bench_manifest"
+  echo "==> benchmark traced run: all workloads, 1 s, outputs checked"
+  traced=$(cargo run --release --quiet --offline --manifest-path "$bench_manifest" -- \
+    --workload all --seconds 1 --trace 1)
+  if ! printf '%s' "$traced" | grep -q '"correct":true'; then
+    echo "traced benchmark run failed its output checks" >&2
+    exit 1
+  fi
 fi
 
 # Benchmarks, quick mode: one timed run per configuration — engine

@@ -199,7 +199,9 @@ fn web_server_served_everything_the_session_needed() {
 
 #[test]
 fn cross_traffic_inflates_rtt_but_not_delta_d() {
-    use bnm::core::testbed::CrossTraffic;
+    use bnm::core::testbed::{CrossTraffic, CLIENT_MAC};
+    use bnm::sim::switch::Switch;
+    use bnm::sim::wire::EthernetFrame;
     use bnm::stats::Summary;
 
     // Heavy UDP noise contending on the server link: 1400-byte datagrams
@@ -218,7 +220,20 @@ fn cross_traffic_inflates_rtt_but_not_delta_d() {
         let mut tb = Testbed::build(&cfg, MethodId::JavaTcp.plan(None), profile, machine, 0, 31);
         tb.run();
         assert!(tb.session().result().completed, "session survives load");
+        // The noise shares the server link but never the client's: the
+        // server's echoes to the noise source are unicast, nothing floods,
+        // and the client tap holds only the client's own frames.
+        assert_eq!(tb.engine.node_ref::<Switch>(tb.switch).flooded, 0);
         let capture = tb.engine.tap(tb.client_tap);
+        for r in capture.records() {
+            let eth = EthernetFrame::parse(&r.frame).unwrap();
+            assert!(
+                eth.src == CLIENT_MAC || eth.dst == CLIENT_MAC,
+                "foreign frame in the client tap: {:?} -> {:?}",
+                eth.src,
+                eth.dst
+            );
+        }
         let rounds = tb.session().result().rounds.clone();
         let mut rtts = Vec::new();
         let mut deltas = Vec::new();

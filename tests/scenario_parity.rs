@@ -8,6 +8,12 @@
 //!    session id, never by the order the caller pushed the specs.
 //! 3. **Scheduler parity** — multi-client cells are bit-identical
 //!    between the serial and the work-stealing executor.
+//! 4. **Linear event budget** — the events a repetition dispatches grow
+//!    with the number of clients, not with its square: no client host
+//!    wakes for another's traffic or for a deadline it already served.
+//!
+//! Every scenario built here must also run without a single switch
+//! flood: its forwarding table is provisioned like the neighbor tables.
 
 #![deny(deprecated)]
 
@@ -16,7 +22,9 @@ use bnm::core::attribution;
 use bnm::core::matching::ParsedCapture;
 use bnm::core::testbed::TestbedConfig;
 use bnm::prelude::*;
+use bnm::sim::link::LinkSpec;
 use bnm::sim::rng;
+use bnm::sim::switch::Switch;
 use bnm::sim::time::SimDuration;
 use bnm::timeapi::MachineTimer;
 
@@ -30,6 +38,23 @@ fn cell(clients: u32, reps: u32, trace: bool) -> ExperimentCell {
     .seed(0xB32B_5CEA)
     .contention(ContentionSpec::clients(clients));
     if trace { b.trace(true) } else { b }.build().unwrap()
+}
+
+/// An XHR session on Chrome/Ubuntu with seeds derived from its id.
+fn xhr_session(id: u64) -> SessionSpec {
+    SessionSpec {
+        id,
+        plan: MethodId::XhrGet.plan(None),
+        profile: bnm::browser::BrowserProfile::build(BrowserKind::Chrome, OsKind::Ubuntu1204)
+            .unwrap(),
+        machine: MachineTimer::new(OsKind::Ubuntu1204, 11 + id),
+        seed: 900 + id,
+    }
+}
+
+/// Every frame of a run found its port in the switch's table.
+fn assert_no_flood(sc: &Scenario) {
+    assert_eq!(sc.engine.node_ref::<Switch>(sc.switch).flooded, 0);
 }
 
 /// Replicate the runner's per-rep derivations and build the same session
@@ -74,6 +99,7 @@ fn one_session_scenario_matches_the_legacy_testbed_path() {
         let mut sc = scenario_for_rep(&c, rep, Trace::enabled());
         sc.run();
         assert!(sc.session(0).result().completed);
+        assert_no_flood(&sc);
 
         // Session 0's marker token must be the legacy rep token exactly.
         let token = session_token(0, u64::from(rep));
@@ -160,22 +186,10 @@ fn one_client_cell_honours_the_link_rate() {
 #[test]
 fn per_session_results_are_invariant_to_insertion_order() {
     let build = |ids: &[u64]| {
-        let specs = ids
-            .iter()
-            .map(|&id| SessionSpec {
-                id,
-                plan: MethodId::XhrGet.plan(None),
-                profile: bnm::browser::BrowserProfile::build(
-                    BrowserKind::Chrome,
-                    OsKind::Ubuntu1204,
-                )
-                .unwrap(),
-                machine: MachineTimer::new(OsKind::Ubuntu1204, 11 + id),
-                seed: 900 + id,
-            })
-            .collect();
+        let specs = ids.iter().map(|&id| xhr_session(id)).collect();
         let mut sc = Scenario::build(&TestbedConfig::default(), specs, 5);
         sc.run();
+        assert_no_flood(&sc);
         sc
     };
     let a = build(&[2, 0, 3, 1]);
@@ -216,4 +230,36 @@ fn contended_cells_are_bit_identical_across_schedulers() {
         assert_eq!(ss.d2, ps.d2);
         assert_eq!(ss.excluded_rounds, ps.excluded_rounds);
     }
+}
+
+/// Events one 2%-loss XHR repetition dispatches per client, with
+/// `clients` sessions sharing the server link at 6,250 bps each (the
+/// crowd tier's fair share).
+fn events_per_client(clients: u64) -> f64 {
+    let cfg = TestbedConfig {
+        server_link: LinkSpec {
+            rate_bps: 6_250 * clients,
+            ..LinkSpec::fast_ethernet()
+        },
+        impairment: Impairment::loss(0.02),
+        ..TestbedConfig::default()
+    };
+    let mut sc = Scenario::build(&cfg, (0..clients).map(xhr_session).collect(), 0);
+    sc.run();
+    assert_no_flood(&sc);
+    sc.engine.events_processed() as f64 / clients as f64
+}
+
+/// (4) Quadrupling the crowd at a constant fair share leaves the events
+/// per client flat: a boot-time SYN is not flooded to every other client,
+/// and a stack timer fires once per deadline instant, not once per
+/// callback that saw that deadline.
+#[test]
+fn event_budget_is_linear_in_the_number_of_clients() {
+    let small = events_per_client(50);
+    let large = events_per_client(200);
+    assert!(
+        large <= 1.25 * small,
+        "{large:.0} events per client at 200 clients vs {small:.0} at 50"
+    );
 }
