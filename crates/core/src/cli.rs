@@ -1,6 +1,6 @@
-//! The one command-line parser every front end shares.
+//! The one command-line parser.
 //!
-//! The `bnm` CLI and every `bnm-bench` regenerator read their flags
+//! Every `bnm` subcommand, `bnm reproduce` included, reads its flags
 //! through [`Args`], so a flag means the same thing — and fails the same
 //! way — wherever it is typed. A command declares the value flags and
 //! switches it takes; [`Args::parse`] rejects anything else, and the
@@ -27,10 +27,12 @@ use std::str::FromStr;
 
 use bnm_browser::BrowserKind;
 use bnm_methods::MethodId;
+use bnm_sim::time::SimDuration;
 use bnm_time::OsKind;
 
 use crate::report::ReportFormat;
 use crate::scenario::Scenario;
+use crate::throughput::MAX_BULK_BYTES;
 
 /// A command line no front end accepts. Each variant names the flag
 /// without its leading `--`, or the stray argument itself.
@@ -198,17 +200,9 @@ impl Args {
         })
     }
 
-    /// `--reps`: repetitions per cell.
+    /// `--reps`: repetitions per cell, at least 1.
     pub fn reps(&self) -> Result<Option<u32>, ArgError> {
-        self.count("reps")
-    }
-
-    /// A whole number of at least 1 (`--reps`, `--size`).
-    pub fn count<T: FromStr + PartialOrd + From<u8>>(
-        &self,
-        name: &str,
-    ) -> Result<Option<T>, ArgError> {
-        self.number(name, "a whole number >= 1", |n| *n >= T::from(1))
+        self.number("reps", "a whole number >= 1", |n| *n >= 1)
     }
 
     /// `--clients`: concurrent sessions, up to the scenario session
@@ -224,8 +218,15 @@ impl Args {
         self.number(name, "a probability in [0, 1]", |p| (0.0..=1.0).contains(p))
     }
 
-    /// A positive finite rate or duration (`--rate-mbps`, `--duration`,
-    /// `--every`, `--period`).
+    /// `--size`: a bulk download in bytes, at most
+    /// [`MAX_BULK_BYTES`].
+    pub fn size(&self) -> Result<Option<usize>, ArgError> {
+        self.number("size", "a byte count in [1, 16777216]", |n| {
+            (1..=MAX_BULK_BYTES).contains(n)
+        })
+    }
+
+    /// A positive finite rate (`--rate-mbps`).
     pub fn positive(&self, name: &str) -> Result<Option<f64>, ArgError> {
         self.number(name, "a positive number", |v: &f64| {
             v.is_finite() && *v > 0.0
@@ -235,6 +236,32 @@ impl Args {
     /// A finite number of at least 0 (`--jitter`, where 0 is none).
     pub fn non_negative(&self, name: &str) -> Result<Option<f64>, ArgError> {
         self.number(name, "a number >= 0", |v: &f64| v.is_finite() && *v >= 0.0)
+    }
+
+    /// A span of virtual time, given as a number that `unit` converts
+    /// (`--duration` and `--every` in seconds, `--period` in ms). It must
+    /// come to at least one nanosecond: a span that rounds to zero would
+    /// never advance the clock.
+    pub fn duration(
+        &self,
+        name: &str,
+        unit: fn(f64) -> SimDuration,
+    ) -> Result<Option<SimDuration>, ArgError> {
+        self.get(name, "a duration of at least 1 ns", |s| {
+            let v = s.parse::<f64>().ok().filter(|v| v.is_finite())?;
+            Some(unit(v)).filter(|d| d.as_nanos() > 0)
+        })
+    }
+
+    /// A comma-separated list, each item of which `read` accepts
+    /// (`--only`).
+    pub fn list<T>(
+        &self,
+        name: &str,
+        expected: &'static str,
+        read: impl Fn(&str) -> Option<T>,
+    ) -> Result<Option<Vec<T>>, ArgError> {
+        self.get(name, expected, |s| s.split(',').map(read).collect())
     }
 }
 
@@ -255,6 +282,9 @@ mod tests {
             "jitter",
             "format",
             "size",
+            "every",
+            "period",
+            "only",
         ];
         Args::parse(argv.iter().map(|s| s.to_string()), &values, &["quick"])
     }
@@ -281,6 +311,10 @@ mod tests {
             "4096",
             "--jitter",
             "0",
+            "--every",
+            "0.5",
+            "--only",
+            "a,b",
         ])
         .unwrap();
         assert!(a.switch("quick"));
@@ -293,6 +327,11 @@ mod tests {
         assert_eq!(a.probability("loss"), Ok(Some(1.0)));
         assert_eq!(a.clients(), Ok(Some(4096)));
         assert_eq!(a.non_negative("jitter"), Ok(Some(0.0)));
+        assert_eq!(
+            a.duration("every", SimDuration::from_secs_f64),
+            Ok(Some(SimDuration::from_millis(500)))
+        );
+        assert_eq!(a.list("only", "", |s| Some(s.len())), Ok(Some(vec![1, 1])));
         assert_eq!(
             a.positive("rate-mbps"),
             Ok(None),
@@ -315,6 +354,12 @@ mod tests {
             ("rate-mbps", "inf"),
             ("jitter", "-0.5"),
             ("size", "0"),
+            ("size", "16777217"),
+            ("every", "1e-12"),
+            ("every", "-1"),
+            ("period", "1e-7"),
+            ("only", "table1,fig9"),
+            ("only", ""),
             ("method", "xhr"),
             ("format", "xml"),
         ] {
@@ -327,7 +372,12 @@ mod tests {
                 "clients" => a.clients().map(drop),
                 "rate-mbps" => a.positive(flag).map(drop),
                 "jitter" => a.non_negative(flag).map(drop),
-                "size" => a.count::<usize>(flag).map(drop),
+                "size" => a.size().map(drop),
+                "every" => a.duration(flag, SimDuration::from_secs_f64).map(drop),
+                "period" => a.duration(flag, SimDuration::from_millis_f64).map(drop),
+                "only" => a
+                    .list(flag, "names", |n| (n == "table1").then_some(()))
+                    .map(drop),
                 "method" => a.method().map(drop),
                 _ => a.format().map(drop),
             };

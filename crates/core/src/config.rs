@@ -9,7 +9,7 @@ use bnm_time::{OsKind, TimingApiKind};
 use crate::error::RunError;
 
 /// The master seed every front end runs at unless told otherwise: the
-/// `bnm` subcommands, the regenerators and [`crate::BatteryConfig`].
+/// `bnm` subcommands, `bnm reproduce` and [`crate::BatteryConfig`].
 pub const DEFAULT_SEED: u64 = 0xB32B_2013;
 
 /// Which runtime executes the measurement code.

@@ -8,7 +8,7 @@
 //!   backends selected by a [`ReportFormat`].
 //! * [`Table`] — a titled column/row table; the workhorse behind the
 //!   sweep subcommands (`impair`, `contend`, `tput`, `recommend`) and
-//!   the bench binaries.
+//!   every `bnm reproduce` experiment.
 //! * [`ReportSnapshot`] — the pollable summary the continuous monitor
 //!   ([`crate::monitor::Monitor`]) emits and that
 //!   [`crate::runner::CellResult::summary`] produces for batch runs:
@@ -17,9 +17,9 @@
 //! * [`TraceReport`] — adapter rendering attribution rows through the
 //!   same trait.
 //!
-//! The figure-style helpers ([`panel_rows`], [`render_panel`],
-//! [`render_cdf_block`], [`to_csv`]) predate the trait and remain for
-//! the Figure 3/4 reproduction paths.
+//! The figure-style helpers ([`panel_rows`], [`panel_table`],
+//! [`render_cdf_block`], [`to_csv`]) serve the Figure 3/4 paths of
+//! [`crate::experiments`].
 
 use std::fmt::Write as _;
 
@@ -853,7 +853,7 @@ impl Render for TraceReport<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Figure-style helpers (pre-trait, kept for the Figure 3/4 paths)
+// Figure-style helpers (the Figure 3/4 experiments)
 // ---------------------------------------------------------------------------
 
 /// A labelled box-plot row of a Figure 3 panel.
@@ -880,11 +880,12 @@ pub fn panel_rows(cell: &ExperimentCell, result: &CellResult) -> Vec<PanelRow> {
     ]
 }
 
-/// Render a Figure 3 panel: one ASCII box per row on a shared axis.
-/// An empty panel renders as its title plus a note, not a panic.
-pub fn render_panel(title: &str, rows: &[PanelRow], width: usize) -> String {
+/// A Figure 3 panel as a table: one ASCII box per row on a shared axis,
+/// with the axis range as a note. An empty panel has no rows.
+pub fn panel_table(title: impl Into<String>, rows: &[PanelRow], width: usize) -> Table {
+    let mut table = Table::new(title, &["cell", "box", "median_ms"]);
     if rows.is_empty() {
-        return format!("{title}\n(no rows)\n");
+        return table;
     }
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
@@ -898,28 +899,15 @@ pub fn render_panel(title: &str, rows: &[PanelRow], width: usize) -> String {
     }
     let pad = (hi - lo) * 0.05;
     let (lo, hi) = (lo - pad, hi + pad);
-    // Non-empty: the early return above guarantees a maximum exists.
-    let label_w = rows.iter().map(|r| r.label.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
     for r in rows {
-        let _ = writeln!(
-            out,
-            "{:label_w$} |{}| med={:7.2}",
-            r.label,
-            ascii::render_box(&r.stats, lo, hi, width),
-            r.stats.median,
-        );
+        table.row(vec![
+            Value::Text(r.label.clone()),
+            Value::Text(format!("|{}|", ascii::render_box(&r.stats, lo, hi, width))),
+            Value::Num(r.stats.median),
+        ]);
     }
-    let _ = writeln!(
-        out,
-        "{:label_w$}  {:<10.1}{:>width$.1} (ms)",
-        "",
-        lo,
-        hi,
-        width = width - 10
-    );
-    out
+    table.note(format!("axis: {lo:.1} to {hi:.1} ms"));
+    table
 }
 
 /// Render a Figure 4 style CDF block.
@@ -986,14 +974,15 @@ mod tests {
     }
 
     #[test]
-    fn rendered_panel_contains_all_rows_and_axis() {
+    fn panel_table_has_a_box_per_row_and_the_axis() {
         let rows = panel_rows(&cell(), &result());
-        let s = render_panel("(a) XHR GET", &rows, 50);
+        let t = panel_table("(a) XHR GET", &rows, 50);
+        assert_eq!(t.rows.len(), 2);
+        assert_eq!(t.rows[1][0], Value::Text("C (U) Δd2".into()));
+        assert_eq!(t.rows[0][2], Value::Num(rows[0].stats.median));
+        let s = t.to_text();
         assert!(s.contains("(a) XHR GET"));
-        assert!(s.contains("Δd1"));
-        assert!(s.contains("Δd2"));
-        assert!(s.contains("med="));
-        assert!(s.contains("(ms)"));
+        assert!(s.contains("axis: "));
     }
 
     #[test]
@@ -1006,10 +995,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_panel_renders_a_note() {
-        let s = render_panel("(z) empty", &[], 50);
-        assert!(s.contains("(z) empty"));
-        assert!(s.contains("(no rows)"));
+    fn empty_panel_has_no_rows() {
+        let t = panel_table("(z) empty", &[], 50);
+        assert!(t.rows.is_empty());
+        assert!(t.to_text().contains("(z) empty"));
     }
 
     #[test]

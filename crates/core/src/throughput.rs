@@ -118,13 +118,22 @@ pub fn match_bulk_round(
     }
 }
 
+/// The largest bulk download a repetition takes: 16 MiB, 16× the
+/// largest size any experiment uses. The simulation holds the whole
+/// transfer in memory.
+pub const MAX_BULK_BYTES: usize = 16 * 1024 * 1024;
+
 /// Run one throughput repetition: download `n` bytes per round through
-/// the cell's method.
+/// the cell's method. A download over [`MAX_BULK_BYTES`] is
+/// [`RunError::InvalidInput`].
 pub fn run_bulk_rep(
     cell: &ExperimentCell,
     rep: u32,
     n: usize,
 ) -> Result<Vec<BulkMeasurement>, RunError> {
+    if n > MAX_BULK_BYTES {
+        return Err(RunError::InvalidInput("bulk downloads are at most 16 MiB"));
+    }
     let profile = ExperimentRunner::try_profile(cell)?;
     if !cell.method.available_in(&profile) {
         return Err(RunError::unrunnable(cell));

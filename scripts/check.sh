@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
 # Repo health gate: the tier-1 acceptance commands plus lint and docs.
 #
-#   scripts/check.sh            # fmt + build + test + parity + clippy + docs + smoke
+#   scripts/check.sh            # fmt + build + test + parity + clippy + docs,
+#                               # then the CLI and reproduce smokes and the
+#                               # benchmark's tests + traced run
 #   scripts/check.sh --fast     # skip the release build (debug test run only)
-#   scripts/check.sh --quick    # skip the bench-sweep smoke steps and
-#                               # the benchmark's tests + traced run
-#   scripts/check.sh --bench    # also run the engine bench (quick mode),
-#                               # writing machine-readable BENCH_engine.json
+#                               # and the smokes, which need it
+#   scripts/check.sh --quick    # skip the smokes and the benchmark's tests +
+#                               # traced run
+#   scripts/check.sh --bench    # also run the benchmark (BENCHMARK.json's
+#                               # command, all workloads) and gate it with its
+#                               # own `compare` against the records in BENCH.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -94,6 +98,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
+# The benchmark package, outside the workspace; BENCHMARK.json runs it
+# through this manifest.
+bench_manifest=crates/bench/src/bin/benchmark/Cargo.toml
+
 # Bench-sweep smoke: one tiny contention sweep end to end (run, CSV
 # rows). `--quick` skips it, and `--fast` implies it (no release binary
 # to run).
@@ -138,11 +146,24 @@ if [[ $quick -eq 0 && $fast -eq 0 ]]; then
     fi
   done
 
+  # Reproduce smoke: every experiment at 2 reps, in one process. Each of
+  # the 13 CSV artifacts must be written with at least one data row.
+  echo "==> reproduce smoke: all 13 artifacts at 2 reps"
+  tmp=$(mktemp -d)
+  trap 'rm -rf "$tmp"' EXIT
+  ./target/release/bnm reproduce --reps 2 --results "$tmp" >/dev/null
+  for f in table1 table2 fig3_deltas table3 fig4_cdfs fig5_granularity table4 \
+           tput sweep appraisals impair contend webrtc; do
+    if [[ ! -f "$tmp/$f.csv" || $(wc -l <"$tmp/$f.csv") -lt 2 ]]; then
+      echo "reproduce wrote no data rows to $f.csv" >&2
+      exit 1
+    fi
+  done
+
   # The benchmark's replay mirrors the runner's layer calls, and its
   # traced run checks every replayed unit against `run_rep_traced`: a
   # runner change the replay no longer follows fails here. Its own unit
   # tests first, then a 1 s traced run of every workload.
-  bench_manifest=crates/bench/src/bin/benchmark/Cargo.toml
   echo "==> benchmark unit tests"
   cargo test -q --offline --manifest-path "$bench_manifest"
   echo "==> benchmark traced run: all workloads, 1 s, outputs checked"
@@ -154,25 +175,21 @@ if [[ $quick -eq 0 && $fast -eq 0 ]]; then
   fi
 fi
 
-# Benchmarks, quick mode: one timed run per configuration — engine
-# (timer wheel + frame pool), serve, webrtc and battery —
-# written to BENCH_*.json at the repo root, then gated against the
-# committed baselines.
+# The bench gate: one untraced run of every workload, its records
+# written under target/, then the benchmark's own `compare` against the
+# committed records in BENCH.json. A gated metric worse than its bound
+# in BENCHMARK.json fails the gate (`compare` exits 1).
 if [[ $bench -eq 1 ]]; then
-  echo "==> engine bench (quick mode) -> BENCH_engine.json"
-  BNM_BENCH_QUICK=1 BNM_BENCH_OUT="$PWD/BENCH_engine.json" \
-    cargo bench -p bnm-bench --bench engine
-  echo "==> serve bench (quick mode) -> BENCH_serve.json"
-  BNM_BENCH_QUICK=1 BNM_BENCH_SERVE_OUT="$PWD/BENCH_serve.json" \
-    cargo bench -p bnm-bench --bench serve
-  echo "==> webrtc bench (quick mode) -> BENCH_webrtc.json"
-  BNM_BENCH_QUICK=1 BNM_BENCH_WEBRTC_OUT="$PWD/BENCH_webrtc.json" \
-    cargo bench -p bnm-bench --bench webrtc
-  echo "==> battery bench (quick mode) -> BENCH_battery.json"
-  BNM_BENCH_QUICK=1 BNM_BENCH_BATTERY_OUT="$PWD/BENCH_battery.json" \
-    cargo bench -p bnm-bench --bench battery
-  echo "==> bench regression gate"
-  scripts/bench_compare.sh
+  records=target/bench/records.json
+  mkdir -p "$(dirname "$records")"
+  echo "==> benchmark: all workloads -> $records"
+  cargo run --release --quiet --offline --manifest-path "$bench_manifest" -- --out "$records"
+  echo "==> benchmark compare BENCH.json $records"
+  if ! cargo run --release --quiet --offline --manifest-path "$bench_manifest" -- \
+      compare BENCH.json "$records"; then
+    echo "benchmark regression against BENCH.json" >&2
+    exit 1
+  fi
 fi
 
 echo "OK"

@@ -12,6 +12,7 @@
 //! bnm tput [options]               throughput-estimate accuracy
 //! bnm recommend [constraints]      §5 method recommendations
 //! bnm battery [options]            the full scored appraisal battery
+//! bnm reproduce [options]          regenerate every table, figure and sweep
 //! ```
 //!
 //! Every subcommand reads its flags through one typed parser,
@@ -20,8 +21,8 @@
 //! Every data-producing subcommand shares one `--format {text,json,csv}`
 //! code path: it builds a [`Render`]able (`Table`, `ReportSnapshot` or
 //! `TraceReport`) and emits it — no per-command formatters. The sweep
-//! and throughput tables are built by [`bnm::core::experiments`], as
-//! the regenerators' are.
+//! and throughput tables are built by [`bnm::core::experiments`], which
+//! also holds every experiment `bnm reproduce` runs.
 
 #![deny(deprecated)]
 
@@ -29,7 +30,7 @@ use bnm::browser::BrowserKind;
 use bnm::core::appraisal::Appraisal;
 use bnm::core::baseline::ping_baseline;
 use bnm::core::cli::{ArgError, Args};
-use bnm::core::experiments::{sweep_table, throughput_table, Failed};
+use bnm::core::experiments::{self, sweep_table, throughput_table, Failed, PAPER_REPS};
 use bnm::core::recommend::{self, Constraints};
 use bnm::core::report::{Table, TraceReport, Value};
 use bnm::core::{
@@ -69,6 +70,7 @@ const COMMANDS: &[Command] = &[
     ("recommend", &["format"], &["mobile", "no-plugins", "no-ports", "strict-origin"],
                   cmd_recommend),
     ("battery", &["reps", "seed", "format"], &["quick", "serial"], cmd_battery),
+    ("reproduce", &["only", "results", "reps", "seed"], &[], cmd_reproduce),
 ];
 
 fn usage() -> ! {
@@ -100,13 +102,17 @@ fn usage() -> ! {
            battery [--quick] [--reps N] [--seed S] [--serial]\n        \
                  [--format text|json|csv]     run every method across the clean,\n        \
                  impaired, contended, bufferbloat (drop-tail vs CoDel) and\n        \
-                 time-varying scenarios; rank by measured deployment score\n\
-         \nmethod labels: {}",
+                 time-varying scenarios; rank by measured deployment score\n  \
+           reproduce [--only NAME,...] [--results DIR] [--reps N] [--seed S]\n        \
+                 regenerate Tables 1-4, Figures 3-5 and the extension sweeps:\n        \
+                 print each table, write each CSV under DIR (default results/)\n\
+         \nmethod labels: {}\nexperiment names: {}",
         MethodId::EXTENDED
             .iter()
             .map(|m| m.label())
             .collect::<Vec<_>>()
-            .join(", ")
+            .join(", "),
+        experiments::EXPERIMENTS.map(|e| e.name).join(", ")
     );
     std::process::exit(2);
 }
@@ -426,9 +432,9 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     let clients = args.clients()?.unwrap_or(1);
     let rate_mbps = args.positive("rate-mbps")?;
     let loss = args.probability("loss")?.unwrap_or(0.0);
-    let duration_secs = args.positive("duration")?.unwrap_or(60.0);
-    let every_secs = args.positive("every")?.unwrap_or(10.0);
-    let period_ms = args.positive("period")?.unwrap_or(1000.0);
+    let duration = args.duration("duration", SimDuration::from_secs_f64)?;
+    let every = args.duration("every", SimDuration::from_secs_f64)?;
+    let period = args.duration("period", SimDuration::from_millis_f64)?;
     let format = args.format()?.unwrap_or_default();
 
     if clients > 1 || rate_mbps.is_some() {
@@ -452,13 +458,13 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     let cell = build_cell(builder);
 
     let cfg = MonitorConfig {
-        round_period: SimDuration::from_millis_f64(period_ms),
+        round_period: period.unwrap_or(SimDuration::from_secs(1)),
         ..MonitorConfig::default()
     };
     let mut monitor = Monitor::with_config(cell, cfg).unwrap_or_else(|e| fail(e));
 
-    let end = SimTime::ZERO + SimDuration::from_secs_f64(duration_secs);
-    let every = SimDuration::from_secs_f64(every_secs);
+    let end = SimTime::ZERO + duration.unwrap_or(SimDuration::from_secs(60));
+    let every = every.unwrap_or(SimDuration::from_secs(10));
     let mut polls = 0u32;
     while monitor.now() < end {
         let remaining = SimDuration::from_nanos(end.as_nanos() - monitor.now().as_nanos());
@@ -539,9 +545,9 @@ fn cmd_ping(_: &Args) -> Result<(), ArgError> {
 
 fn cmd_tput(args: &Args) -> Result<(), ArgError> {
     let method = args.method()?.unwrap_or(MethodId::XhrGet);
-    let size = args.count("size")?.unwrap_or(128 * 1024);
+    let size = args.size()?.unwrap_or(128 * 1024);
     let format = args.format()?.unwrap_or_default();
-    // The tput regenerator's cell at its default seed: these rows are
+    // The tput experiment's cell at its default seed: these rows are
     // its first repetition's.
     let cell = ExperimentCell::paper(
         method,
@@ -604,5 +610,42 @@ fn cmd_recommend(args: &Args) -> Result<(), ArgError> {
         table.note(format!("Discouraged: {} — {}", m.display_name(), why));
     }
     emit(&table, format);
+    Ok(())
+}
+
+/// `bnm reproduce` — run the experiments in this process, in order:
+/// print each one's tables and write its CSV artifact. A cell that could
+/// not run is reported on stderr and its rows are left out.
+fn cmd_reproduce(args: &Args) -> Result<(), ArgError> {
+    let only = args.list(
+        "only",
+        "a comma-separated list of experiment names",
+        experiments::find,
+    )?;
+    let reps = args.reps()?.unwrap_or(PAPER_REPS);
+    let seed = args.seed()?.unwrap_or(DEFAULT_SEED);
+    let dir = std::path::Path::new(args.value("results").unwrap_or("results"));
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        fail(format!("cannot create {}: {e}", dir.display()));
+    }
+    let selected = experiments::EXPERIMENTS.iter().filter(|e| {
+        only.as_ref()
+            .is_none_or(|o| o.iter().any(|s| s.name == e.name))
+    });
+    for experiment in selected {
+        println!("== {} ==", experiment.name);
+        let artifact = experiment.run(seed, reps);
+        for (cell, e) in &artifact.failed {
+            eprintln!("skipping {}: {e}", cell.label());
+        }
+        for table in &artifact.tables {
+            println!("{}", table.to_text());
+        }
+        let path = dir.join(experiment.file);
+        if let Err(e) = std::fs::write(&path, &artifact.csv) {
+            fail(format!("cannot write {}: {e}", path.display()));
+        }
+        println!("Artifact written to {}\n", path.display());
+    }
     Ok(())
 }

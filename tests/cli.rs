@@ -4,7 +4,8 @@
 //! name themselves on stderr before anything runs: none of them
 //! silently falls back to a default.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn bnm(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bnm"))
@@ -13,9 +14,30 @@ fn bnm(args: &[&str]) -> Output {
         .expect("launch bnm")
 }
 
+/// Run `bnm args`, failing the test if it is still running after
+/// `deadline`: a refusal must not turn into a run that never ends.
+fn bnm_within(args: &[&str], deadline: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bnm"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("launch bnm");
+    let start = Instant::now();
+    while child.try_wait().expect("poll bnm").is_none() {
+        if start.elapsed() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{args:?} still running after {deadline:?}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    child.wait_with_output().expect("collect bnm output")
+}
+
 /// `args` must exit 2 without running, naming `what` on stderr.
 fn refused(args: &[&str], what: &str) {
-    let out = bnm(args);
+    let out = bnm_within(args, Duration::from_secs(20));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
@@ -30,7 +52,7 @@ fn refused(args: &[&str], what: &str) {
 }
 
 /// Every subcommand that takes flags, with the numeric flags it takes.
-const COMMANDS: [(&str, &[&str]); 10] = [
+const COMMANDS: [(&str, &[&str]); 11] = [
     ("appraise", &["reps", "seed"]),
     ("trace", &["reps", "seed"]),
     (
@@ -55,11 +77,13 @@ const COMMANDS: [(&str, &[&str]); 10] = [
     ("tput", &["size"]),
     ("recommend", &[]),
     ("battery", &["reps", "seed"]),
+    ("reproduce", &["reps", "seed"]),
 ];
 
 /// For each numeric flag, a value that does not parse and values that
-/// parse but lie out of range.
-const BAD_VALUES: [(&str, &str); 24] = [
+/// parse but lie out of range: a duration that rounds to zero virtual
+/// nanoseconds, or a bulk download over 16 MiB.
+const BAD_VALUES: [(&str, &str); 28] = [
     ("reps", "abc"),
     ("reps", "0"),
     ("seed", "garbage"),
@@ -78,12 +102,16 @@ const BAD_VALUES: [(&str, &str); 24] = [
     ("rate-mbps", "-1"),
     ("duration", "1m"),
     ("duration", "0"),
+    ("duration", "1e-12"),
     ("every", "often"),
     ("every", "-5"),
+    ("every", "1e-12"),
     ("period", "1s"),
     ("period", "0"),
+    ("period", "1e-7"),
     ("size", "128k"),
     ("size", "0"),
+    ("size", "16777217"),
 ];
 
 #[test]
@@ -110,6 +138,8 @@ fn malformed_and_out_of_range_values_exit_2() {
     refused(&["impair", "--browser", "netscape"], "--browser");
     refused(&["contend", "--os", "beos"], "--os");
     refused(&["trace", "--format", "xml"], "--format");
+    refused(&["reproduce", "--only", "fig9"], "--only");
+    refused(&["reproduce", "--only", "table1,,table2"], "--only");
 }
 
 #[test]
@@ -167,4 +197,50 @@ fn hex_and_decimal_seeds_run_identically() {
             .collect()
     };
     assert_eq!(rows("0x10"), rows("16"));
+}
+
+/// An artifact that cannot be written fails the run (exit 1) and names
+/// its path.
+#[test]
+fn unwritable_results_directory_exits_1() {
+    let out = bnm(&["reproduce", "--only", "table1", "--results", "/dev/null/x"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("/dev/null/x"), "{stderr}");
+}
+
+/// `bnm reproduce` at one seed writes the same artifacts and prints the
+/// same report every time.
+#[test]
+fn reproduce_is_deterministic() {
+    let dir = std::env::temp_dir().join(format!("bnm-reproduce-{}", std::process::id()));
+    let results = dir.to_str().expect("a UTF-8 temp path");
+    let names = ["table1", "table2", "table3"];
+    let only = names.join(",");
+    let run = || {
+        let stdout = stdout_of(&[
+            "reproduce",
+            "--only",
+            &only,
+            "--reps",
+            "2",
+            "--results",
+            results,
+        ]);
+        let files: Vec<Vec<u8>> = ["table1.csv", "table2.csv", "table3.csv"]
+            .iter()
+            .map(|f| std::fs::read(dir.join(f)).expect("an artifact"))
+            .collect();
+        (stdout, files)
+    };
+    let (first, second) = (run(), run());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(first, second);
+    for (name, csv) in names.iter().zip(&first.1) {
+        assert!(csv.split(|&b| b == b'\n').count() > 2, "{name} has no rows");
+        assert!(
+            first.0.contains(&format!("== {name} ==")),
+            "{name} not printed"
+        );
+    }
 }
