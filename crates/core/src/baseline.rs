@@ -12,7 +12,6 @@ use bytes::Bytes;
 
 use bnm_sim::engine::Engine;
 use bnm_sim::link::LinkSpec;
-use bnm_sim::rng;
 use bnm_sim::switch::Switch;
 use bnm_sim::time::{SimDuration, SimTime};
 use bnm_sim::wire::IcmpEcho;
@@ -78,7 +77,7 @@ impl HostApp for PingClient {
 
 /// Run the ping baseline on the paper's testbed. Returns RTT samples in
 /// fractional milliseconds.
-pub fn ping_baseline(count: u16, server_delay: SimDuration, seed: u64) -> Vec<f64> {
+pub fn ping_baseline(count: u16, server_delay: SimDuration) -> Vec<f64> {
     let mut e = Engine::new();
     let client = e.add_node(Box::new(Host::new(
         HostConfig::new("client", CLIENT_MAC, CLIENT_IP).with_neighbor(SERVER_IP, SERVER_MAC),
@@ -98,8 +97,6 @@ pub fn ping_baseline(count: u16, server_delay: SimDuration, seed: u64) -> Vec<f6
     e.connect(client, 0, sw, 0, LinkSpec::fast_ethernet());
     let server_link = e.connect(server, 0, sw, 1, LinkSpec::fast_ethernet());
     e.set_one_way_delay(server_link, server, server_delay);
-    // Seed reserved for future noise models on the ICMP path.
-    let _ = rng::derive_seed(seed, "ping");
     e.run();
     e.node_ref::<Host<PingClient>>(client)
         .app()
@@ -121,7 +118,7 @@ mod tests {
 
     #[test]
     fn ping_sees_the_true_rtt() {
-        let rtts = ping_baseline(10, SimDuration::from_millis(50), 1);
+        let rtts = ping_baseline(10, SimDuration::from_millis(50));
         assert_eq!(rtts.len(), 10);
         for r in &rtts {
             assert!((50.0..50.5).contains(r), "ping rtt {r}");
@@ -130,7 +127,7 @@ mod tests {
 
     #[test]
     fn ping_without_delay_is_sub_millisecond() {
-        let rtts = ping_baseline(5, SimDuration::ZERO, 1);
+        let rtts = ping_baseline(5, SimDuration::ZERO);
         assert!(rtts.iter().all(|r| *r < 1.0));
     }
 
@@ -138,7 +135,7 @@ mod tests {
     /// HTTP-based JavaScript is inflated.
     #[test]
     fn sockets_track_ping_http_inflates() {
-        let ping_med = Summary::of(&ping_baseline(10, SimDuration::from_millis(50), 1)).median;
+        let ping_med = Summary::of(&ping_baseline(10, SimDuration::from_millis(50))).median;
         let run = |m: MethodId| {
             let cell = ExperimentCell::paper(
                 m,

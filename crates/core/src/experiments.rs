@@ -487,7 +487,7 @@ fn tput(seed: u64, reps: u32) -> Artifact {
          transfers and dilutes on large ones, and Flash taxes every size hardest (§2.2). \
          Round 2, the reuse round, is the one speedtests resemble.",
     );
-    let pings = ping_baseline(10, SimDuration::from_millis(50), seed);
+    let pings = ping_baseline(10, SimDuration::from_millis(50));
     let s = Summary::of(&pings);
     let mut ping = Table::new(
         "ICMP ping baseline over the testbed (§6): the ground truth browser methods are judged against",

@@ -6,9 +6,12 @@
 //!
 //! The pipeline mirrors Section 3 of the paper exactly:
 //!
-//! 1. [`testbed`] builds the two-machine testbed of Figure 2 (hosts,
+//! 1. [`scenario`] builds the two-machine testbed of Figure 2 (hosts,
 //!    switch, 100 Mbps links, the 50 ms netem delay on the server side,
-//!    and a WinDump-style capture tap at the client's NIC).
+//!    and a WinDump-style capture tap at each NIC) from a
+//!    [`testbed::TestbedConfig`]: the paper's testbed is the one-session
+//!    [`scenario::Scenario`], and [`scenario::ScenarioBuilder`] validates
+//!    every scenario before it is wired.
 //! 2. [`runner`] executes one experiment *cell* — (method × runtime × OS,
 //!    repeated 50 times, two rounds each) — each repetition in a fresh
 //!    simulation with its own seeded noise streams.
@@ -76,4 +79,4 @@ pub use report::{
 pub use runner::{CellResult, ExperimentRunner, RepOutcome, SessionSamples};
 pub use scenario::{Scenario, ScenarioBuilder, SessionSpec};
 pub use streaming::{DiscardSink, ServerMarkerIndex, SessionMarkerSink};
-pub use testbed::{Testbed, TestbedBuilder, TestbedConfig};
+pub use testbed::TestbedConfig;

@@ -494,8 +494,7 @@ impl ExperimentRunner {
         } else {
             Trace::disabled()
         };
-        let specs = Self::session_specs(cell, rep, &plan, &profile);
-        let mut sc = Scenario::build_traced(&Self::testbed_config(cell), specs, rep_token, trace);
+        let mut sc = Self::scenario(cell, rep, &plan, &profile, trace)?;
         let tokens: Vec<u64> = (0..sc.len())
             .map(|i| bnm_browser::session_token(sc.session_id(i), rep_token))
             .collect();
@@ -537,7 +536,7 @@ impl ExperimentRunner {
         let trace = sc.take_trace();
         let attribution = match &trace {
             Some(t) => {
-                // Only session 0 is traced (see `Scenario::build_traced`):
+                // Only session 0 is traced (see `ScenarioBuilder::trace`):
                 // its rounds are the only ones the spans can explain.
                 let session0: Vec<RoundMeasurement> =
                     out.iter().copied().filter(|m| m.session == 0).collect();
@@ -556,27 +555,13 @@ impl ExperimentRunner {
         })
     }
 
-    /// The testbed a cell runs on: the paper's, plus the cell's
-    /// impairment, link shape and shared-link rate override.
-    fn testbed_config(cell: &ExperimentCell) -> TestbedConfig {
-        let mut cfg = TestbedConfig {
-            server_delay: cell.server_delay,
-            capture_noise_ns: cell.capture_noise_ns,
-            seed: rng::derive_seed(cell.seed, "capture"),
-            impairment: cell.impairment,
-            server_shape: cell.link_shape.clone(),
-            ..TestbedConfig::default()
-        };
-        if let Some(rate) = cell.server_link_rate_bps {
-            cfg.server_link = LinkSpec {
-                rate_bps: rate,
-                ..LinkSpec::fast_ethernet()
-            };
-        }
-        cfg
-    }
-
-    /// One [`SessionSpec`] per client, ascending session id.
+    /// The scenario repetition `rep` of `cell` runs on: `cell.clients`
+    /// sessions of `plan` on `profile`, ascending session id, on the
+    /// paper's testbed plus the cell's impairment, link shape and
+    /// shared-link rate override. This is the one place a cell's testbed
+    /// config, machine clocks and session seeds are derived. A cell the
+    /// builder refuses (no or too many clients, a degenerate link) is a
+    /// [`RunError::InvalidInput`] for this repetition, not a panic.
     ///
     /// All repetitions of a cell run on the *same machines*, a few
     /// seconds apart: one timer-regime timeline per client, sampled at
@@ -591,33 +576,52 @@ impl ExperimentRunner {
     /// 1.. from `".s{id}"`-suffixed ones, so the reference client is the
     /// *same client* across client counts — only its competition
     /// changes.
-    fn session_specs(
+    pub(crate) fn scenario(
         cell: &ExperimentCell,
         rep: u32,
         plan: &ProbePlan,
         profile: &BrowserProfile,
-    ) -> Vec<SessionSpec> {
+        trace: Trace,
+    ) -> Result<Scenario, RunError> {
+        let mut cfg = TestbedConfig {
+            server_delay: cell.server_delay,
+            capture_noise_ns: cell.capture_noise_ns,
+            seed: rng::derive_seed(cell.seed, "capture"),
+            impairment: cell.impairment,
+            server_shape: cell.link_shape.clone(),
+            ..TestbedConfig::default()
+        };
+        if let Some(rate) = cell.server_link_rate_bps {
+            cfg.server_link = LinkSpec {
+                rate_bps: rate,
+                ..LinkSpec::fast_ethernet()
+            };
+        }
         let label = cell.label();
-        (0..u64::from(cell.clients))
-            .map(|sid| {
-                let suffix = if sid == 0 {
-                    String::new()
-                } else {
-                    format!(".s{sid}")
-                };
-                let machine_seed = rng::derive_seed(cell.seed, &format!("machine.{label}{suffix}"));
-                let machine = MachineTimer::new(cell.os, machine_seed)
-                    .at_offset(SimDuration::from_secs(4).saturating_mul(u64::from(rep)));
-                let session_seed = rng::derive_seed(cell.seed, &format!("session.{label}{suffix}"));
-                SessionSpec {
-                    id: sid,
-                    plan: plan.clone(),
-                    profile: profile.clone(),
-                    machine,
-                    seed: session_seed ^ u64::from(rep),
-                }
-            })
-            .collect()
+        let specs = (0..u64::from(cell.clients)).map(|sid| {
+            let suffix = if sid == 0 {
+                String::new()
+            } else {
+                format!(".s{sid}")
+            };
+            let machine_seed = rng::derive_seed(cell.seed, &format!("machine.{label}{suffix}"));
+            let machine = MachineTimer::new(cell.os, machine_seed)
+                .at_offset(SimDuration::from_secs(4).saturating_mul(u64::from(rep)));
+            let session_seed = rng::derive_seed(cell.seed, &format!("session.{label}{suffix}"));
+            SessionSpec {
+                id: sid,
+                plan: plan.clone(),
+                profile: profile.clone(),
+                machine,
+                seed: session_seed ^ u64::from(rep),
+            }
+        });
+        Scenario::builder()
+            .config(cfg)
+            .sessions(specs)
+            .rep_token(u64::from(rep))
+            .trace(trace)
+            .build()
     }
 
     /// Install the marker sinks on a scenario's taps before it runs: one
@@ -762,19 +766,6 @@ impl ExperimentRunner {
         } else {
             p
         })
-    }
-
-    /// Resolve the runtime profile for a cell.
-    ///
-    /// # Panics
-    /// If the browser does not exist on the cell's OS; callers that have
-    /// not checked [`ExperimentCell::is_runnable`] should prefer
-    /// [`ExperimentRunner::try_profile`].
-    pub fn profile(cell: &ExperimentCell) -> BrowserProfile {
-        match Self::try_profile(cell) {
-            Ok(p) => p,
-            Err(e) => panic!("{e}"),
-        }
     }
 }
 

@@ -3,11 +3,10 @@
 //! The paper's testbed (Figure 2) is one client machine measuring through
 //! one switch. A [`Scenario`] generalizes it: N browser sessions, each
 //! with its own TCP stack, machine timer and client-side capture tap,
-//! share the switch and contend for the same web server. The
-//! single-client [`crate::testbed::Testbed`] is the N = 1 special case —
-//! it is *built through* this module, so a one-session scenario is
-//! byte-identical to the legacy testbed by construction (asserted by
-//! `tests/scenario_parity.rs`).
+//! share the switch and contend for the same web server. The paper's
+//! testbed is the one-session scenario; there is no second wiring path.
+//! Every scenario is built through [`ScenarioBuilder::build`], which
+//! refuses what would otherwise panic or hang mid-run.
 //!
 //! Contention enters the measured Δd through exactly one door: time spent
 //! *before* `tN_s` inside the browser-timed interval. Network queueing
@@ -20,7 +19,7 @@
 use std::net::Ipv4Addr;
 
 use bnm_browser::session::SessionConfig;
-use bnm_browser::{BrowserProfile, BrowserSession, ProbePlan};
+use bnm_browser::{BrowserProfile, BrowserSession, ProbePlan, ProbeTransport};
 use bnm_http::server::WebServer;
 use bnm_obs::{Trace, TraceData};
 use bnm_sim::capture::{CaptureBuffer, TimestampNoise};
@@ -42,7 +41,7 @@ use crate::testbed::{NoiseSource, TestbedConfig, CLIENT_IP, CLIENT_MAC, SERVER_I
 pub struct SessionSpec {
     /// Session id, embedded (via [`bnm_browser::session_token`]) in every
     /// probe marker the session puts on the wire. Ids must be unique
-    /// within a scenario; id 0 reproduces the legacy testbed's tokens.
+    /// within a scenario; id 0's token is the bare repetition token.
     pub id: u64,
     /// The measurement method this session executes.
     pub plan: ProbePlan,
@@ -64,7 +63,7 @@ const NOISE_IP: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 3);
 /// preserves existing multi-client traces bit for bit.
 const LEGACY_ADDR_POSITIONS: usize = 190;
 
-/// Per-client addressing. Position 0 keeps the legacy testbed identity
+/// Per-client addressing. Position 0 keeps the paper testbed's identity
 /// (`"client"`, [`CLIENT_MAC`], [`CLIENT_IP`]); positions 1 through
 /// `LEGACY_ADDR_POSITIONS` (190) get the original derived scheme —
 /// locally-administered MACs from 5 upward and addresses from
@@ -103,8 +102,8 @@ pub fn client_addr(position: usize) -> (String, MacAddr, Ipv4Addr) {
 /// N concurrent browser sessions attached through one switch to one web
 /// server. Nodes, links and taps are created in a fixed order (clients by
 /// ascending session id, then server, then switch extras), so a scenario
-/// is deterministic and — at N = 1 with the default config — reproduces
-/// the legacy [`crate::testbed::Testbed`] wiring byte for byte.
+/// is deterministic: the same sessions and config give the same wire,
+/// whatever order the sessions were added in.
 pub struct Scenario {
     /// The shared simulation engine.
     pub engine: Engine,
@@ -139,59 +138,33 @@ impl Scenario {
     /// [`client_addr`] (two address octets).
     pub const ADDRESS_CAPACITY: usize = 65_536;
 
-    /// Start building a scenario, mirroring
-    /// [`crate::testbed::Testbed::builder`]. Validates at
+    /// Start building a scenario. Validates at
     /// [`ScenarioBuilder::build`] time instead of panicking.
     pub fn builder() -> ScenarioBuilder {
         ScenarioBuilder::new()
     }
 
-    /// Build a scenario without tracing.
-    pub fn build(cfg: &TestbedConfig, specs: Vec<SessionSpec>, rep_token: u64) -> Scenario {
-        Self::build_traced(cfg, specs, rep_token, Trace::disabled())
-    }
-
-    /// Build a scenario. The trace handle is wired to the engine and to
-    /// the *lowest-id* session only (its stack and browser): attribution
-    /// decomposes one session's Δd, and a second traced stack would
-    /// interleave spans from an unrelated connection timeline.
+    /// Build an untraced scenario: [`Scenario::builder`] with `cfg`,
+    /// `specs` and `rep_token`, for callers whose input is known good.
     ///
     /// # Panics
-    /// If `specs` is empty, exceeds
-    /// [`Scenario::DEFAULT_SESSION_LIMIT`], or contains duplicate
-    /// session ids. [`Scenario::builder`] reports the same conditions
-    /// as errors instead, and can lift the session limit.
-    pub fn build_traced(
-        cfg: &TestbedConfig,
-        mut specs: Vec<SessionSpec>,
-        rep_token: u64,
-        trace: Trace,
-    ) -> Scenario {
-        assert!(!specs.is_empty(), "a scenario needs at least one session");
-        assert!(
-            specs.len() <= Self::DEFAULT_SESSION_LIMIT,
-            "a scenario holds at most {} sessions by default \
-             (ScenarioBuilder::session_limit raises the cap), got {}",
-            Self::DEFAULT_SESSION_LIMIT,
-            specs.len()
-        );
-        // Results and wiring are keyed by session id, not insertion
-        // order: sorting here is what makes per-session output invariant
-        // to the order the caller pushed the specs.
-        specs.sort_by_key(|s| s.id);
-        for pair in specs.windows(2) {
-            assert!(
-                pair[0].id != pair[1].id,
-                "duplicate session id {} in scenario",
-                pair[0].id
-            );
-        }
-        Self::build_inner(cfg, specs, rep_token, trace)
+    /// With the builder's error, on any input [`ScenarioBuilder::build`]
+    /// refuses.
+    pub fn build(cfg: &TestbedConfig, specs: Vec<SessionSpec>, rep_token: u64) -> Scenario {
+        Self::builder()
+            .config(cfg.clone())
+            .sessions(specs)
+            .rep_token(rep_token)
+            .build()
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Shared construction path behind [`Scenario::build_traced`] and
-    /// [`ScenarioBuilder::build`]. `specs` must be non-empty, sorted by
-    /// id and free of duplicates.
+    /// The construction behind [`ScenarioBuilder::build`], which has
+    /// validated the input: `specs` is non-empty, sorted by id and free
+    /// of duplicates. The trace handle is wired to the engine and to the
+    /// *lowest-id* session only (its stack and browser): attribution
+    /// decomposes one session's Δd, and a second traced stack would
+    /// interleave spans from an unrelated connection timeline.
     fn build_inner(
         cfg: &TestbedConfig,
         specs: Vec<SessionSpec>,
@@ -234,14 +207,13 @@ impl Scenario {
                         HostConfig::new(name, mac, ip).with_neighbor(SERVER_IP, SERVER_MAC),
                         session,
                     )
-                    // Position 0's offset is the stack's power-on state, so
-                    // the N = 1 scenario allocates the legacy ports/ISNs;
+                    // Position 0's offset is the stack's power-on state;
                     // later positions get disjoint ephemeral-port windows and
                     // well-separated ISNs.
                     .with_flow_offset(i as u64)
                     // Only the traced client's stack records spans: its
                     // handshakes are the ones inside the browser-measured
-                    // interval (see `build_traced` docs).
+                    // interval (see `build_inner` docs).
                     .with_trace(session_trace),
                 )),
             );
@@ -443,10 +415,9 @@ impl Scenario {
     }
 }
 
-/// Builds a [`Scenario`], mirroring [`crate::testbed::TestbedBuilder`]:
-/// every knob defaults to the single-client paper testbed, and
+/// Builds a [`Scenario`]: every knob defaults to the paper testbed, and
 /// validation happens once in [`ScenarioBuilder::build`] — returning
-/// [`RunError`] instead of panicking mid-construction.
+/// [`RunError`] instead of panicking or hanging mid-run.
 ///
 /// ```
 /// use bnm_core::scenario::Scenario;
@@ -522,8 +493,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Install a trace handle (wired to the engine and the lowest-id
-    /// session; see [`Scenario::build_traced`]).
+    /// Install a trace handle, wired to the engine and the lowest-id
+    /// session (read it back with [`Scenario::take_trace`]).
     pub fn trace(mut self, trace: Trace) -> Self {
         self.trace = trace;
         self
@@ -537,7 +508,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Validate and build the scenario.
+    /// Validate and build the scenario. Reports
+    /// [`RunError::InvalidInput`] for no sessions, more sessions than
+    /// the limit, a duplicate session id, a WebSocket or WebRTC plan on a
+    /// runtime without it, and a zero-rate or zero-queue server link.
     pub fn build(mut self) -> Result<Scenario, RunError> {
         if self.specs.is_empty() {
             return Err(RunError::InvalidInput(
@@ -557,9 +531,29 @@ impl ScenarioBuilder {
                 "scenario session count exceeds the configured session limit",
             ));
         }
+        // Results and wiring are keyed by session id, not insertion
+        // order: sorting here makes per-session output invariant to the
+        // order the caller added the specs.
         self.specs.sort_by_key(|s| s.id);
         if self.specs.windows(2).any(|w| w[0].id == w[1].id) {
             return Err(RunError::InvalidInput("duplicate session id in scenario"));
+        }
+        // The session asserts these mid-run (Table 2: WebSocket support
+        // doubles as the era proxy for WebRTC).
+        for spec in self.specs.iter().filter(|s| !s.profile.supports_websocket) {
+            match spec.plan.transport {
+                ProbeTransport::WebSocketEcho => {
+                    return Err(RunError::InvalidInput(
+                        "plan requires WebSocket but the runtime lacks it",
+                    ))
+                }
+                ProbeTransport::WebRtcData => {
+                    return Err(RunError::InvalidInput(
+                        "plan requires WebRTC but the runtime predates it",
+                    ))
+                }
+                _ => {}
+            }
         }
         // Degenerate link parameters (zero rate, zero queue bound) would
         // panic or hang deep inside the engine; reject them here.
@@ -583,7 +577,8 @@ impl ScenarioBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bnm_browser::{BrowserKind, ProbeTransport, Technology};
+    use bnm_browser::{BrowserKind, Technology};
+    use bnm_methods::MethodId;
     use bnm_time::{OsKind, TimingApiKind};
 
     fn xhr_plan() -> ProbePlan {
@@ -612,12 +607,17 @@ mod tests {
             vec![spec(0), spec(1), spec(2)],
             0,
         );
-        sc.run();
+        // The run ends at its last event (the TIME-WAIT expiry), long
+        // before the hang backstop.
+        let end = sc.run();
+        assert!(end < SimTime::from_secs(300), "finished at {end:?}");
+        assert_eq!(end, sc.engine.now());
         assert_eq!(sc.len(), 3);
         for i in 0..3 {
             assert!(sc.session(i).result().completed, "session {i}");
             assert!(!sc.engine.tap(sc.client_taps[i]).is_empty(), "tap {i}");
         }
+        assert!(!sc.engine.tap(sc.server_tap).is_empty());
         // The shared server served every session's page + 2 probes.
         assert_eq!(sc.web_server().stats.pages, 3);
         assert_eq!(sc.web_server().stats.gets, 6);
@@ -647,6 +647,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "queue_limit_bytes must be positive")]
+    fn build_panics_with_the_builder_error() {
+        let cfg = TestbedConfig {
+            server_link: LinkSpec {
+                queue_limit_bytes: 0,
+                ..LinkSpec::fast_ethernet()
+            },
+            ..TestbedConfig::default()
+        };
+        Scenario::build(&cfg, vec![spec(0)], 0);
+    }
+
+    #[test]
     fn client_addressing_is_disjoint() {
         // Cover the whole legacy range, the scheme transition at
         // position 191, and a crowd well past 1,000 clients.
@@ -672,7 +685,7 @@ mod tests {
     #[test]
     fn builder_mirrors_build() {
         // Same sessions, same knobs → the builder's scenario must be
-        // observably identical to the legacy constructor's.
+        // observably identical to the panicking shorthand's.
         let via_build = {
             let mut sc = Scenario::build(&TestbedConfig::default(), vec![spec(0), spec(1)], 3);
             sc.run();
@@ -725,6 +738,54 @@ mod tests {
                 .build(),
             Err(RunError::InvalidInput(_))
         ));
+    }
+
+    /// What would panic or hang mid-run is refused up front: a WebSocket
+    /// or WebRTC plan on a runtime without it (IE9, Table 2) and a
+    /// degenerate server link.
+    #[test]
+    fn builder_refuses_what_would_fail_mid_run() {
+        let on_ie9 = |method: MethodId| SessionSpec {
+            plan: method.plan(None),
+            profile: BrowserProfile::build(BrowserKind::Ie9, OsKind::Windows7).unwrap(),
+            machine: MachineTimer::new(OsKind::Windows7, 1),
+            ..spec(0)
+        };
+        let refused = |b: ScenarioBuilder| b.build().err();
+        assert_eq!(
+            refused(Scenario::builder().session(on_ie9(MethodId::WebSocket))),
+            Some(RunError::InvalidInput(
+                "plan requires WebSocket but the runtime lacks it"
+            ))
+        );
+        assert_eq!(
+            refused(Scenario::builder().session(on_ie9(MethodId::WebRtc))),
+            Some(RunError::InvalidInput(
+                "plan requires WebRTC but the runtime predates it"
+            ))
+        );
+        let with_link = |link: LinkSpec| {
+            Scenario::builder().session(spec(0)).config(TestbedConfig {
+                server_link: link,
+                ..TestbedConfig::default()
+            })
+        };
+        assert_eq!(
+            refused(with_link(LinkSpec {
+                rate_bps: 0,
+                ..LinkSpec::fast_ethernet()
+            })),
+            Some(RunError::InvalidInput("link rate_bps must be positive"))
+        );
+        assert_eq!(
+            refused(with_link(LinkSpec {
+                queue_limit_bytes: 0,
+                ..LinkSpec::fast_ethernet()
+            })),
+            Some(RunError::InvalidInput(
+                "link queue_limit_bytes must be positive"
+            ))
+        );
     }
 
     #[test]

@@ -89,31 +89,43 @@ pub fn match_server_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ExperimentCell, RuntimeSel};
-    use crate::runner::ExperimentRunner;
-    use crate::testbed::{Testbed, TestbedConfig};
+    use crate::scenario::{Scenario, SessionSpec};
+    use crate::testbed::TestbedConfig;
     use bnm_browser::{BrowserKind, BrowserProfile};
     use bnm_time::{MachineTimer, OsKind};
 
+    /// One `method` session on `browser`/Ubuntu, `seed` for both its
+    /// machine clock and its noise streams, repetition token `rep`, run
+    /// to completion.
+    fn run_one(
+        cfg: &TestbedConfig,
+        method: MethodId,
+        browser: BrowserKind,
+        rep: u64,
+        seed: u64,
+    ) -> Scenario {
+        let session = SessionSpec {
+            id: 0,
+            plan: method.plan(None),
+            profile: BrowserProfile::build(browser, OsKind::Ubuntu1204).unwrap(),
+            machine: MachineTimer::new(OsKind::Ubuntu1204, seed),
+            seed,
+        };
+        let mut sc = Scenario::build(cfg, vec![session], rep);
+        sc.run();
+        sc
+    }
+
     #[test]
     fn server_turnaround_is_small_without_handler_delay() {
-        let cell = ExperimentCell::paper(
-            MethodId::XhrGet,
-            RuntimeSel::Browser(BrowserKind::Chrome),
-            OsKind::Ubuntu1204,
-        );
-        let profile = ExperimentRunner::try_profile(&cell).unwrap();
-        let machine = MachineTimer::new(cell.os, 5);
-        let mut tb = Testbed::build(
+        let sc = run_one(
             &TestbedConfig::default(),
-            cell.method.plan(None),
-            profile,
-            machine,
+            MethodId::XhrGet,
+            BrowserKind::Chrome,
             0,
             5,
         );
-        tb.run();
-        let cap = tb.engine.tap(tb.server_tap);
+        let cap = sc.engine.tap(sc.server_tap);
         for round in [1u8, 2] {
             let st = match_server_round(cap, MethodId::XhrGet, round, 0).unwrap();
             let t = st.turnaround_ms();
@@ -126,13 +138,10 @@ mod tests {
 
     #[test]
     fn handler_delay_is_visible_and_subtractable() {
-        let profile = BrowserProfile::build(BrowserKind::Chrome, OsKind::Ubuntu1204).unwrap();
-        let machine = MachineTimer::new(OsKind::Ubuntu1204, 5);
         let mut cfg = TestbedConfig::default();
         cfg.server.handler_delay = bnm_sim::time::SimDuration::from_millis(8);
-        let mut tb = Testbed::build(&cfg, MethodId::XhrGet.plan(None), profile, machine, 0, 5);
-        tb.run();
-        let cap = tb.engine.tap(tb.server_tap);
+        let sc = run_one(&cfg, MethodId::XhrGet, BrowserKind::Chrome, 0, 5);
+        let cap = sc.engine.tap(sc.server_tap);
         let st = match_server_round(cap, MethodId::XhrGet, 1, 0).unwrap();
         assert!(st.turnaround_ms() >= 8.0);
         let overhead = st.overhead_ms(8.0);
@@ -141,23 +150,14 @@ mod tests {
 
     #[test]
     fn echo_rounds_match_on_server_side_too() {
-        let cell = ExperimentCell::paper(
-            MethodId::JavaTcp,
-            RuntimeSel::Browser(BrowserKind::Firefox),
-            OsKind::Ubuntu1204,
-        );
-        let profile = ExperimentRunner::try_profile(&cell).unwrap();
-        let machine = MachineTimer::new(cell.os, 6);
-        let mut tb = Testbed::build(
+        let sc = run_one(
             &TestbedConfig::default(),
-            cell.method.plan(None),
-            profile,
-            machine,
+            MethodId::JavaTcp,
+            BrowserKind::Firefox,
             3,
             6,
         );
-        tb.run();
-        let cap = tb.engine.tap(tb.server_tap);
+        let cap = sc.engine.tap(sc.server_tap);
         let st = match_server_round(cap, MethodId::JavaTcp, 2, 3).unwrap();
         assert!(st.turnaround_ms() < 1.0);
     }

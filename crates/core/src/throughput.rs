@@ -8,17 +8,16 @@
 //! wire-level one recovered from the capture.
 
 use bnm_methods::MethodId;
+use bnm_obs::Trace;
 use bnm_sim::capture::{CaptureBuffer, CaptureDir};
-use bnm_sim::rng;
 use bnm_sim::time::SimTime;
 use bnm_sim::wire::{ParsedPacket, Transport};
-use bnm_time::MachineTimer;
 
 use crate::config::ExperimentCell;
 use crate::error::RunError;
-use crate::matching::MatchError;
+use crate::frames::contains;
+use crate::matching::{request_marker, MatchError};
 use crate::runner::ExperimentRunner;
-use crate::testbed::{Testbed, TestbedConfig};
 
 /// One bulk-download measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,13 +59,12 @@ pub fn match_bulk_round(
     token: u64,
     n: usize,
 ) -> Result<(SimTime, SimTime), MatchError> {
-    let req_needle: Vec<u8> = if method.is_http_based() {
-        format!("m={}&r={}&t={}", method.label(), round, token).into_bytes()
+    let req_needle = if method.is_http_based() {
+        request_marker(method, round, token)
     } else {
         format!("bulk n={n} r={round} t={token}").into_bytes()
     };
     let resp_needle = format!("bulk r={round} t={token} ").into_bytes();
-    let contains = |hay: &[u8], needle: &[u8]| hay.windows(needle.len()).any(|w| w == needle);
 
     let mut tn_s = None;
     let mut resp_ports: Option<(u16, u16)> = None;
@@ -123,9 +121,9 @@ pub fn match_bulk_round(
 /// transfer in memory.
 pub const MAX_BULK_BYTES: usize = 16 * 1024 * 1024;
 
-/// Run one throughput repetition: download `n` bytes per round through
-/// the cell's method. A download over [`MAX_BULK_BYTES`] is
-/// [`RunError::InvalidInput`].
+/// Run one throughput repetition: session 0 of the cell's scenario
+/// downloads `n` bytes per round through the cell's method. A download
+/// over [`MAX_BULK_BYTES`] is [`RunError::InvalidInput`].
 pub fn run_bulk_rep(
     cell: &ExperimentCell,
     rep: u32,
@@ -138,32 +136,16 @@ pub fn run_bulk_rep(
     if !cell.method.available_in(&profile) {
         return Err(RunError::unrunnable(cell));
     }
-    let machine_seed = rng::derive_seed(cell.seed, &format!("machine.{}", cell.label()));
-    let machine = MachineTimer::new(cell.os, machine_seed)
-        .at_offset(bnm_sim::time::SimDuration::from_secs(4).saturating_mul(u64::from(rep)));
-    let tb_cfg = TestbedConfig {
-        server_delay: cell.server_delay,
-        capture_noise_ns: cell.capture_noise_ns,
-        seed: rng::derive_seed(cell.seed, "capture"),
-        ..TestbedConfig::default()
-    };
     let plan = cell.method.plan(cell.timing_override).with_bulk(n);
-    let mut tb = Testbed::build(
-        &tb_cfg,
-        plan,
-        profile,
-        machine,
-        u64::from(rep),
-        rng::derive_seed(cell.seed, &format!("session.{}", cell.label())) ^ u64::from(rep),
-    );
-    tb.run();
-    if !tb.session().result().completed {
+    let mut sc = ExperimentRunner::scenario(cell, rep, &plan, &profile, Trace::disabled())?;
+    sc.run();
+    let result = sc.session(0).result();
+    if !result.completed {
         return Err(RunError::Match(MatchError::ResponseNotFound));
     }
-    let rounds = tb.session().result().rounds.clone();
-    let capture = tb.engine.tap(tb.client_tap);
+    let capture = sc.engine.tap(sc.client_taps[0]);
     let mut out = Vec::new();
-    for r in rounds {
+    for r in &result.rounds {
         let (tn_s, tn_last) = match_bulk_round(capture, cell.method, r.round, u64::from(rep), n)?;
         out.push(BulkMeasurement {
             round: r.round,

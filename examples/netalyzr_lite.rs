@@ -80,7 +80,6 @@ fn main() {
     let truth = Summary::of(&ping_baseline(
         10,
         bnm::sim::time::SimDuration::from_millis(50),
-        7,
     ))
     .median;
     println!("RTT (ICMP ping ground truth)  : median {truth:7.2} ms");

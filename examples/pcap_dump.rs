@@ -12,27 +12,27 @@
 #![deny(deprecated)]
 
 use bnm::browser::{BrowserKind, BrowserProfile};
-use bnm::core::testbed::{Testbed, TestbedConfig};
+use bnm::core::scenario::{Scenario, SessionSpec};
+use bnm::core::testbed::TestbedConfig;
 use bnm::methods::MethodId;
 use bnm::sim::pcap;
 use bnm::sim::wire::{ParsedPacket, TcpFlags, Transport};
 use bnm::timeapi::{MachineTimer, OsKind};
 
 fn main() {
-    let profile = BrowserProfile::build(BrowserKind::Opera, OsKind::Windows7).expect("available");
-    let machine = MachineTimer::new(OsKind::Windows7, 2013);
-    let mut tb = Testbed::build(
-        &TestbedConfig::default(),
-        MethodId::FlashGet.plan(None),
-        profile,
-        machine,
-        0,
-        2013,
-    );
-    tb.run();
-    assert!(tb.session().result().completed, "session must finish");
+    // The paper's testbed: one session, the default config.
+    let session = SessionSpec {
+        id: 0,
+        plan: MethodId::FlashGet.plan(None),
+        profile: BrowserProfile::build(BrowserKind::Opera, OsKind::Windows7).expect("available"),
+        machine: MachineTimer::new(OsKind::Windows7, 2013),
+        seed: 2013,
+    };
+    let mut sc = Scenario::build(&TestbedConfig::default(), vec![session], 0);
+    sc.run();
+    assert!(sc.session(0).result().completed, "session must finish");
 
-    let capture = tb.engine.tap(tb.client_tap);
+    let capture = sc.engine.tap(sc.client_taps[0]);
     let path = std::path::Path::new("opera_flash_get.pcap");
     pcap::write_file(capture, path).expect("write pcap");
     println!(

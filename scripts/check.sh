@@ -2,8 +2,8 @@
 # Repo health gate: the tier-1 acceptance commands plus lint and docs.
 #
 #   scripts/check.sh            # fmt + build + test + parity + clippy + docs,
-#                               # then the CLI and reproduce smokes and the
-#                               # benchmark's tests + traced run
+#                               # then the CLI, reproduce and example smokes
+#                               # and the benchmark's tests + traced run
 #   scripts/check.sh --fast     # skip the release build (debug test run only)
 #                               # and the smokes, which need it
 #   scripts/check.sh --quick    # skip the smokes and the benchmark's tests +
@@ -49,10 +49,11 @@ cargo test -q --test trace_parity
 echo "==> cargo test -q --test impairment"
 cargo test -q --test impairment
 
-# The multi-client scenario layer's guarantees: the N = 1 scenario is
-# byte-identical to the legacy testbed path, per-session results are
-# keyed by id (not insertion order), and contended cells keep the
-# executor's serial/parallel bit parity.
+# The multi-client scenario layer's guarantees: a one-session scenario
+# hand-built from the documented seed derivations is byte-identical to
+# the runner's repetition, per-session results are keyed by id (not
+# insertion order), and contended cells keep the executor's
+# serial/parallel bit parity.
 echo "==> cargo test -q --test scenario_parity"
 cargo test -q --test scenario_parity
 
@@ -156,6 +157,21 @@ if [[ $quick -eq 0 && $fast -eq 0 ]]; then
            tput sweep appraisals impair contend webrtc; do
     if [[ ! -f "$tmp/$f.csv" || $(wc -l <"$tmp/$f.csv") -lt 2 ]]; then
       echo "reproduce wrote no data rows to $f.csv" >&2
+      exit 1
+    fi
+  done
+
+  # Example smoke: build every example and run each once with no
+  # arguments, from a temp dir so the files they write (pcap_dump's
+  # .pcap) stay out of the tree. A non-zero exit fails the gate.
+  echo "==> examples: build, then run each once"
+  cargo build --release --examples
+  mkdir "$tmp/examples"
+  examples_bin=$PWD/target/release/examples
+  for src in examples/*.rs; do
+    name=$(basename "$src" .rs)
+    if ! (cd "$tmp/examples" && "$examples_bin/$name" >/dev/null); then
+      echo "example $name failed" >&2
       exit 1
     fi
   done

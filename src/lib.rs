@@ -66,7 +66,7 @@ pub mod prelude {
         LinkDynamics, LinkReport, LinkShape, Monitor, MonitorConfig, MonitorFootprint,
         QueueDiscipline, RateSchedule, Render, RepOutcome, ReportFormat, ReportSnapshot,
         RoundMeasurement, RunError, RuntimeSel, Scenario, ScenarioBuilder, SessionSamples,
-        SessionSpec, StreamingSpec, Testbed, TestbedBuilder, Verdict,
+        SessionSpec, StreamingSpec, TestbedConfig, Verdict,
     };
     pub use bnm_methods::MethodId;
     pub use bnm_obs::{Component, Trace, TraceData};

@@ -528,7 +528,7 @@ fn cmd_probe(args: &Args) -> Result<(), ArgError> {
 }
 
 fn cmd_ping(_: &Args) -> Result<(), ArgError> {
-    let rtts = ping_baseline(10, SimDuration::from_millis(50), 1);
+    let rtts = ping_baseline(10, SimDuration::from_millis(50));
     let s = Summary::of(&rtts);
     for (i, r) in rtts.iter().enumerate() {
         println!("64 bytes from 192.168.1.10: icmp_seq={i} time={r:.3} ms");

@@ -3,25 +3,37 @@
 
 use bnm::browser::{BrowserKind, BrowserProfile};
 use bnm::core::matching::match_round;
+use bnm::core::scenario::{Scenario, SessionSpec};
 use bnm::core::server_side::match_server_round;
-use bnm::core::testbed::{Testbed, TestbedConfig};
+use bnm::core::testbed::TestbedConfig;
 use bnm::core::{ExperimentCell, ExperimentRunner, RuntimeSel};
 use bnm::methods::MethodId;
 use bnm::sim::pcap;
 use bnm::sim::time::SimDuration;
 use bnm::timeapi::{MachineTimer, OsKind};
 
-fn build(method: MethodId, cfg: &TestbedConfig, rep: u64) -> Testbed {
-    let profile = BrowserProfile::build(BrowserKind::Chrome, OsKind::Ubuntu1204).unwrap();
-    let machine = MachineTimer::new(OsKind::Ubuntu1204, 99);
-    Testbed::build(cfg, method.plan(None), profile, machine, rep, 99)
+/// The paper's testbed: one `method` session on Chrome/Ubuntu, `seed`
+/// for its machine clock and its noise streams, repetition token `rep`.
+fn build_seeded(method: MethodId, cfg: &TestbedConfig, rep: u64, seed: u64) -> Scenario {
+    let session = SessionSpec {
+        id: 0,
+        plan: method.plan(None),
+        profile: BrowserProfile::build(BrowserKind::Chrome, OsKind::Ubuntu1204).unwrap(),
+        machine: MachineTimer::new(OsKind::Ubuntu1204, seed),
+        seed,
+    };
+    Scenario::build(cfg, vec![session], rep)
+}
+
+fn build(method: MethodId, cfg: &TestbedConfig, rep: u64) -> Scenario {
+    build_seeded(method, cfg, rep, 99)
 }
 
 #[test]
 fn pcap_export_roundtrips_through_the_parser() {
-    let mut tb = build(MethodId::XhrGet, &TestbedConfig::default(), 0);
-    tb.run();
-    let capture = tb.engine.tap(tb.client_tap);
+    let mut sc = build(MethodId::XhrGet, &TestbedConfig::default(), 0);
+    sc.run();
+    let capture = sc.engine.tap(sc.client_taps[0]);
     let bytes = pcap::to_bytes(capture);
     // Global header.
     assert_eq!(&bytes[..4], &0xa1b2_c3d4u32.to_le_bytes());
@@ -41,10 +53,10 @@ fn pcap_export_roundtrips_through_the_parser() {
 
 #[test]
 fn client_and_server_captures_tell_one_story() {
-    let mut tb = build(MethodId::XhrGet, &TestbedConfig::default(), 7);
-    tb.run();
-    let client = tb.engine.tap(tb.client_tap);
-    let server = tb.engine.tap(tb.server_tap);
+    let mut sc = build(MethodId::XhrGet, &TestbedConfig::default(), 7);
+    sc.run();
+    let client = sc.engine.tap(sc.client_taps[0]);
+    let server = sc.engine.tap(sc.server_tap);
     for round in [1u8, 2] {
         let cw = match_round(client, MethodId::XhrGet, round, 7).unwrap();
         let sw = match_server_round(server, MethodId::XhrGet, round, 7).unwrap();
@@ -99,19 +111,22 @@ fn lossy_link_still_yields_measurements_via_retransmission() {
     // Inject loss into the client's egress; TCP recovers and the session
     // completes. Δd may inflate (retransmission timeouts are real time),
     // but the pipeline must not wedge.
-    let mut tb = build(MethodId::JavaTcp, &TestbedConfig::default(), 3);
-    tb.engine.set_fault(
+    let mut sc = build(MethodId::JavaTcp, &TestbedConfig::default(), 3);
+    sc.engine.set_fault(
         0, // client link
-        tb.client,
+        sc.clients[0],
         bnm::sim::fault::FaultSpec {
             drop_chance: 0.15,
             ..bnm::sim::fault::FaultSpec::CLEAN
         },
         bnm::sim::rng::stream(5, "loss"),
     );
-    tb.run();
-    assert!(tb.session().result().completed, "session survives 15% loss");
-    let capture = tb.engine.tap(tb.client_tap);
+    sc.run();
+    assert!(
+        sc.session(0).result().completed,
+        "session survives 15% loss"
+    );
+    let capture = sc.engine.tap(sc.client_taps[0]);
     for round in [1u8, 2] {
         match_round(capture, MethodId::JavaTcp, round, 3).unwrap();
     }
@@ -119,8 +134,8 @@ fn lossy_link_still_yields_measurements_via_retransmission() {
 
 #[test]
 fn corrupting_link_is_survived_by_checksums() {
-    let mut tb = build(MethodId::XhrGet, &TestbedConfig::default(), 4);
-    tb.engine.set_fault(
+    let mut sc = build(MethodId::XhrGet, &TestbedConfig::default(), 4);
+    sc.engine.set_fault(
         1, // server link
         2, // switch end transmits toward... node ids: client=0, server=1, switch=2
         bnm::sim::fault::FaultSpec {
@@ -129,8 +144,8 @@ fn corrupting_link_is_survived_by_checksums() {
         },
         bnm::sim::rng::stream(6, "corrupt"),
     );
-    tb.run();
-    assert!(tb.session().result().completed);
+    sc.run();
+    assert!(sc.session(0).result().completed);
 }
 
 #[test]
@@ -146,14 +161,12 @@ fn server_handler_delay_is_invisible_to_delta_d() {
     .with_reps(8);
     let plain = ExperimentRunner::try_run(&base).unwrap();
 
-    let profile = BrowserProfile::build(BrowserKind::Chrome, OsKind::Ubuntu1204).unwrap();
     let mut cfg = TestbedConfig::default();
     cfg.server.handler_delay = SimDuration::from_millis(20);
-    let machine = MachineTimer::new(OsKind::Ubuntu1204, 99);
-    let mut tb = Testbed::build(&cfg, MethodId::XhrGet.plan(None), profile, machine, 0, 99);
-    tb.run();
-    let capture = tb.engine.tap(tb.client_tap);
-    let rounds = tb.session().result().rounds.clone();
+    let mut sc = build(MethodId::XhrGet, &cfg, 0);
+    sc.run();
+    let capture = sc.engine.tap(sc.client_taps[0]);
+    let rounds = sc.session(0).result().rounds.clone();
     for r in rounds {
         let wire = match_round(capture, MethodId::XhrGet, r.round, 0).unwrap();
         let net_rtt = wire.tn_r.signed_millis_since(wire.tn_s);
@@ -189,9 +202,9 @@ fn udp_method_end_to_end() {
 
 #[test]
 fn web_server_served_everything_the_session_needed() {
-    let mut tb = build(MethodId::FlashGet, &TestbedConfig::default(), 0);
-    tb.run();
-    let stats = &tb.web_server().stats;
+    let mut sc = build(MethodId::FlashGet, &TestbedConfig::default(), 0);
+    sc.run();
+    let stats = &sc.web_server().stats;
     assert_eq!(stats.pages, 1, "container page");
     assert!(stats.gets >= 3, "swf + 2 probes, got {}", stats.gets);
     assert_eq!(stats.not_found, 0, "no 404s in a clean session");
@@ -207,8 +220,6 @@ fn cross_traffic_inflates_rtt_but_not_delta_d() {
     // Heavy UDP noise contending on the server link: 1400-byte datagrams
     // at 6000 pps ≈ 67 Mbit/s of a 100 Mbit/s link, echoed back.
     let run_one = |noise: bool| {
-        let profile = BrowserProfile::build(BrowserKind::Chrome, OsKind::Ubuntu1204).unwrap();
-        let machine = MachineTimer::new(OsKind::Ubuntu1204, 31);
         let mut cfg = TestbedConfig::default();
         if noise {
             cfg.cross_traffic = Some(CrossTraffic {
@@ -217,14 +228,14 @@ fn cross_traffic_inflates_rtt_but_not_delta_d() {
                 duration: SimDuration::from_secs(2),
             });
         }
-        let mut tb = Testbed::build(&cfg, MethodId::JavaTcp.plan(None), profile, machine, 0, 31);
-        tb.run();
-        assert!(tb.session().result().completed, "session survives load");
+        let mut sc = build_seeded(MethodId::JavaTcp, &cfg, 0, 31);
+        sc.run();
+        assert!(sc.session(0).result().completed, "session survives load");
         // The noise shares the server link but never the client's: the
         // server's echoes to the noise source are unicast, nothing floods,
         // and the client tap holds only the client's own frames.
-        assert_eq!(tb.engine.node_ref::<Switch>(tb.switch).flooded, 0);
-        let capture = tb.engine.tap(tb.client_tap);
+        assert_eq!(sc.engine.node_ref::<Switch>(sc.switch).flooded, 0);
+        let capture = sc.engine.tap(sc.client_taps[0]);
         for r in capture.records() {
             let eth = EthernetFrame::parse(&r.frame).unwrap();
             assert!(
@@ -234,7 +245,7 @@ fn cross_traffic_inflates_rtt_but_not_delta_d() {
                 eth.dst
             );
         }
-        let rounds = tb.session().result().rounds.clone();
+        let rounds = sc.session(0).result().rounds.clone();
         let mut rtts = Vec::new();
         let mut deltas = Vec::new();
         for r in rounds {

@@ -8,6 +8,7 @@ use bnm::core::matching::{match_round, MatchError};
 use bnm::core::sweep::slope;
 use bnm::prelude::*;
 use bnm::sim::capture::CaptureBuffer;
+use bnm::sim::link::LinkSpec;
 
 fn ie9_websocket() -> ExperimentCell {
     ExperimentCell::builder(
@@ -85,11 +86,54 @@ fn invalid_input_from_builders() {
         zero.unwrap_err(),
         RunError::InvalidInput("reps must be >= 1")
     );
-    let tb_err = match Testbed::builder().build() {
-        Ok(_) => panic!("empty testbed builder must not validate"),
+    let empty = match Scenario::builder().build() {
+        Ok(_) => panic!("empty scenario builder must not validate"),
         Err(e) => e,
     };
-    assert_eq!(tb_err, RunError::InvalidInput("a probe plan is required"));
+    assert_eq!(
+        empty,
+        RunError::InvalidInput("a scenario needs at least one session")
+    );
+}
+
+/// Cells the unchecked `with_*` modifiers let through but no scenario
+/// can hold: every repetition fails and is counted, none panics.
+#[test]
+fn degenerate_cells_fail_every_repetition() {
+    let base = || {
+        ExperimentCell::paper(
+            MethodId::XhrGet,
+            RuntimeSel::Browser(BrowserKind::Chrome),
+            OsKind::Ubuntu1204,
+        )
+        .with_reps(2)
+    };
+    let down = |spec: LinkSpec| {
+        base().with_link_shape(LinkShape {
+            down_spec: Some(spec),
+            ..LinkShape::default()
+        })
+    };
+    let cells = [
+        base().with_contention(ContentionSpec::clients(0)),
+        base()
+            .with_contention(ContentionSpec::clients(5000))
+            .with_reps(1),
+        base().with_contention(ContentionSpec::clients(1).with_server_link_rate(0)),
+        down(LinkSpec {
+            rate_bps: 0,
+            ..LinkSpec::fast_ethernet()
+        }),
+        down(LinkSpec {
+            queue_limit_bytes: 0,
+            ..LinkSpec::fast_ethernet()
+        }),
+    ];
+    for cell in &cells {
+        let r = ExperimentRunner::try_run(cell).unwrap();
+        assert_eq!(r.failures, cell.reps, "{cell:?}");
+        assert!(r.measurements.is_empty() && r.sessions.is_empty());
+    }
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Tier-1 guarantees of the multi-client scenario layer:
 //!
 //! 1. **N = 1 parity** — a one-session [`Scenario`] built through the
-//!    public API reproduces the legacy single-client runner path byte
-//!    for byte: same captures, same measurements, same trace, same Δd
-//!    attribution. The testbed of Figure 2 *is* the N = 1 scenario.
+//!    public builder from the documented seed derivations reproduces the
+//!    runner's repetition byte for byte: same captures, same
+//!    measurements, same trace, same Δd attribution. The testbed of
+//!    Figure 2 *is* the N = 1 scenario.
 //! 2. **Insertion-order invariance** — per-session results are keyed by
 //!    session id, never by the order the caller pushed the specs.
 //! 3. **Scheduler parity** — multi-client cells are bit-identical
@@ -20,7 +21,6 @@
 use bnm::browser::session_token;
 use bnm::core::attribution;
 use bnm::core::matching::ParsedCapture;
-use bnm::core::testbed::TestbedConfig;
 use bnm::prelude::*;
 use bnm::sim::link::LinkSpec;
 use bnm::sim::rng;
@@ -74,34 +74,35 @@ fn scenario_for_rep(c: &ExperimentCell, rep: u32, trace: Trace) -> Scenario {
         ..TestbedConfig::default()
     };
     let profile = bnm::browser::BrowserProfile::build(BrowserKind::Chrome, c.os).unwrap();
-    Scenario::build_traced(
-        &cfg,
-        vec![SessionSpec {
+    Scenario::builder()
+        .config(cfg)
+        .session(SessionSpec {
             id: 0,
             plan: c.method.plan(c.timing_override),
             profile,
             machine,
             seed: session_seed ^ u64::from(rep),
-        }],
-        u64::from(rep),
-        trace,
-    )
+        })
+        .rep_token(u64::from(rep))
+        .trace(trace)
+        .build()
+        .unwrap()
 }
 
-/// (1) The one-session scenario reproduces the legacy runner rep —
+/// (1) The hand-built one-session scenario reproduces the runner's rep —
 /// captures, measurements, trace and attribution all byte-identical.
 #[test]
-fn one_session_scenario_matches_the_legacy_testbed_path() {
+fn one_session_scenario_matches_the_runner_rep() {
     let c = cell(1, 3, true);
     for rep in 0..c.reps {
-        let legacy = ExperimentRunner::run_rep_traced(&c, rep).unwrap();
+        let runner = ExperimentRunner::run_rep_traced(&c, rep).unwrap();
 
         let mut sc = scenario_for_rep(&c, rep, Trace::enabled());
         sc.run();
         assert!(sc.session(0).result().completed);
         assert_no_flood(&sc);
 
-        // Session 0's marker token must be the legacy rep token exactly.
+        // Session 0's marker token must be the bare rep token.
         let token = session_token(0, u64::from(rep));
         assert_eq!(token, u64::from(rep));
 
@@ -116,17 +117,17 @@ fn one_session_scenario_matches_the_legacy_testbed_path() {
                 wire,
             });
         }
-        assert_eq!(measurements, legacy.measurements, "rep {rep} measurements");
+        assert_eq!(measurements, runner.measurements, "rep {rep} measurements");
 
         let trace = sc.take_trace().unwrap();
-        let legacy_trace = legacy.trace.unwrap();
-        assert_eq!(trace, legacy_trace, "rep {rep} trace data");
-        assert_eq!(trace.to_json(), legacy_trace.to_json());
+        let runner_trace = runner.trace.unwrap();
+        assert_eq!(trace, runner_trace, "rep {rep} trace data");
+        assert_eq!(trace.to_json(), runner_trace.to_json());
 
         let attr = attribution::attribute(&trace, &measurements, rep).unwrap();
         assert_eq!(
             attribution::to_json(&attr),
-            attribution::to_json(&legacy.attribution),
+            attribution::to_json(&runner.attribution),
             "rep {rep} attribution"
         );
     }

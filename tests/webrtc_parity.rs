@@ -19,7 +19,6 @@
 #![deny(deprecated)]
 
 use bnm::core::matching::{request_marker, ParsedCapture};
-use bnm::core::testbed::{Testbed, TestbedConfig};
 use bnm::prelude::*;
 use bnm::sim::capture::CaptureDir;
 use bnm::sim::rng;
@@ -77,19 +76,17 @@ fn per_probe_verdicts_match_wire_truth_exactly() {
             impairment: c.impairment,
             ..TestbedConfig::default()
         };
-        let profile = bnm::browser::BrowserProfile::build(BrowserKind::Chrome, c.os).unwrap();
-        let mut tb = Testbed::build_traced(
-            &cfg,
-            plan.clone(),
-            profile,
+        let session = SessionSpec {
+            id: 0,
+            plan: plan.clone(),
+            profile: bnm::browser::BrowserProfile::build(BrowserKind::Chrome, c.os).unwrap(),
             machine,
-            u64::from(rep),
-            session_seed ^ u64::from(rep),
-            Trace::disabled(),
-        );
-        tb.run();
-        let client = ParsedCapture::parse(tb.engine.tap(tb.client_tap));
-        let server = ParsedCapture::parse(tb.engine.tap(tb.server_tap));
+            seed: session_seed ^ u64::from(rep),
+        };
+        let mut sc = Scenario::build(&cfg, vec![session], u64::from(rep));
+        sc.run();
+        let client = ParsedCapture::parse(sc.engine.tap(sc.client_taps[0]));
+        let server = ParsedCapture::parse(sc.engine.tap(sc.server_tap));
         let token = u64::from(rep);
         for seq in 1..=MethodId::WEBRTC_TRAIN_LEN {
             let marker = request_marker(MethodId::WebRtc, seq, token);
