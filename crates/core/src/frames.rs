@@ -23,9 +23,21 @@ pub fn payload_of(frame: &[u8]) -> Option<Bytes> {
     }
 }
 
-/// Substring search (the capture analyst's `grep`).
-pub fn contains(haystack: &[u8], needle: &[u8]) -> bool {
-    !needle.is_empty() && haystack.windows(needle.len()).any(|w| w == needle)
+/// Whether `payload` carries `marker` (the capture analyst's `grep`).
+///
+/// A marker ends either in a space or in its token's digits. A marker
+/// that ends in a digit must also end the payload's digit run there:
+/// `t=1` is not carried by a payload reading `t=10`, so no session's
+/// token matches another's whose decimal form it prefixes.
+pub fn carries_marker(payload: &[u8], marker: &[u8]) -> bool {
+    let Some(last) = marker.last() else {
+        return false;
+    };
+    let ends_in_digit = last.is_ascii_digit();
+    payload.windows(marker.len()).enumerate().any(|(i, w)| {
+        let next = payload.get(i + marker.len());
+        w == marker && !(ends_in_digit && next.is_some_and(u8::is_ascii_digit))
+    })
 }
 
 #[cfg(test)]
@@ -93,10 +105,26 @@ mod tests {
     }
 
     #[test]
-    fn contains_finds_substrings() {
-        assert!(contains(b"xx pong r=1 t=0 yy", b"pong r=1 t=0 "));
-        assert!(!contains(b"pong r=1", b"pong r=10"));
-        assert!(!contains(b"anything", b""), "empty needle never matches");
-        assert!(contains(b"abc", b"abc"));
+    fn markers_match_whole_tokens() {
+        assert!(carries_marker(b"xx pong r=1 t=0 yy", b"pong r=1 t=0 "));
+        assert!(!carries_marker(b"pong r=1", b"pong r=10"));
+        assert!(
+            !carries_marker(b"anything", b""),
+            "empty marker never matches"
+        );
+        assert!(carries_marker(b"abc", b"abc"));
+        // A digit-ended marker must end the digit run it lands on.
+        assert!(carries_marker(
+            b"GET /?m=xhr_get&r=1&t=7 HTTP",
+            b"m=xhr_get&r=1&t=7"
+        ));
+        assert!(carries_marker(b"m=xhr_get&r=1&t=7", b"m=xhr_get&r=1&t=7"));
+        assert!(carries_marker(b"m=xhr_get&r=1&t=7x", b"m=xhr_get&r=1&t=7"));
+        assert!(!carries_marker(b"m=xhr_get&r=1&t=70", b"m=xhr_get&r=1&t=7"));
+        // A later occurrence can still match after a longer token.
+        assert!(carries_marker(
+            b"m=xhr_get&r=1&t=70 m=xhr_get&r=1&t=7&",
+            b"m=xhr_get&r=1&t=7"
+        ));
     }
 }

@@ -21,7 +21,7 @@ use bnm_sim::capture::{CaptureBuffer, CaptureDir};
 use bnm_sim::time::SimTime;
 use bytes::Bytes;
 
-use crate::frames::{contains, payload_of};
+use crate::frames::{carries_marker, payload_of};
 
 /// Network-level timestamps of one round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,7 +171,7 @@ impl ParsedCapture {
     pub fn hits(&self, dir: CaptureDir, marker: &[u8]) -> Vec<SimTime> {
         self.records
             .iter()
-            .filter(|(_, d, p)| *d == dir && contains(p, marker))
+            .filter(|(_, d, p)| *d == dir && carries_marker(p, marker))
             .map(|(ts, _, _)| *ts)
             .collect()
     }
@@ -180,7 +180,7 @@ impl ParsedCapture {
     pub fn evidence(&self, dir: CaptureDir, marker: &[u8]) -> MarkerHits {
         let mut hits = MarkerHits::default();
         for (ts, d, p) in &self.records {
-            if *d == dir && contains(p, marker) {
+            if *d == dir && carries_marker(p, marker) {
                 hits.note(*ts);
             }
         }

@@ -12,7 +12,7 @@ use bnm_methods::MethodId;
 use bnm_sim::capture::{CaptureBuffer, CaptureDir};
 use bnm_sim::time::SimTime;
 
-use crate::frames::{contains, payload_of};
+use crate::frames::{carries_marker, payload_of};
 use crate::matching::{request_marker, response_marker, MatchError};
 
 /// Server-side timestamps of one round.
@@ -54,14 +54,14 @@ pub fn match_server_round(
         };
         match rec.dir {
             CaptureDir::Rx => {
-                if rx.is_none() && contains(&payload, &req) {
+                if rx.is_none() && carries_marker(&payload, &req) {
                     rx = Some(rec.ts);
                 }
             }
             CaptureDir::Tx => {
                 // Only accept a response after the request was seen —
                 // echo transports reuse the same bytes in both directions.
-                if rx.is_some() && tx.is_none() && contains(&payload, &resp) {
+                if rx.is_some() && tx.is_none() && carries_marker(&payload, &resp) {
                     tx = Some(rec.ts);
                 }
             }

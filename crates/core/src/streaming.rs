@@ -17,16 +17,13 @@
 //!   stream, same monotonicity clamp) — the sink sees the exact records
 //!   a retaining tap would store;
 //! * [`SessionMarkerSink`] applies the *same* payload extraction
-//!   ([`crate::frames::payload_of`]) and substring test
-//!   ([`crate::frames::contains`]) as `ParsedCapture::evidence`;
-//! * [`ServerMarkerIndex`] replicates `contains`' semantics *exactly*,
-//!   including the subtle one: an HTTP request marker
-//!   (`m={label}&r={round}&t={token}`, no terminator) hits every record
-//!   whose digit run has the token's decimal form as a **byte prefix**
-//!   — token `1` matches a frame carrying token `10`. The index
-//!   preserves that by structured prefix scanning rather than by
-//!   assuming well-formed tokens, so its evidence equals a full parse
-//!   of the server capture.
+//!   ([`crate::frames::payload_of`]) and marker test
+//!   ([`crate::frames::carries_marker`]) as `ParsedCapture::evidence`;
+//! * [`ServerMarkerIndex`] replicates `carries_marker` *exactly*: a token
+//!   matches only the whole digit run after `t=`, so an HTTP request
+//!   marker (`m={label}&r={round}&t={token}`, no terminator) for token
+//!   `1` does not hit a frame carrying token `10`. Its evidence equals a
+//!   full parse of the server capture.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -36,7 +33,7 @@ use bnm_sim::capture::{CaptureDir, CaptureSink};
 use bnm_sim::time::SimTime;
 use bytes::Bytes;
 
-use crate::frames::{contains, payload_of};
+use crate::frames::{carries_marker, payload_of};
 use crate::matching::{
     judge_datagram_train, judge_round, request_marker, response_marker, MarkerHits, MatchError,
     ProbeEvidence, ProbeVerdict, WireTimes,
@@ -45,7 +42,7 @@ use crate::matching::{
 /// Per-round marker evidence for one session's client-side tap.
 #[derive(Debug, Clone)]
 struct RoundHits {
-    /// Full request marker bytes (needle for `contains`).
+    /// Full request marker bytes (needle for `carries_marker`).
     req: Vec<u8>,
     /// Full response marker bytes.
     resp: Vec<u8>,
@@ -140,12 +137,12 @@ impl CaptureSink for SessionMarkerSink {
         for h in &mut self.rounds {
             match dir {
                 CaptureDir::Tx => {
-                    if contains(&payload, &h.req) {
+                    if carries_marker(&payload, &h.req) {
                         h.req_tx.note(ts);
                     }
                 }
                 CaptureDir::Rx => {
-                    if contains(&payload, &h.resp) {
+                    if carries_marker(&payload, &h.resp) {
                         h.resp_rx.note(ts);
                     }
                 }
@@ -175,9 +172,8 @@ struct RoundPatterns {
     /// Request-marker prefix up to (excluding) the token digits.
     req_prefix: Vec<u8>,
     /// Whether the request marker ends at the token with **no**
-    /// terminator (HTTP methods) — token matching is then by decimal
-    /// byte prefix, `contains`' ambiguity preserved. Space-terminated
-    /// markers match the whole digit run exactly, followed by a space.
+    /// terminator (HTTP methods). Either way the whole digit run must be
+    /// the token; a space-terminated marker also needs the space.
     req_is_open_ended: bool,
     /// Response-marker prefix; `None` when the response marker equals
     /// the request marker (echo transports), in which case the request
@@ -201,12 +197,12 @@ pub struct ServerMarkerIndex {
     patterns: Vec<RoundPatterns>,
     /// Registered token → slot base (`slot * rounds` indexes `hits`).
     tokens: HashMap<u64, u32>,
-    /// Decimal forms of the registered tokens, for byte-prefix checks.
+    /// Decimal forms of the registered tokens, for canonical-run checks.
     token_digits: Vec<Vec<u8>>,
     /// `[req_tx, req_rx, resp_tx, resp_rx]` per (token slot × round).
     hits: Vec<[MarkerHits; KIND_DIRS]>,
     rounds: usize,
-    /// Scratch for per-record dedup: `contains` is a per-record boolean,
+    /// Scratch for per-record dedup: a marker hit is a per-record boolean,
     /// so two occurrences of one marker inside one payload count once.
     seen_scratch: Vec<(u32, usize)>,
 }
@@ -290,39 +286,18 @@ fn note_occurrence(
     if run_len == 0 {
         return;
     }
-    if open_ended {
-        // No terminator in the needle: token T hits iff T's decimal
-        // form is a byte prefix of the digit run — exactly where
-        // `contains(payload, prefix + digits(T))` succeeds. Walking
-        // the run's prefixes and looking each up covers every
-        // registered token that matches, without O(sessions) work.
-        for k in 1..=run_len.min(20) {
-            let sub = &rest[..k];
-            // Registered tokens are canonical decimal (no leading
-            // zeros except "0" itself), so a zero-led sub-run can
-            // only be token 0 at k == 1.
-            if k > 1 && sub[0] == b'0' {
-                break;
-            }
-            let Some(tok) = parse_u64(sub) else { break };
-            if let Some(&slot) = tokens.get(&tok) {
-                seen_scratch.push((slot, round_idx * 2 + usize::from(is_resp)));
-            }
-        }
-    } else {
-        // The needle ends with a space: the whole digit run must be
-        // the token's decimal form and the next byte a space.
-        if rest.get(run_len) != Some(&b' ') {
-            return;
-        }
-        let Some(tok) = parse_u64(&rest[..run_len]) else {
-            return;
-        };
-        if let Some(&slot) = tokens.get(&tok) {
-            // Exact-match needles can't hit a non-canonical run.
-            if token_digits[slot as usize] == rest[..run_len] {
-                seen_scratch.push((slot, round_idx * 2 + usize::from(is_resp)));
-            }
+    // The whole digit run must be the token's decimal form, and a
+    // space-terminated needle also needs the space after it.
+    if !open_ended && rest.get(run_len) != Some(&b' ') {
+        return;
+    }
+    let Some(tok) = parse_u64(&rest[..run_len]) else {
+        return;
+    };
+    if let Some(&slot) = tokens.get(&tok) {
+        // Canonical needles can't hit a leading-zero run.
+        if token_digits[slot as usize] == rest[..run_len] {
+            seen_scratch.push((slot, round_idx * 2 + usize::from(is_resp)));
         }
     }
 }
@@ -392,7 +367,7 @@ impl CaptureSink for ServerMarkerIndex {
                 });
             }
         }
-        // `contains` is per-record: dedup before counting so multiple
+        // A hit is per-record: dedup before counting so multiple
         // occurrences of one marker in one payload count as one hit.
         let mut seen = std::mem::take(&mut self.seen_scratch);
         seen.sort_unstable();
@@ -573,20 +548,20 @@ mod tests {
     }
 
     /// The decisive semantic test: tokens whose decimal forms prefix
-    /// each other. `contains` makes token 1 hit a frame carrying token
-    /// 10 for open-ended HTTP request markers (and only for those);
-    /// the index must reproduce that bit-exactly.
+    /// each other. The HTTP request marker has no terminator, but token
+    /// 1 must still not hit a frame carrying token 10: the index and the
+    /// batch oracle both match the whole digit run.
     #[test]
-    fn server_index_preserves_decimal_prefix_ambiguity() {
+    fn server_index_matches_whole_tokens_only() {
         let t_short = 1u64;
         let t_long = 10u64;
         let records: &[(u64, CaptureDir, &[u8])] = &[
-            // One "real" occurrence for token 1...
+            // One occurrence for token 1...
             (10, CaptureDir::Rx, b"m=xhr_get&r=1&t=1 HTTP/1.1"),
-            // ...and token 10's request, which ALSO hits token 1's
-            // open-ended needle "m=xhr_get&r=1&t=1".
+            // ...and token 10's request, whose digit run "10" is not
+            // token 1 although "m=xhr_get&r=1&t=1" is a substring.
             (11, CaptureDir::Rx, b"m=xhr_get&r=1&t=10 HTTP/1.1"),
-            // Responses are space-terminated: no cross-hit.
+            // Responses are space-terminated: no cross-hit either.
             (12, CaptureDir::Tx, b"pong r=1 t=1 "),
             (13, CaptureDir::Tx, b"pong r=1 t=10 "),
         ];
@@ -602,10 +577,8 @@ mod tests {
                 );
             }
         }
-        // Token 1's request marker was hit twice (once by its own frame,
-        // once inside token 10's) — the batch rule calls that
-        // retransmitted, and so must the index.
-        assert!(idx.round_retransmitted(1, t_short));
+        // Each request was seen once: neither round is retransmitted.
+        assert!(!idx.round_retransmitted(1, t_short));
         assert!(!idx.round_retransmitted(1, t_long));
     }
 
@@ -638,11 +611,11 @@ mod tests {
             // needles must NOT hit.
             (1, CaptureDir::Tx, b"pong r=1 t=7"),
             // Non-digit after the run: "t=7x" — open-ended token 7 hits
-            // ("m=...&t=7" is a substring), exact "pong r=1 t=7 " would
+            // (the run is "7"), space-terminated "pong r=1 t=7 " would
             // not.
             (2, CaptureDir::Rx, b"m=xhr_get&r=1&t=7x"),
             // Two occurrences of the same marker in one payload: one hit
-            // (contains is per-record).
+            // (a hit is per-record).
             (
                 3,
                 CaptureDir::Rx,

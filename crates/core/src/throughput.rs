@@ -15,7 +15,7 @@ use bnm_sim::wire::{ParsedPacket, Transport};
 
 use crate::config::ExperimentCell;
 use crate::error::RunError;
-use crate::frames::contains;
+use crate::frames::carries_marker;
 use crate::matching::{request_marker, MatchError};
 use crate::runner::ExperimentRunner;
 
@@ -78,7 +78,7 @@ pub fn match_bulk_round(
         };
         match rec.dir {
             CaptureDir::Tx => {
-                if tn_s.is_none() && contains(&seg.payload, &req_needle) {
+                if tn_s.is_none() && carries_marker(&seg.payload, &req_needle) {
                     tn_s = Some(rec.ts);
                 }
             }
@@ -89,7 +89,7 @@ pub fn match_bulk_round(
                 };
                 match resp_ports {
                     None => {
-                        if contains(&seg.payload, &resp_needle) {
+                        if carries_marker(&seg.payload, &resp_needle) {
                             resp_ports = Some((seg.src_port, seg.dst_port));
                             body_seen += seg.payload.len();
                         }

@@ -13,6 +13,8 @@
 //! 4. **The knob at rest is invisible** — an explicit
 //!    [`Impairment::NONE`] produces byte-identical output to a cell
 //!    that never mentions impairment.
+//! 5. **No false exclusions** — a crowd whose HTTP tokens prefix each
+//!    other in decimal excludes nothing when nothing is lost.
 
 #![deny(deprecated)]
 
@@ -223,5 +225,40 @@ fn impaired_cells_are_bit_identical_across_schedulers_and_runs() {
                 assert_eq!(st.to_json(), ot.to_json());
             }
         }
+    }
+}
+
+/// An XHR crowd on a 100 Mbps shared link at a loss rate that never
+/// fires: the server tap is indexed (the cell is impaired), but nothing
+/// is dropped, so no round may be excluded.
+fn lossless_xhr_crowd(clients: u32, reps: u32) -> ExperimentCell {
+    ExperimentCell::builder(
+        MethodId::XhrGet,
+        RuntimeSel::Browser(BrowserKind::Chrome),
+        OsKind::Ubuntu1204,
+    )
+    .reps(reps)
+    .seed(0xB32B_2013)
+    .impairment(Impairment::loss(1e-12))
+    .contention(ContentionSpec::clients(clients).with_server_link_rate(100_000_000))
+    .build()
+    .unwrap()
+}
+
+/// HTTP request markers end at the token (`m=xhr_get&r=1&t=7`), and
+/// tokens are `session << 32 | rep` in decimal, so one session's token
+/// can prefix another's: in rep 0 session s's token times ten is session
+/// 10s's, and in rep r session 0's token is `r`. A marker matches only
+/// the whole digit run after `t=`, so another session's request is never
+/// counted as a retransmission of this one.
+#[test]
+fn prefix_colliding_tokens_exclude_no_rounds() {
+    for (clients, reps) in [(8, 10), (1000, 1)] {
+        let r = ExperimentRunner::try_run(&lossless_xhr_crowd(clients, reps)).unwrap();
+        assert_eq!(r.failures, 0, "{clients} clients x {reps} reps");
+        assert_eq!(
+            r.excluded_rounds, 0,
+            "{clients} clients x {reps} reps: nothing was lost, nothing may be excluded"
+        );
     }
 }
