@@ -16,14 +16,19 @@
 //! * the tap stamps records identically in both modes (same noise RNG
 //!   stream, same monotonicity clamp) — the sink sees the exact records
 //!   a retaining tap would store;
-//! * [`SessionMarkerSink`] applies the *same* payload extraction
-//!   ([`crate::frames::payload_of`]) and marker test
-//!   ([`crate::frames::carries_marker`]) as `ParsedCapture::evidence`;
-//! * [`ServerMarkerIndex`] replicates `carries_marker` *exactly*: a token
-//!   matches only the whole digit run after `t=`, so an HTTP request
-//!   marker (`m={label}&r={round}&t={token}`, no terminator) for token
-//!   `1` does not hit a frame carrying token `10`. Its evidence equals a
-//!   full parse of the server capture.
+//! * both sinks apply the *same* payload extraction
+//!   ([`crate::frames::payload_of`]) as `ParsedCapture::evidence`;
+//! * they find the same markers without testing each one. The oracle
+//!   asks [`crate::frames::carries_marker`] about one marker at a time.
+//!   A sink scans each payload once per **marker family** instead: the
+//!   fixed text a method's markers share before the round
+//!   (`m={label}&r=`, `pong r=`, `probe m={label} r=`). It reads the
+//!   canonical round after each occurrence, then the separator (`&t=`
+//!   or ` t=`), the token's whole canonical digit run, and the trailing
+//!   space where the form has one. A payload carries the marker of
+//!   `(round, token)` exactly when the scan reads `(round, token)` from
+//!   it: the marker rule also takes the whole digit run after `t=`, so
+//!   token `1` never hits a frame carrying token `10`.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -33,40 +38,145 @@ use bnm_sim::capture::{CaptureDir, CaptureSink};
 use bnm_sim::time::SimTime;
 use bytes::Bytes;
 
-use crate::frames::{carries_marker, payload_of};
+use crate::frames::payload_of;
 use crate::matching::{
-    judge_datagram_train, judge_round, request_marker, response_marker, MarkerHits, MatchError,
-    ProbeEvidence, ProbeVerdict, WireTimes,
+    judge_datagram_train, judge_round, MarkerHits, MatchError, ProbeEvidence, ProbeVerdict,
+    WireTimes,
 };
 
-/// Per-round marker evidence for one session's client-side tap.
-#[derive(Debug, Clone)]
-struct RoundHits {
-    /// Full request marker bytes (needle for `carries_marker`).
-    req: Vec<u8>,
-    /// Full response marker bytes.
-    resp: Vec<u8>,
-    /// Tx records carrying the request marker.
-    req_tx: MarkerHits,
-    /// Rx records carrying the response marker.
-    resp_rx: MarkerHits,
+/// One kind of marker, by the fixed text before its round. An HTTP
+/// request marker is a query string, `m={label}&r={round}&t={token}`,
+/// with nothing after the token; the others are space-separated words,
+/// `pong r={round} t={token} ` and `probe m={label} r={round} t={token} `.
+/// Round and token are canonical decimal, as
+/// [`crate::matching::request_marker`] formats them.
+#[derive(Debug)]
+struct MarkerFamily {
+    prefix: Vec<u8>,
+    query: bool,
 }
 
-/// Greps each record of a session's *client* tap for the session's round
-/// markers as it is captured.
+impl MarkerFamily {
+    /// Every distinct `(round, token)` this family's markers carry in
+    /// `payload`, each once, into `out` (cleared first): a marker hit is
+    /// a per-record boolean, however often the marker repeats.
+    fn scan(&self, payload: &[u8], out: &mut Vec<(u8, u64)>) {
+        out.clear();
+        let Some((&first, tail)) = self.prefix.split_first() else {
+            return;
+        };
+        let sep: &[u8] = if self.query { b"&t=" } else { b" t=" };
+        let marker_at = |rest: &[u8]| {
+            let (round, rest) = canonical_number(rest.strip_prefix(tail)?)?;
+            let (token, rest) = canonical_number(rest.strip_prefix(sep)?)?;
+            (self.query || rest.first() == Some(&b' ')).then_some((round, token))
+        };
+        let mut at = 0;
+        while let Some(skip) = find_byte(&payload[at..], first) {
+            at += skip + 1;
+            out.extend(marker_at(&payload[at..]));
+        }
+        if out.len() > 1 {
+            out.sort_unstable();
+            out.dedup();
+        }
+    }
+}
+
+/// Index of the first `byte` in `hay`, eight bytes at a time (what
+/// `memchr` does without SIMD). XORed with `byte` in every lane, a word
+/// has a zero byte wherever `byte` was, and the lowest byte the
+/// zero-byte test flags is always a real zero: borrows only carry
+/// upwards.
+fn find_byte(hay: &[u8], byte: u8) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let splat = u64::from_ne_bytes([byte; 8]);
+    let mut words = hay.chunks_exact(8);
+    for (i, word) in (&mut words).enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ splat;
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(i * 8 + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let at = hay.len() - tail.len();
+    tail.iter().position(|&b| b == byte).map(|k| at + k)
+}
+
+/// The whole digit run at the start of `bytes`, parsed, and the bytes
+/// after it; `None` unless the run is canonical (no leading zero other
+/// than `0` itself) and fits `T`.
+fn canonical_number<T: std::str::FromStr>(bytes: &[u8]) -> Option<(T, &[u8])> {
+    let len = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
+    let (digits, rest) = bytes.split_at(len);
+    if len == 0 || (len > 1 && digits[0] == b'0') {
+        return None;
+    }
+    let n = std::str::from_utf8(digits).ok()?.parse().ok()?;
+    Some((n, rest))
+}
+
+/// A method's marker families, built once per sink.
+#[derive(Debug)]
+struct MarkerScanner {
+    request: MarkerFamily,
+    /// `None` for echo transports, whose response is the request
+    /// marker itself.
+    response: Option<MarkerFamily>,
+}
+
+impl MarkerScanner {
+    fn new(method: MethodId) -> MarkerScanner {
+        let label = method.label();
+        let family = |prefix: String, query| MarkerFamily {
+            prefix: prefix.into_bytes(),
+            query,
+        };
+        if method.is_http_based() {
+            MarkerScanner {
+                request: family(format!("m={label}&r="), true),
+                response: Some(family("pong r=".into(), false)),
+            }
+        } else {
+            MarkerScanner {
+                request: family(format!("probe m={label} r="), false),
+                response: None,
+            }
+        }
+    }
+
+    /// The family a client tap looks for in `dir`: requests leave on
+    /// Tx, responses arrive on Rx.
+    fn client_family(&self, dir: CaptureDir) -> &MarkerFamily {
+        match (dir, &self.response) {
+            (CaptureDir::Rx, Some(resp)) => resp,
+            _ => &self.request,
+        }
+    }
+}
+
+/// Finds the session's round markers in each record of its *client* tap
+/// as it is captured: one scan per record, of the family its direction
+/// carries, and one `==` against the session's token per marker found.
 ///
 /// Its evidence equals `ParsedCapture::evidence` over the retained trace
-/// — same payload extraction, same substring test — asserted against the
-/// batch matcher by the tests below and by `tests/streaming_parity.rs`
-/// on full runs.
+/// — same payload extraction, same whole-token rule — asserted against
+/// the batch matcher by the tests below, by `tests/properties.rs` on
+/// hostile payloads and by `tests/streaming_parity.rs` on full runs.
 #[derive(Debug)]
 pub struct SessionMarkerSink {
-    /// Rounds `1..=n`, in order.
-    rounds: Vec<RoundHits>,
+    scanner: MarkerScanner,
+    /// `[request on Tx, response on Rx]` evidence of rounds `1..=n`, in
+    /// order.
+    rounds: Vec<[MarkerHits; 2]>,
     /// The session's composite marker token.
     token: u64,
     /// Records seen (diagnostics only).
     records: u64,
+    /// The markers of the record being scanned.
+    found: Vec<(u8, u64)>,
 }
 
 impl SessionMarkerSink {
@@ -74,32 +184,24 @@ impl SessionMarkerSink {
     /// `token` (the session's composite marker token).
     pub fn new(method: MethodId, rounds: u8, token: u64) -> SessionMarkerSink {
         SessionMarkerSink {
-            rounds: (1..=rounds)
-                .map(|r| RoundHits {
-                    req: request_marker(method, r, token),
-                    resp: response_marker(method, r, token),
-                    req_tx: MarkerHits::default(),
-                    resp_rx: MarkerHits::default(),
-                })
-                .collect(),
+            scanner: MarkerScanner::new(method),
+            rounds: vec![Default::default(); usize::from(rounds)],
             token,
             records: 0,
+            found: Vec::new(),
         }
     }
 
-    /// The round's `(request on Tx, response on Rx)` evidence; empty
+    /// The round's `[request on Tx, response on Rx]` evidence; empty
     /// evidence for a round outside the plan.
-    fn round_hits(&self, round: u8) -> (MarkerHits, MarkerHits) {
-        round
-            .checked_sub(1)
-            .and_then(|i| self.rounds.get(usize::from(i)))
-            .map_or_else(Default::default, |h| (h.req_tx, h.resp_rx))
+    fn round_hits(&self, round: u8) -> [MarkerHits; 2] {
+        round_index(round, self.rounds.len()).map_or_else(Default::default, |i| self.rounds[i])
     }
 
     /// `ParsedCapture::match_round`, answered from the accumulated
     /// evidence through the same [`judge_round`].
     pub fn match_round(&self, round: u8) -> Result<WireTimes, MatchError> {
-        let (tx, rx) = self.round_hits(round);
+        let [tx, rx] = self.round_hits(round);
         judge_round(tx, rx)
     }
 
@@ -111,7 +213,7 @@ impl SessionMarkerSink {
     /// sink counts on Rx is the probe marker itself.
     pub fn match_train(&self, server: &ServerMarkerIndex) -> Vec<ProbeVerdict> {
         judge_datagram_train(self.rounds.len() as u8, |seq| {
-            let (probe_tx, echo_rx) = self.round_hits(seq);
+            let [probe_tx, echo_rx] = self.round_hits(seq);
             let at_server = server.round_hits(seq, self.token).unwrap_or_default();
             ProbeEvidence {
                 probe_tx,
@@ -134,18 +236,14 @@ impl CaptureSink for SessionMarkerSink {
         let Some(payload) = payload_of(frame) else {
             return;
         };
-        for h in &mut self.rounds {
-            match dir {
-                CaptureDir::Tx => {
-                    if carries_marker(&payload, &h.req) {
-                        h.req_tx.note(ts);
-                    }
+        let family = self.scanner.client_family(dir);
+        family.scan(&payload, &mut self.found);
+        for &(round, token) in &self.found {
+            match round_index(round, self.rounds.len()) {
+                Some(i) if token == self.token => {
+                    self.rounds[i][usize::from(dir == CaptureDir::Rx)].note(ts);
                 }
-                CaptureDir::Rx => {
-                    if carries_marker(&payload, &h.resp) {
-                        h.resp_rx.note(ts);
-                    }
-                }
+                _ => {}
             }
         }
     }
@@ -157,6 +255,11 @@ impl CaptureSink for SessionMarkerSink {
     }
 }
 
+/// Index of plan round `round` in per-round storage of `rounds` rounds.
+fn round_index(round: u8, rounds: usize) -> Option<usize> {
+    usize::from(round).checked_sub(1).filter(|&i| i < rounds)
+}
+
 /// Marker kinds a server-side record can evidence. The order indexes
 /// the per-slot evidence array: `[req_tx, req_rx, resp_tx, resp_rx]`.
 const KIND_DIRS: usize = 4;
@@ -165,83 +268,40 @@ fn kind_dir_index(is_resp: bool, dir: CaptureDir) -> usize {
     (usize::from(is_resp) << 1) | usize::from(dir == CaptureDir::Rx)
 }
 
-/// One round's scan patterns for the server index.
-#[derive(Debug, Clone)]
-struct RoundPatterns {
-    round: u8,
-    /// Request-marker prefix up to (excluding) the token digits.
-    req_prefix: Vec<u8>,
-    /// Whether the request marker ends at the token with **no**
-    /// terminator (HTTP methods). Either way the whole digit run must be
-    /// the token; a space-terminated marker also needs the space.
-    req_is_open_ended: bool,
-    /// Response-marker prefix; `None` when the response marker equals
-    /// the request marker (echo transports), in which case the request
-    /// evidence stands for both.
-    resp_prefix: Option<Vec<u8>>,
-}
-
 /// An incremental per-direction marker index over the *server* tap,
 /// shared by every session of a repetition.
 ///
 /// Re-grepping the server capture per session × round is O(sessions ×
 /// rounds × frames) over a trace that grows with the whole crowd's
-/// traffic. This index instead scans each record once at capture time
-/// for the per-round marker *prefixes* (session-count-independent work),
-/// decodes the token digits that follow, and folds the record into the
-/// [`MarkerHits`] of each `(session, round, marker, direction)` it
+/// traffic. This index instead scans each record once per marker family
+/// at capture time (at most twice, and independent of the session
+/// count), looks each marker's token up once, and folds the record into
+/// the [`MarkerHits`] of each `(session, round, marker, direction)` it
 /// carries. Lookups — the server half of the exclusion rule and the
 /// server quadrants of a datagram train — are then O(1).
 #[derive(Debug)]
 pub struct ServerMarkerIndex {
-    patterns: Vec<RoundPatterns>,
-    /// Registered token → slot base (`slot * rounds` indexes `hits`).
+    scanner: MarkerScanner,
+    /// Registered token → slot (`slot * rounds` indexes `hits`).
     tokens: HashMap<u64, u32>,
-    /// Decimal forms of the registered tokens, for canonical-run checks.
-    token_digits: Vec<Vec<u8>>,
     /// `[req_tx, req_rx, resp_tx, resp_rx]` per (token slot × round).
     hits: Vec<[MarkerHits; KIND_DIRS]>,
     rounds: usize,
-    /// Scratch for per-record dedup: a marker hit is a per-record boolean,
-    /// so two occurrences of one marker inside one payload count once.
-    seen_scratch: Vec<(u32, usize)>,
+    /// The markers of the record being scanned.
+    found: Vec<(u8, u64)>,
 }
 
 impl ServerMarkerIndex {
     /// An index for `rounds` rounds of `method` probes from the sessions
     /// whose marker tokens are `tokens`.
     pub fn new(method: MethodId, rounds: u8, tokens: &[u64]) -> ServerMarkerIndex {
-        let patterns = (1..=rounds)
-            .map(|r| {
-                if method.is_http_based() {
-                    RoundPatterns {
-                        round: r,
-                        req_prefix: format!("m={}&r={}&t=", method.label(), r).into_bytes(),
-                        req_is_open_ended: true,
-                        resp_prefix: Some(format!("pong r={} t=", r).into_bytes()),
-                    }
-                } else {
-                    RoundPatterns {
-                        round: r,
-                        req_prefix: format!("probe m={} r={} t=", method.label(), r).into_bytes(),
-                        req_is_open_ended: false,
-                        resp_prefix: None,
-                    }
-                }
-            })
-            .collect();
-        let token_map: HashMap<u64, u32> = tokens
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i as u32))
-            .collect();
+        let rounds = usize::from(rounds);
         ServerMarkerIndex {
-            patterns,
-            token_digits: tokens.iter().map(|t| t.to_string().into_bytes()).collect(),
-            hits: vec![[MarkerHits::default(); KIND_DIRS]; tokens.len() * rounds as usize],
-            rounds: rounds as usize,
-            tokens: token_map,
-            seen_scratch: Vec::new(),
+            scanner: MarkerScanner::new(method),
+            tokens: (0..).zip(tokens).map(|(slot, &t)| (t, slot)).collect(),
+            hits: vec![[MarkerHits::default(); KIND_DIRS]; tokens.len() * rounds],
+            rounds,
+            found: Vec::new(),
         }
     }
 
@@ -249,7 +309,7 @@ impl ServerMarkerIndex {
     /// one registered session; `None` for an unknown token or round.
     fn round_hits(&self, round: u8, token: u64) -> Option<[MarkerHits; KIND_DIRS]> {
         let &slot = self.tokens.get(&token)?;
-        let ri = self.patterns.iter().position(|p| p.round == round)?;
+        let ri = round_index(round, self.rounds)?;
         Some(self.hits[slot as usize * self.rounds + ri])
     }
 
@@ -262,122 +322,26 @@ impl ServerMarkerIndex {
     }
 }
 
-/// Note marker occurrences for the digit run following a prefix
-/// occurrence at `digits_at` in `payload`.
-///
-/// A free function over the index's *disjoint* fields (token lookup
-/// tables in, dedup scratch out) so [`ServerMarkerIndex::on_record`]
-/// can call it from inside a [`find_all`] closure while iterating the
-/// patterns by shared reference — no per-record needle clones or
-/// occurrence-site buffers.
-#[allow(clippy::too_many_arguments)] // disjoint-borrow split of &mut self
-fn note_occurrence(
-    tokens: &HashMap<u64, u32>,
-    token_digits: &[Vec<u8>],
-    seen_scratch: &mut Vec<(u32, usize)>,
-    payload: &[u8],
-    digits_at: usize,
-    round_idx: usize,
-    open_ended: bool,
-    is_resp: bool,
-) {
-    let rest = &payload[digits_at.min(payload.len())..];
-    let run_len = rest.iter().take_while(|b| b.is_ascii_digit()).count();
-    if run_len == 0 {
-        return;
-    }
-    // The whole digit run must be the token's decimal form, and a
-    // space-terminated needle also needs the space after it.
-    if !open_ended && rest.get(run_len) != Some(&b' ') {
-        return;
-    }
-    let Some(tok) = parse_u64(&rest[..run_len]) else {
-        return;
-    };
-    if let Some(&slot) = tokens.get(&tok) {
-        // Canonical needles can't hit a leading-zero run.
-        if token_digits[slot as usize] == rest[..run_len] {
-            seen_scratch.push((slot, round_idx * 2 + usize::from(is_resp)));
-        }
-    }
-}
-
-/// Checked decimal parse of an ASCII digit slice.
-fn parse_u64(digits: &[u8]) -> Option<u64> {
-    let mut v: u64 = 0;
-    for &d in digits {
-        v = v.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
-    }
-    Some(v)
-}
-
-/// All start positions of `needle` in `haystack` (naive scan — payloads
-/// are single frames and needles are short fixed prefixes).
-fn find_all(haystack: &[u8], needle: &[u8], mut f: impl FnMut(usize)) {
-    if needle.is_empty() || haystack.len() < needle.len() {
-        return;
-    }
-    for (i, w) in haystack.windows(needle.len()).enumerate() {
-        if w == needle {
-            f(i);
-        }
-    }
-}
-
 impl CaptureSink for ServerMarkerIndex {
     fn on_record(&mut self, ts: SimTime, dir: CaptureDir, frame: &Bytes) {
         let Some(payload) = payload_of(frame) else {
             return;
         };
-        debug_assert!(self.seen_scratch.is_empty());
-        // Split the borrow: patterns iterate shared while the dedup
-        // scratch fills — no per-record needle clones or site buffers.
-        let ServerMarkerIndex {
-            patterns,
-            tokens,
-            token_digits,
-            seen_scratch,
-            ..
-        } = self;
-        for (ri, p) in patterns.iter().enumerate() {
-            find_all(&payload, &p.req_prefix, |i| {
-                note_occurrence(
-                    tokens,
-                    token_digits,
-                    seen_scratch,
-                    &payload,
-                    i + p.req_prefix.len(),
-                    ri,
-                    p.req_is_open_ended,
-                    false,
-                );
-            });
-            if let Some(rp) = &p.resp_prefix {
-                find_all(&payload, rp, |i| {
-                    note_occurrence(
-                        tokens,
-                        token_digits,
-                        seen_scratch,
-                        &payload,
-                        i + rp.len(),
-                        ri,
-                        false,
-                        true,
-                    );
-                });
+        let families = [
+            (false, Some(&self.scanner.request)),
+            (true, self.scanner.response.as_ref()),
+        ];
+        for (is_resp, family) in families {
+            let Some(family) = family else { continue };
+            family.scan(&payload, &mut self.found);
+            for &(round, token) in &self.found {
+                let slot = self.tokens.get(&token);
+                if let (Some(&slot), Some(ri)) = (slot, round_index(round, self.rounds)) {
+                    self.hits[slot as usize * self.rounds + ri][kind_dir_index(is_resp, dir)]
+                        .note(ts);
+                }
             }
         }
-        // A hit is per-record: dedup before counting so multiple
-        // occurrences of one marker in one payload count as one hit.
-        let mut seen = std::mem::take(&mut self.seen_scratch);
-        seen.sort_unstable();
-        seen.dedup();
-        for (slot, round_resp) in seen.drain(..) {
-            let (ri, is_resp) = (round_resp / 2, round_resp % 2 == 1);
-            let idx = kind_dir_index(is_resp, dir);
-            self.hits[slot as usize * self.rounds + ri][idx].note(ts);
-        }
-        self.seen_scratch = seen;
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -425,7 +389,7 @@ mod tests {
         EtherType, EthernetFrame, IpProtocol, Ipv4Packet, MacAddr, TcpFlags, TcpSegment,
     };
 
-    use crate::matching::ParsedCapture;
+    use crate::matching::{request_marker, response_marker, ParsedCapture};
 
     const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -711,6 +675,60 @@ mod tests {
         assert!(streamed[1].reordered);
         assert_eq!(streamed[2].status, crate::ProbeStatus::LostUpstream);
         assert_eq!(streamed[0].owd_up_ms, Some(25.0));
+    }
+
+    #[test]
+    fn find_byte_agrees_with_position() {
+        let hay: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) % 7).collect();
+        for start in 0..hay.len() {
+            for byte in 0..8 {
+                let hay = &hay[start..];
+                assert_eq!(
+                    find_byte(hay, byte),
+                    hay.iter().position(|&b| b == byte),
+                    "start {start} byte {byte}"
+                );
+            }
+        }
+        assert_eq!(find_byte(&[0x80, 0x01, 0x00, 0xff], 0xff), Some(3));
+    }
+
+    /// The scanner's families spell the markers `request_marker` and
+    /// `response_marker` format, for every method, extreme numbers
+    /// included.
+    #[test]
+    fn scanner_reads_every_methods_markers() {
+        let mut found = Vec::new();
+        for m in MethodId::ALL {
+            let scanner = MarkerScanner::new(m);
+            for (round, token) in [(1u8, 0u64), (255, u64::MAX), (16, 4294967296)] {
+                let req = request_marker(m, round, token);
+                scanner.client_family(CaptureDir::Tx).scan(&req, &mut found);
+                assert_eq!(found, [(round, token)], "{m:?} request");
+                let resp = response_marker(m, round, token);
+                scanner
+                    .client_family(CaptureDir::Rx)
+                    .scan(&resp, &mut found);
+                assert_eq!(found, [(round, token)], "{m:?} response");
+            }
+        }
+    }
+
+    /// Non-canonical and out-of-range numbers, a missing terminator and
+    /// a cut-off marker read nothing; a marker right after a false start
+    /// of its prefix, and a repeated one, read once.
+    #[test]
+    fn scanner_skips_near_misses_and_dedups() {
+        let pong = MarkerScanner::new(MethodId::XhrGet).response.unwrap();
+        let mut found = Vec::new();
+        pong.scan(
+            b"pong r=01 t=7 pong r=1 t=07 pong r=256 t=7 pong r=1 t=18446744073709551616 \
+              pong r=1 t=7x pong r=2 t=9",
+            &mut found,
+        );
+        assert_eq!(found, []);
+        pong.scan(b"ppong r=pong r=3 t=5 pong r=3 t=5 ", &mut found);
+        assert_eq!(found, [(3, 5)]);
     }
 
     #[test]
