@@ -192,16 +192,17 @@ impl SessionMarkerSink {
         }
     }
 
-    /// The round's `[request on Tx, response on Rx]` evidence; empty
-    /// evidence for a round outside the plan.
-    fn round_hits(&self, round: u8) -> [MarkerHits; 2] {
+    /// The round's evidence on this tap, `[request marker on Tx,
+    /// response marker on Rx]`, as `ParsedCapture::evidence` counts it
+    /// over the retained trace; empty for a round outside the plan.
+    pub fn evidence(&self, round: u8) -> [MarkerHits; 2] {
         round_index(round, self.rounds.len()).map_or_else(Default::default, |i| self.rounds[i])
     }
 
     /// `ParsedCapture::match_round`, answered from the accumulated
     /// evidence through the same [`judge_round`].
     pub fn match_round(&self, round: u8) -> Result<WireTimes, MatchError> {
-        let [tx, rx] = self.round_hits(round);
+        let [tx, rx] = self.evidence(round);
         judge_round(tx, rx)
     }
 
@@ -213,8 +214,8 @@ impl SessionMarkerSink {
     /// sink counts on Rx is the probe marker itself.
     pub fn match_train(&self, server: &ServerMarkerIndex) -> Vec<ProbeVerdict> {
         judge_datagram_train(self.rounds.len() as u8, |seq| {
-            let [probe_tx, echo_rx] = self.round_hits(seq);
-            let at_server = server.round_hits(seq, self.token).unwrap_or_default();
+            let [probe_tx, echo_rx] = self.evidence(seq);
+            let at_server = server.evidence(seq, self.token).unwrap_or_default();
             ProbeEvidence {
                 probe_tx,
                 probe_rx: at_server[kind_dir_index(false, CaptureDir::Rx)],
@@ -305,19 +306,25 @@ impl ServerMarkerIndex {
         }
     }
 
-    /// The `[req_tx, req_rx, resp_tx, resp_rx]` evidence of one round of
-    /// one registered session; `None` for an unknown token or round.
-    fn round_hits(&self, round: u8, token: u64) -> Option<[MarkerHits; KIND_DIRS]> {
+    /// The evidence of one round of one registered session on the
+    /// server tap, `[request on Tx, request on Rx, response on Tx,
+    /// response on Rx]`, as `ParsedCapture::evidence` counts it (an echo
+    /// transport's response is its request marker); `None` for an
+    /// unknown token or round.
+    pub fn evidence(&self, round: u8, token: u64) -> Option<[MarkerHits; KIND_DIRS]> {
         let &slot = self.tokens.get(&token)?;
-        let ri = round_index(round, self.rounds)?;
-        Some(self.hits[slot as usize * self.rounds + ri])
+        let h = self.hits[slot as usize * self.rounds + round_index(round, self.rounds)?];
+        Some(match self.scanner.response {
+            Some(_) => h,
+            None => [h[0], h[1], h[0], h[1]],
+        })
     }
 
     /// `ParsedCapture::round_retransmitted`, answered from the index:
     /// whether either of the round's markers hit more than one record
     /// in any one direction.
     pub fn round_retransmitted(&self, round: u8, token: u64) -> bool {
-        self.round_hits(round, token)
+        self.evidence(round, token)
             .is_some_and(|h| h.iter().any(|q| q.repeated()))
     }
 }
@@ -389,7 +396,7 @@ mod tests {
         EtherType, EthernetFrame, IpProtocol, Ipv4Packet, MacAddr, TcpFlags, TcpSegment,
     };
 
-    use crate::matching::{request_marker, response_marker, ParsedCapture};
+    use crate::matching::{request_marker, ParsedCapture};
 
     const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -691,44 +698,6 @@ mod tests {
             }
         }
         assert_eq!(find_byte(&[0x80, 0x01, 0x00, 0xff], 0xff), Some(3));
-    }
-
-    /// The scanner's families spell the markers `request_marker` and
-    /// `response_marker` format, for every method, extreme numbers
-    /// included.
-    #[test]
-    fn scanner_reads_every_methods_markers() {
-        let mut found = Vec::new();
-        for m in MethodId::ALL {
-            let scanner = MarkerScanner::new(m);
-            for (round, token) in [(1u8, 0u64), (255, u64::MAX), (16, 4294967296)] {
-                let req = request_marker(m, round, token);
-                scanner.client_family(CaptureDir::Tx).scan(&req, &mut found);
-                assert_eq!(found, [(round, token)], "{m:?} request");
-                let resp = response_marker(m, round, token);
-                scanner
-                    .client_family(CaptureDir::Rx)
-                    .scan(&resp, &mut found);
-                assert_eq!(found, [(round, token)], "{m:?} response");
-            }
-        }
-    }
-
-    /// Non-canonical and out-of-range numbers, a missing terminator and
-    /// a cut-off marker read nothing; a marker right after a false start
-    /// of its prefix, and a repeated one, read once.
-    #[test]
-    fn scanner_skips_near_misses_and_dedups() {
-        let pong = MarkerScanner::new(MethodId::XhrGet).response.unwrap();
-        let mut found = Vec::new();
-        pong.scan(
-            b"pong r=01 t=7 pong r=1 t=07 pong r=256 t=7 pong r=1 t=18446744073709551616 \
-              pong r=1 t=7x pong r=2 t=9",
-            &mut found,
-        );
-        assert_eq!(found, []);
-        pong.scan(b"ppong r=pong r=3 t=5 pong r=3 t=5 ", &mut found);
-        assert_eq!(found, [(3, 5)]);
     }
 
     #[test]

@@ -135,6 +135,19 @@ if [[ $quick -eq 0 && $fast -eq 0 ]]; then
     exit 1
   fi
 
+  # Lossless crowd serve smoke: at a loss rate that never fires, the
+  # server tap of an HTTP crowd is indexed but nothing is retransmitted,
+  # so no round may be excluded, even where one session's token is a
+  # decimal prefix of another's.
+  echo "==> serve smoke: 8-client crowd at loss 1e-12, no excluded rounds"
+  serve_json=$(./target/release/bnm serve --clients 8 --loss 1e-12 --rate-mbps 100 \
+    --duration 10 --every 10 --format json)
+  excluded=$(printf '%s' "$serve_json" | grep -Eo '"excluded_rounds": *[0-9]+' || true)
+  if [[ -z "$excluded" ]] || printf '%s\n' "$excluded" | grep -Evq ': *0$'; then
+    echo "lossless serve crowd excluded rounds:" $excluded >&2
+    exit 1
+  fi
+
   # Battery smoke: the scored suite at quick depth, with the report JSON
   # spot-checked for the schema's required keys and every scenario
   # family present.

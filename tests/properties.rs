@@ -547,3 +547,159 @@ proptest! {
         prop_assert_eq!(plain.link, shaped.link);
     }
 }
+
+// ---------- marker scanning on hostile bytes ----------
+//
+// The capture sinks read every marker in one pass per marker family;
+// the batch matcher tests each marker on its own, with the same
+// whole-token rule. On payloads built from planted markers and their
+// near-misses, both must count the same evidence for every registered
+// round, token and direction.
+
+use bnm::core::matching::{request_marker, response_marker, ParsedCapture};
+use bnm::core::{ServerMarkerIndex, SessionMarkerSink};
+use bnm::methods::MethodId;
+use bnm::sim::capture::{CaptureBuffer, CaptureDir, CaptureSink};
+
+/// Tokens the sinks register: decimal prefixes of each other (1, 10,
+/// 100), session 1 of rep 0 (`1 << 32`) and its tenfold, and the ends of
+/// the range.
+const SCAN_TOKENS: [u64; 7] = [0, 1, 10, 100, 1 << 32, 10 << 32, u64::MAX];
+
+/// Where the digit run after the first `field` (`r=` or `t=`) of
+/// `marker` starts.
+fn after_field(marker: &[u8], field: &[u8]) -> usize {
+    marker.windows(2).position(|w| w == field).unwrap() + 2
+}
+
+/// `marker` with the digit run after its first `field` replaced by
+/// `digits`.
+fn with_field(marker: &[u8], field: &[u8], digits: &[u8]) -> Vec<u8> {
+    let at = after_field(marker, field);
+    let run = marker[at..]
+        .iter()
+        .take_while(|b| b.is_ascii_digit())
+        .count();
+    [&marker[..at], digits, &marker[at + run..]].concat()
+}
+
+/// One payload piece, chosen by `gene`: a marker of any round from 0 to
+/// past the plan and of a registered or unregistered token, or a
+/// near-miss of one: a leading zero in the round or token, `r=256`, a
+/// 21-digit token, 2^64, the bare prefix (a false start overlapping the
+/// next piece), digits that extend the previous piece's token, a repeat
+/// of the previous piece, or filler.
+fn marker_piece(method: MethodId, rounds: u8, gene: u64, prev: &[u8]) -> Vec<u8> {
+    let round = (gene >> 8) as u8 % (rounds + 2);
+    let token = match (gene >> 16) % 9 {
+        7 => 11,
+        8 => 1000,
+        i => SCAN_TOKENS[i as usize],
+    };
+    let marker = if gene >> 24 & 1 == 0 {
+        request_marker(method, round, token)
+    } else {
+        response_marker(method, round, token)
+    };
+    let zero_led = |x: u64| format!("0{x}").into_bytes();
+    match gene % 12 {
+        0..=2 => marker,
+        3 => with_field(&marker, b"r=", &zero_led(u64::from(round))),
+        4 => with_field(&marker, b"t=", &zero_led(token)),
+        5 => with_field(&marker, b"r=", b"256"),
+        6 => with_field(&marker, b"t=", b"123456789012345678901"),
+        7 => with_field(&marker, b"t=", b"18446744073709551616"),
+        8 => marker[..after_field(&marker, b"r=")].to_vec(),
+        9 => (gene >> 32 & 0xff).to_string().into_bytes(),
+        10 => prev.to_vec(),
+        _ => [&b" "[..], b"&", b"x", b"\r\n", b"t=", b"pong "][(gene >> 32) as usize % 6].to_vec(),
+    }
+}
+
+/// `payload` in a TCP frame, as a tap captures it.
+fn tcp_frame(payload: &[u8]) -> Bytes {
+    let (src, dst) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+    let seg = TcpSegment {
+        src_port: 50000,
+        dst_port: 80,
+        seq: 1,
+        ack: 1,
+        flags: TcpFlags::ACK | TcpFlags::PSH,
+        window: 1000,
+        mss: None,
+        payload: Bytes::copy_from_slice(payload),
+    };
+    EthernetFrame {
+        dst: MacAddr::local(1),
+        src: MacAddr::local(2),
+        ethertype: EtherType::Ipv4,
+        payload: Ipv4Packet {
+            src,
+            dst,
+            protocol: IpProtocol::Tcp,
+            ttl: 64,
+            ident: 1,
+            payload: seg.emit(src, dst),
+        }
+        .emit(),
+    }
+    .emit()
+}
+
+proptest! {
+    /// Each record's first gene also picks its direction and how many
+    /// bytes to cut off its end, which can split the last marker.
+    #[test]
+    fn marker_sinks_count_like_the_batch_matcher(
+        method in 0usize..MethodId::ALL.len(),
+        rounds in 1u8..=4,
+        records in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 1..8), 1..12),
+    ) {
+        let method = MethodId::ALL[method];
+        let mut oracle_tap = CaptureBuffer::new("oracle");
+        let mut index = ServerMarkerIndex::new(method, rounds, &SCAN_TOKENS);
+        let mut clients: Vec<SessionMarkerSink> = SCAN_TOKENS
+            .iter()
+            .map(|&t| SessionMarkerSink::new(method, rounds, t))
+            .collect();
+        for (i, genes) in records.iter().enumerate() {
+            let mut payload = Vec::new();
+            let mut prev = Vec::new();
+            for &gene in genes {
+                prev = marker_piece(method, rounds, gene, &prev);
+                payload.extend_from_slice(&prev);
+            }
+            payload.truncate(payload.len().saturating_sub((genes[0] >> 40) as usize % 4));
+            let dir = if genes[0] >> 44 & 1 == 0 { CaptureDir::Tx } else { CaptureDir::Rx };
+            let (ts, frame) = (SimTime::from_millis(i as u64), tcp_frame(&payload));
+            index.on_record(ts, dir, &frame);
+            for client in &mut clients {
+                client.on_record(ts, dir, &frame);
+            }
+            oracle_tap.record(ts, dir, frame);
+        }
+        let oracle = ParsedCapture::parse(&oracle_tap);
+        for round in 1..=rounds {
+            for (client, &token) in clients.iter().zip(&SCAN_TOKENS) {
+                let req = request_marker(method, round, token);
+                let resp = response_marker(method, round, token);
+                let (tx, rx) = (CaptureDir::Tx, CaptureDir::Rx);
+                prop_assert_eq!(
+                    client.evidence(round),
+                    [oracle.evidence(tx, &req), oracle.evidence(rx, &resp)],
+                    "client {:?} round {} token {}", method, round, token
+                );
+                prop_assert_eq!(
+                    index.evidence(round, token),
+                    Some([
+                        oracle.evidence(tx, &req),
+                        oracle.evidence(rx, &req),
+                        oracle.evidence(tx, &resp),
+                        oracle.evidence(rx, &resp),
+                    ]),
+                    "server {:?} round {} token {}", method, round, token
+                );
+            }
+        }
+    }
+}
