@@ -15,7 +15,7 @@
 //!   byte bound that has always existed.
 //!
 //! Rates are evaluated **lazily at the instant serialization starts** —
-//! there are no scheduled rate-change events, so the timer wheel's event
+//! there are no scheduled rate-change events, so the event queue's
 //! population (and therefore `(time, seq)` order) is untouched by a
 //! schedule until a frame actually observes it. The CoDel law is fully
 //! deterministic (no RNG): it derives its drop decisions from the

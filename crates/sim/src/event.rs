@@ -5,19 +5,18 @@
 //! simulation deterministic: two events scheduled for the same instant
 //! are always delivered in the order they were scheduled.
 //!
-//! [`EventQueue`] stamps the sequence numbers and files every event in
-//! the hierarchical timer wheel ([`crate::sched::TimerWheel`], `O(1)`
-//! insert). [`Event`]'s `Ord` is the exact pop order, so a plain
-//! `BinaryHeap<Event>` is the executable specification the wheel is
-//! checked against, pop for pop, in `tests/properties.rs`.
+//! [`EventQueue`] stamps the sequence numbers and keeps the events in a
+//! `BinaryHeap`, so [`Event`]'s `Ord` is the pop order.
+//! `tests/properties.rs` pins that contract, pop for pop, against a
+//! model that takes the minimum `(time, push index)` from a plain `Vec`.
 
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use bytes::Bytes;
 
 use crate::engine::{NodeId, PortNo};
 use crate::link::{Dir, LinkId};
-use crate::sched::TimerWheel;
 use crate::time::SimTime;
 
 /// What happens when an event fires.
@@ -91,7 +90,7 @@ impl Ord for Event {
 /// Deterministic priority queue of simulation events.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    wheel: TimerWheel,
+    heap: BinaryHeap<Event>,
     next_seq: u64,
 }
 
@@ -105,30 +104,27 @@ impl EventQueue {
     pub fn push(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.wheel.push(Event { at, seq, kind });
+        self.heap.push(Event { at, seq, kind });
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        self.wheel.pop()
+        self.heap.pop()
     }
 
     /// When the next event would fire, if any.
-    ///
-    /// Takes `&mut self` because the wheel may cascade internally; the
-    /// observable queue content is unchanged.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.wheel.peek_time()
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.wheel.len()
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
+        self.heap.is_empty()
     }
 }
 

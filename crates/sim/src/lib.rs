@@ -39,7 +39,6 @@ pub mod fault;
 pub mod link;
 pub mod pcap;
 pub mod rng;
-pub mod sched;
 pub mod switch;
 pub mod time;
 pub mod wire;

@@ -332,68 +332,75 @@ proptest! {
     }
 }
 
-// ---------- scheduler equivalence ----------
+// ---------- event queue contract ----------
 //
-// The engine's hierarchical timer wheel must be observationally
-// identical to a plain `BinaryHeap<Event>` (`Event`'s `Ord` is the heap
-// order): for ANY interleaving of inserts and pops, both return the
-// same events in the same `(time, seq)` order. The heap is the
-// executable specification; the wheel is the optimisation. Determinism
-// of every simulation rests on this.
+// Every simulation's determinism rests on one rule: events pop in
+// `(time, seq)` order, with `seq` stamped by `EventQueue` in push
+// order. This is the spec any scheduler must pass. The model is a plain
+// `Vec` of `(time, push index)` whose next pop is its minimum; for ANY
+// interleaving of pushes and pops the queue must return the same
+// events, `peek_time` must name the next pop's time, and `len` must
+// match.
 
-/// The wheel and the reference heap, fed the same events and checked
-/// pop for pop.
+use bnm::sim::event::{EventKind, EventQueue};
+
+/// The queue and its model, fed the same pushes and checked pop for
+/// pop.
 #[derive(Default)]
-struct WheelAndHeap {
-    wheel: bnm::sim::sched::TimerWheel,
-    heap: std::collections::BinaryHeap<bnm::sim::event::Event>,
-    seq: u64,
+struct QueueAndModel {
+    queue: EventQueue,
+    model: Vec<(u64, u64)>,
+    pushed: u64,
 }
 
-impl WheelAndHeap {
+impl QueueAndModel {
     fn push(&mut self, at_ns: u64) {
-        use bnm::sim::event::{Event, EventKind};
-        let ev = Event {
-            at: SimTime::from_nanos(at_ns),
-            seq: self.seq,
-            kind: EventKind::Timer {
-                node: 0,
-                token: self.seq,
-            },
+        let kind = EventKind::Timer {
+            node: 0,
+            token: self.pushed,
         };
-        self.seq += 1;
-        self.wheel.push(ev.clone());
-        self.heap.push(ev);
-        assert_eq!(self.wheel.len(), self.heap.len());
+        self.queue.push(SimTime::from_nanos(at_ns), kind);
+        self.model.push((at_ns, self.pushed));
+        self.pushed += 1;
+        assert_eq!(self.queue.len(), self.model.len());
     }
 
     /// Pop from both, which must agree; returns the popped time.
     fn pop(&mut self) -> Option<u64> {
-        let w = self.wheel.pop().map(|e| (e.at, e.seq));
-        let h = self.heap.pop().map(|e| (e.at, e.seq));
-        assert_eq!(w, h, "wheel and heap diverged");
-        w.map(|(at, _)| at.as_nanos())
+        let want = (0..self.model.len())
+            .min_by_key(|&i| self.model[i])
+            .map(|i| self.model.swap_remove(i));
+        let peeked = self.queue.peek_time().map(SimTime::as_nanos);
+        let got = self.queue.pop().map(|e| match e.kind {
+            EventKind::Timer { token, .. } => (e.at.as_nanos(), token),
+            other => panic!("only timers were pushed, popped {other:?}"),
+        });
+        assert_eq!(got, want, "queue and model diverged");
+        let at = got.map(|(at, _)| at);
+        assert_eq!(peeked, at, "peek_time is not the next pop");
+        assert_eq!(self.queue.len(), self.model.len());
+        at
     }
 
     /// Drain both: the tails must agree too, and both end empty.
     fn drain(mut self) {
         while self.pop().is_some() {}
-        assert!(self.wheel.is_empty());
+        assert!(self.queue.is_empty());
     }
 }
 
 proptest! {
     #[test]
-    fn timer_wheel_matches_reference_heap(
+    fn event_queue_pops_in_time_then_push_order(
         ops in proptest::collection::vec(any::<u64>(), 1..300),
         seed in any::<u64>(),
     ) {
         // Arbitrary times. Each sampled word encodes one step: bit 0
         // chooses pop-then-push vs push; bits 1..7 pick a magnitude
-        // shift so event times span every wheel level (nanoseconds up
-        // to the full u64 range, with plenty of exact duplicates at
-        // large shifts); the rotated word is the raw timestamp.
-        let mut q = WheelAndHeap::default();
+        // shift so event times span nanoseconds up to the full u64
+        // range, with plenty of exact duplicates at large shifts; the
+        // rotated word is the raw timestamp.
+        let mut q = QueueAndModel::default();
         for raw in ops {
             if raw & 1 == 1 {
                 q.pop();
@@ -404,8 +411,10 @@ proptest! {
         q.drain();
 
         // An engine-like schedule: never behind the last pop, mostly
-        // short hops, occasionally seconds ahead, pops interleaved.
-        let mut q = WheelAndHeap::default();
+        // short hops, some at the instant just popped (a node that
+        // reacts by sending immediately), occasionally seconds ahead,
+        // pops interleaved.
+        let mut q = QueueAndModel::default();
         let mut x = seed | 1; // a xorshift state must be non-zero
         let mut next = move || {
             x ^= x << 13;
@@ -418,6 +427,7 @@ proptest! {
             let hop = match next() % 10 {
                 0 => next() % 4_000_000_000,
                 1..=3 => next() % 1_000_000,
+                4 => 0,
                 _ => next() % 10_000,
             };
             q.push(last + hop);
