@@ -209,7 +209,7 @@ impl Args {
     /// limit.
     pub fn clients(&self) -> Result<Option<u32>, ArgError> {
         self.number("clients", "a client count in [1, 4096]", |n| {
-            (1..=Scenario::DEFAULT_SESSION_LIMIT as u32).contains(n)
+            (1..=Scenario::SESSION_LIMIT as u32).contains(n)
         })
     }
 

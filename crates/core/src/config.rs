@@ -94,7 +94,7 @@ impl ContentionSpec {
         if self.clients == 0 {
             return Err(RunError::InvalidInput("clients must be >= 1"));
         }
-        if self.clients as usize > crate::scenario::Scenario::DEFAULT_SESSION_LIMIT {
+        if self.clients as usize > crate::scenario::Scenario::SESSION_LIMIT {
             return Err(RunError::InvalidInput(
                 "clients exceeds the scenario session limit",
             ));

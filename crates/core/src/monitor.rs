@@ -53,7 +53,8 @@ pub struct MonitorConfig {
     /// `[1, 10, 60]` — last second, last ten seconds, last minute.
     pub window_pans: Vec<u32>,
     /// Sketch accuracy (DDSketch α) for every window and the lifetime
-    /// digests.
+    /// digests; must lie in `(0, 1)`, and the sketch clamps it further
+    /// to `[1e-4, 0.25]`.
     pub alpha: f64,
 }
 
@@ -81,6 +82,11 @@ impl MonitorConfig {
         }
         if self.window_pans.contains(&0) {
             return Err(RunError::InvalidInput("window spans must be positive"));
+        }
+        // Checked here because the sketch's `f64::clamp` passes NaN
+        // through.
+        if !self.alpha.is_finite() || self.alpha <= 0.0 || self.alpha >= 1.0 {
+            return Err(RunError::InvalidInput("alpha must lie in (0, 1)"));
         }
         Ok(())
     }
@@ -174,7 +180,6 @@ pub struct Monitor {
     rounds_run: u64,
     excluded: u64,
     failures: u64,
-    attributed: u64,
     next_rep: u32,
     now: SimTime,
 }
@@ -211,7 +216,6 @@ impl Monitor {
             rounds_run: 0,
             excluded: 0,
             failures: 0,
-            attributed: 0,
             next_rep: 0,
             now: SimTime::ZERO,
         })
@@ -230,12 +234,6 @@ impl Monitor {
     /// Rounds attempted so far.
     pub fn rounds_run(&self) -> u64 {
         self.rounds_run
-    }
-
-    /// Rounds for which component attribution was folded (traced cells
-    /// only).
-    pub fn attributed_rounds(&self) -> u64 {
-        self.attributed
     }
 
     /// Run one measurement round at the current virtual time and fold
@@ -262,7 +260,6 @@ impl Monitor {
                     w.excluded.add(t, rep.excluded as u64);
                 }
                 self.excluded += rep.excluded as u64;
-                self.attributed += rep.attribution.len() as u64;
                 for m in &rep.measurements {
                     let v = m.delta_d_ms();
                     match m.round {
@@ -385,6 +382,19 @@ mod tests {
             ..MonitorConfig::default()
         };
         assert!(Monitor::with_config(cell(1), zero_pan).is_err());
+        for alpha in [f64::NAN, f64::INFINITY, 0.0, 1.0] {
+            let cfg = MonitorConfig {
+                alpha,
+                ..MonitorConfig::default()
+            };
+            assert!(
+                matches!(
+                    Monitor::with_config(cell(1), cfg),
+                    Err(RunError::InvalidInput(_))
+                ),
+                "alpha {alpha} accepted"
+            );
+        }
     }
 
     #[test]

@@ -127,12 +127,10 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Default cap on concurrent sessions, enforced by
-    /// [`ScenarioBuilder::build`] and the cell validation in
-    /// [`crate::config`]. Raise it per scenario with
-    /// [`ScenarioBuilder::session_limit`], up to
-    /// [`Scenario::ADDRESS_CAPACITY`].
-    pub const DEFAULT_SESSION_LIMIT: usize = 4096;
+    /// Cap on concurrent sessions, enforced by
+    /// [`ScenarioBuilder::build`], the cell validation in
+    /// [`crate::config`] and the CLI's `--clients`.
+    pub const SESSION_LIMIT: usize = 4096;
 
     /// Hard ceiling of the per-client MAC / IP allocation scheme of
     /// [`client_addr`] (two address octets).
@@ -444,7 +442,6 @@ pub struct ScenarioBuilder {
     specs: Vec<SessionSpec>,
     rep_token: u64,
     trace: Trace,
-    session_limit: usize,
 }
 
 impl Default for ScenarioBuilder {
@@ -455,15 +452,13 @@ impl Default for ScenarioBuilder {
 
 impl ScenarioBuilder {
     /// A builder with the paper-default testbed config, no sessions,
-    /// repetition token 0, tracing disabled, and the default session
-    /// limit.
+    /// repetition token 0 and tracing disabled.
     pub fn new() -> Self {
         ScenarioBuilder {
             cfg: TestbedConfig::default(),
             specs: Vec::new(),
             rep_token: 0,
             trace: Trace::disabled(),
-            session_limit: Scenario::DEFAULT_SESSION_LIMIT,
         }
     }
 
@@ -500,35 +495,20 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Raise (or lower) the validated session cap for this scenario.
-    /// The limit itself is validated against
-    /// [`Scenario::ADDRESS_CAPACITY`] at build time.
-    pub fn session_limit(mut self, limit: usize) -> Self {
-        self.session_limit = limit;
-        self
-    }
-
     /// Validate and build the scenario. Reports
-    /// [`RunError::InvalidInput`] for no sessions, more sessions than
-    /// the limit, a duplicate session id, a WebSocket or WebRTC plan on a
-    /// runtime without it, and a zero-rate or zero-queue server link.
+    /// [`RunError::InvalidInput`] for no sessions, more than
+    /// [`Scenario::SESSION_LIMIT`] sessions, a duplicate session id, a
+    /// WebSocket or WebRTC plan on a runtime without it, and a zero-rate
+    /// or zero-queue server link.
     pub fn build(mut self) -> Result<Scenario, RunError> {
         if self.specs.is_empty() {
             return Err(RunError::InvalidInput(
                 "a scenario needs at least one session",
             ));
         }
-        if self.session_limit == 0 {
-            return Err(RunError::InvalidInput("session limit must be >= 1"));
-        }
-        if self.session_limit > Scenario::ADDRESS_CAPACITY {
+        if self.specs.len() > Scenario::SESSION_LIMIT {
             return Err(RunError::InvalidInput(
-                "session limit exceeds the client addressing capacity",
-            ));
-        }
-        if self.specs.len() > self.session_limit {
-            return Err(RunError::InvalidInput(
-                "scenario session count exceeds the configured session limit",
+                "scenario session count exceeds the session limit",
             ));
         }
         // Results and wiring are keyed by session id, not insertion
@@ -719,22 +699,7 @@ mod tests {
         ));
         assert!(matches!(
             Scenario::builder()
-                .sessions([spec(0), spec(1)])
-                .session_limit(1)
-                .build(),
-            Err(RunError::InvalidInput(_))
-        ));
-        assert!(matches!(
-            Scenario::builder()
-                .session(spec(0))
-                .session_limit(Scenario::ADDRESS_CAPACITY + 1)
-                .build(),
-            Err(RunError::InvalidInput(_))
-        ));
-        assert!(matches!(
-            Scenario::builder()
-                .session(spec(0))
-                .session_limit(0)
+                .sessions((0..=Scenario::SESSION_LIMIT as u64).map(spec))
                 .build(),
             Err(RunError::InvalidInput(_))
         ));

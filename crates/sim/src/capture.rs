@@ -68,9 +68,9 @@ pub enum TimestampNoise {
 /// scenario ends. The sink observes exactly what a retaining tap would
 /// have stored: the same noise-stamped timestamp (the noise RNG stream
 /// and the monotonicity clamp are shared code), the same direction, the
-/// same (snap-length-truncated) frame view. A run with a sink is
-/// therefore bit-equivalent to a retained run followed by a replay of
-/// `records()` — the parity the streaming pipeline relies on.
+/// same frame view. A run with a sink is therefore bit-equivalent to a
+/// retained run followed by a replay of `records()` — the parity the
+/// streaming pipeline relies on.
 pub trait CaptureSink: std::fmt::Debug {
     /// Observe one stamped record. `frame` is only valid for the call.
     fn on_record(&mut self, ts: SimTime, dir: CaptureDir, frame: &Bytes);
@@ -89,9 +89,6 @@ pub struct CaptureBuffer {
     noise: TimestampNoise,
     /// Last stamped timestamp, for the monotonicity clamp under noise.
     last_ts: SimTime,
-    /// Snap length: frames longer than this are truncated in the record
-    /// (the original length is not preserved — experiments use full snap).
-    snaplen: usize,
     /// Streaming consumer; when present, records are fed to it instead
     /// of being retained.
     sink: Option<Box<dyn CaptureSink>>,
@@ -100,14 +97,13 @@ pub struct CaptureBuffer {
 }
 
 impl CaptureBuffer {
-    /// A tap with exact timestamps and full snap length.
+    /// A tap with exact timestamps that records whole frames.
     pub fn new(name: impl Into<String>) -> Self {
         CaptureBuffer {
             name: name.into(),
             records: Vec::new(),
             noise: TimestampNoise::Exact,
             last_ts: SimTime::ZERO,
-            snaplen: usize::MAX,
             sink: None,
             total: 0,
         }
@@ -119,18 +115,11 @@ impl CaptureBuffer {
         self
     }
 
-    /// Set the snap length.
-    pub fn with_snaplen(mut self, snaplen: usize) -> Self {
-        self.snaplen = snaplen.max(1);
-        self
-    }
-
     /// Record one frame at wire-event time `ts`.
     ///
     /// Takes the frame by value: `Bytes` is a refcounted view, so the
     /// record indexes into the same allocation the wire delivered —
-    /// nothing is copied, even under a snap length (truncation is a
-    /// zero-copy sub-view).
+    /// nothing is copied.
     pub fn record(&mut self, ts: SimTime, dir: CaptureDir, frame: Bytes) {
         let stamped = match &mut self.noise {
             TimestampNoise::Exact => ts,
@@ -148,11 +137,6 @@ impl CaptureBuffer {
             }
         };
         self.last_ts = stamped;
-        let frame = if frame.len() > self.snaplen {
-            frame.slice(..self.snaplen)
-        } else {
-            frame
-        };
         self.total += 1;
         if let Some(sink) = &mut self.sink {
             sink.on_record(stamped, dir, &frame);
@@ -170,11 +154,6 @@ impl CaptureBuffer {
     /// not retained. Records captured before the switch stay in place.
     pub fn set_sink(&mut self, sink: Box<dyn CaptureSink>) {
         self.sink = Some(sink);
-    }
-
-    /// The installed sink, if any.
-    pub fn sink_mut(&mut self) -> Option<&mut (dyn CaptureSink + 'static)> {
-        self.sink.as_deref_mut()
     }
 
     /// Remove and return the sink (e.g. to extract its accumulated
@@ -288,13 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn snaplen_truncates() {
-        let mut buf = CaptureBuffer::new("t").with_snaplen(3);
-        buf.record(SimTime::ZERO, CaptureDir::Tx, Bytes::from_static(b"abcdef"));
-        assert_eq!(&buf.records()[0].frame[..], b"abc");
-    }
-
-    #[test]
     fn clear_empties() {
         let mut buf = CaptureBuffer::new("t");
         buf.record(SimTime::ZERO, CaptureDir::Tx, Bytes::from_static(b"a"));
@@ -348,17 +320,13 @@ mod tests {
     fn sink_observes_exactly_what_retention_would_store() {
         // Two taps with identical noise streams, one retaining and one
         // streaming: the sink must see the same stamps, directions and
-        // (snap-truncated) bytes the retained tap stores.
+        // bytes the retained tap stores.
         let mk_noise = || TimestampNoise::UniformLag {
             bound_ns: 250_000,
             rng: rng::stream(41, "cap"),
         };
-        let mut retained = CaptureBuffer::new("a")
-            .with_noise(mk_noise())
-            .with_snaplen(4);
-        let mut streamed = CaptureBuffer::new("b")
-            .with_noise(mk_noise())
-            .with_snaplen(4);
+        let mut retained = CaptureBuffer::new("a").with_noise(mk_noise());
+        let mut streamed = CaptureBuffer::new("b").with_noise(mk_noise());
         streamed.set_sink(Box::new(Mirror::default()));
         for i in 0..200u64 {
             let dir = if i % 3 == 0 {

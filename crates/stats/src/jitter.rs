@@ -14,27 +14,6 @@ pub fn consecutive_jitter(samples: &[f64]) -> f64 {
     sum / (samples.len() - 1) as f64
 }
 
-/// RFC 3550-*style* smoothing over consecutive **sample** differences.
-///
-/// **Approximation, kept for backward compatibility.** RFC 3550 §6.4.1
-/// defines jitter over interarrival *transit-time* differences
-/// `D(i-1,i) = (R_i − R_{i-1}) − (S_i − S_{i-1})`, which needs both the
-/// send and receive timestamp of each packet — see
-/// [`rfc3550_transit_jitter`]. When only a delay *series* is available
-/// (e.g. RTT samples), smoothing consecutive sample differences is the
-/// common shortcut; it coincides with the RFC estimator only when the
-/// samples themselves are per-packet transit times (then
-/// `D = d_i − d_{i-1}` exactly), and even then the series form hides
-/// which side contributed the variation.
-pub fn rfc3550_jitter(samples: &[f64]) -> f64 {
-    let mut j = 0.0;
-    for w in samples.windows(2) {
-        let d = (w[1] - w[0]).abs();
-        j += (d - j) / 16.0;
-    }
-    j
-}
-
 /// RFC 3550 §6.4.1 interarrival jitter, computed as the RFC defines it:
 /// over `(send, receive)` timestamp pairs of consecutively *arriving*
 /// packets.
@@ -79,7 +58,6 @@ mod tests {
     fn constant_series_has_zero_jitter() {
         let s = [50.0; 20];
         assert_eq!(consecutive_jitter(&s), 0.0);
-        assert_eq!(rfc3550_jitter(&s), 0.0);
         assert_eq!(peak_to_peak(&s), 0.0);
     }
 
@@ -88,8 +66,6 @@ mod tests {
         let s = [50.0, 52.0, 50.0, 52.0, 50.0];
         assert_eq!(consecutive_jitter(&s), 2.0);
         assert_eq!(peak_to_peak(&s), 2.0);
-        let j = rfc3550_jitter(&s);
-        assert!(j > 0.0 && j < 2.0, "smoothed estimate below raw: {j}");
     }
 
     #[test]
@@ -107,27 +83,16 @@ mod tests {
         // D = 5, -3, 8  →  J = 5/16, then +(3-J)/16, then +(8-J)/16.
         let j = rfc3550_transit_jitter(&pairs);
         assert!((j - 0.950439453125).abs() < 1e-12, "J = {j}");
-        // On an in-order trace D(i-1,i) equals the transit-time delta,
-        // so the series approximation over per-packet transit times
-        // coincides with the true estimator…
-        let transit: Vec<f64> = pairs.iter().map(|(s, r)| r - s).collect();
-        assert_eq!(rfc3550_jitter(&transit), j);
     }
 
     #[test]
-    fn series_approximation_diverges_under_reordering() {
-        // …but not once arrivals reorder. Sent at 0/20/40 ms; packet 2
-        // is delayed past packet 3. Arrival order: 1, 3, 2.
+    fn transit_jitter_follows_arrival_order() {
+        // Sent at 0/20/40 ms; packet 2 is delayed past packet 3.
+        // Arrival order: 1, 3, 2.
         let arrival_pairs = [(0.0, 50.0), (40.0, 95.0), (20.0, 100.0)];
         // D(1,3) = 45-40 = 5; D(3,2) = 5-(-20) = 25.
-        let true_j = rfc3550_transit_jitter(&arrival_pairs);
-        assert!((true_j - 1.85546875).abs() < 1e-12, "J = {true_j}");
-        // The legacy shortcut over seq-ordered one-way delays [50, 80,
-        // 55] sees |30| then |25| and lands somewhere else entirely —
-        // the documented approximation error the transit API fixes.
-        let approx = rfc3550_jitter(&[50.0, 80.0, 55.0]);
-        assert!((approx - 3.3203125).abs() < 1e-12, "approx = {approx}");
-        assert!((approx - true_j).abs() > 1.0);
+        let j = rfc3550_transit_jitter(&arrival_pairs);
+        assert!((j - 1.85546875).abs() < 1e-12, "J = {j}");
     }
 
     #[test]

@@ -402,15 +402,9 @@ fn cmd_webrtc(args: &Args) -> Result<(), ArgError> {
     let jitter_ms = args.non_negative("jitter")?.unwrap_or(0.0);
     let format = args.format()?.unwrap_or_default();
     if loss > 0.0 || jitter_ms > 0.0 {
-        let spec = FaultSpec {
-            drop_chance: loss,
-            ..FaultSpec::CLEAN
-        };
-        builder = builder.impairment(Impairment {
-            up: spec,
-            down: spec,
-            jitter: SimDuration::from_millis_f64(jitter_ms),
-        });
+        builder = builder.impairment(
+            Impairment::loss(loss).with_jitter(SimDuration::from_millis_f64(jitter_ms)),
+        );
     }
     let cell = build_cell(builder);
     emit(&run_cell(&cell).summary(&cell), format);
@@ -445,15 +439,7 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
         builder = builder.contention(spec);
     }
     if loss > 0.0 {
-        let spec = FaultSpec {
-            drop_chance: loss,
-            ..FaultSpec::CLEAN
-        };
-        builder = builder.impairment(Impairment {
-            up: spec,
-            down: spec,
-            jitter: SimDuration::ZERO,
-        });
+        builder = builder.impairment(Impairment::loss(loss));
     }
     let cell = build_cell(builder);
 
