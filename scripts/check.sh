@@ -2,12 +2,13 @@
 # Repo health gate: the tier-1 acceptance commands plus lint and docs.
 #
 #   scripts/check.sh            # fmt + build + test + parity + clippy + docs,
-#                               # then the CLI, reproduce and example smokes
-#                               # and the benchmark's tests + traced run
+#                               # then the CLI, reproduce and example smokes,
+#                               # the battery artifact gate and the
+#                               # benchmark's tests + traced run
 #   scripts/check.sh --fast     # skip the release build (debug test run only)
-#                               # and the smokes, which need it
-#   scripts/check.sh --quick    # skip the smokes and the benchmark's tests +
-#                               # traced run
+#                               # and the smokes and gate, which need it
+#   scripts/check.sh --quick    # skip the smokes, the battery gate and the
+#                               # benchmark's tests + traced run
 #   scripts/check.sh --bench    # also run the benchmark (BENCHMARK.json's
 #                               # command, all workloads) and gate it with its
 #                               # own `compare` against the records in BENCH.json
@@ -159,6 +160,17 @@ if [[ $quick -eq 0 && $fast -eq 0 ]]; then
       exit 1
     fi
   done
+
+  # Battery artifact gate: the full scored suite must reproduce the
+  # committed results/battery.json byte for byte. Its cells cover every
+  # roster method under clean, impaired, contended, bufferbloat and
+  # time-varying links, so a change that reorders simulation events
+  # fails here.
+  echo "==> battery gate: full suite equals results/battery.json"
+  if ! ./target/release/bnm battery --format json | cmp - results/battery.json; then
+    echo "bnm battery --format json differs from results/battery.json" >&2
+    exit 1
+  fi
 
   # Reproduce smoke: every experiment at 2 reps, in one process. Each of
   # the 13 CSV artifacts must be written with at least one data row.
