@@ -4,13 +4,13 @@
 //! growable [`BytesMut`] with `freeze`, and the [`BufMut`] put-methods the
 //! wire codecs emit through.
 //!
-//! Unlike the first iteration of this shim (which stored `Arc<[u8]>` and
-//! therefore had to copy on every `Vec<u8> -> Bytes` conversion), the
-//! buffer is an `Arc<Vec<u8>>`: conversion and `freeze` are moves, and
-//! when the last reference drops the backing `Vec` is returned to a
-//! thread-local [`pool`] for reuse. In the simulator's hot loop — build
-//! frame, deliver through links/switch ports, tap it, drop it — this
-//! turns per-frame heap churn into constant-space buffer recycling.
+//! The buffer is an `Arc<Vec<u8>>`: conversion and `freeze` are moves,
+//! `slice` is a refcount bump, and when the last reference drops the
+//! backing `Vec` goes back to a thread-local [`pool`] for reuse. The
+//! simulator's hot loop leans on all three: a host builds each frame
+//! into one buffer, links, switch ports and taps pass that buffer on
+//! by refcount, and every parser reads it through `slice` views, so a
+//! frame costs one buffer from birth to its last reader.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -27,11 +27,15 @@ use std::sync::Arc;
 /// never changes observable bytes (and therefore never perturbs the
 /// simulator's determinism). Each thread keeps its own free list; a
 /// buffer reclaimed on one thread is reused by that thread only.
+///
+/// The free list is bounded by demand: a dropped buffer is parked only
+/// while the list holds fewer than [`PoolStats::live_peak`] buffers, as
+/// many as the thread has had alive at once since its last
+/// [`reset_stats`]. A thread therefore never parks more idle buffers
+/// than it has shown it can use; beyond that, a drop frees.
 pub mod pool {
     use std::cell::RefCell;
 
-    /// Retain at most this many free buffers per thread.
-    const MAX_POOLED_BUFFERS: usize = 4096;
     /// Don't retain buffers larger than this (keeps a burst of jumbo
     /// allocations from pinning memory forever).
     const MAX_POOLED_CAPACITY: usize = 1 << 16;
@@ -55,12 +59,12 @@ pub mod pool {
         /// hand-off; single-threaded flows (an engine run) are exact.
         pub live: i64,
         /// High-water mark of [`PoolStats::live`] since the last reset
-        /// — the retention gauge the streaming capture pipeline bounds.
+        /// — the retention gauge the streaming capture pipeline bounds,
+        /// and the free list's capacity.
         pub live_peak: i64,
     }
 
     struct PoolInner {
-        enabled: bool,
         free: Vec<Vec<u8>>,
         stats: PoolStats,
     }
@@ -68,7 +72,6 @@ pub mod pool {
     thread_local! {
         static POOL: RefCell<PoolInner> = const {
             RefCell::new(PoolInner {
-                enabled: true,
                 free: Vec::new(),
                 stats: PoolStats {
                     reused: 0,
@@ -95,19 +98,6 @@ pub mod pool {
         }
     }
 
-    /// Enable or disable recycling on the current thread. Disabling
-    /// drops the free list; allocation behaviour then matches a
-    /// pool-free build (useful as a benchmark baseline).
-    pub fn set_enabled(on: bool) {
-        let _ = POOL.try_with(|p| {
-            let mut p = p.borrow_mut();
-            p.enabled = on;
-            if !on {
-                p.free.clear();
-            }
-        });
-    }
-
     /// Pool counters for the current thread.
     pub fn stats() -> PoolStats {
         POOL.try_with(|p| p.borrow().stats).unwrap_or_default()
@@ -128,15 +118,12 @@ pub mod pool {
     pub(crate) fn acquire(cap: usize) -> Vec<u8> {
         POOL.try_with(|p| {
             let mut p = p.borrow_mut();
-            if p.enabled {
-                if let Some(mut v) = p.free.pop() {
-                    v.clear();
-                    if v.capacity() < cap {
-                        v.reserve(cap - v.len());
-                    }
-                    p.stats.reused += 1;
-                    return v;
-                }
+            if let Some(mut v) = p.free.pop() {
+                // Exact: `reserve` would double the buffer to amortise
+                // pushes that a frame buffer, sized once, never makes.
+                v.reserve_exact(cap);
+                p.stats.reused += 1;
+                return v;
             }
             p.stats.allocated += 1;
             Vec::with_capacity(cap)
@@ -166,7 +153,7 @@ pub mod pool {
         }
         let _ = POOL.try_with(|p| {
             let mut p = p.borrow_mut();
-            if p.enabled && p.free.len() < MAX_POOLED_BUFFERS {
+            if (p.free.len() as i64) < p.stats.live_peak {
                 v.clear();
                 p.free.push(v);
                 p.stats.reclaimed += 1;
@@ -642,31 +629,50 @@ mod tests {
         assert_eq!(&s[..], &[9u8; 8]);
     }
 
-    #[test]
-    fn pool_recycles_dropped_buffers() {
-        pool::set_enabled(true);
-        pool::reset_stats();
-        // Drain whatever the test harness left parked so the reuse is
-        // attributable to the buffer we drop below.
-        let baseline = pool::free_buffers();
-        let b = Bytes::from(vec![1u8; 256]);
-        drop(b);
-        assert!(pool::free_buffers() > baseline, "drop should reclaim");
-        let c = Bytes::copy_from_slice(&[2u8; 128]);
-        assert_eq!(&c[..], &[2u8; 128]);
-        assert!(pool::stats().reused >= 1, "copy should reuse the buffer");
+    /// Run `f` on a thread of its own, so its pool starts empty.
+    fn on_fresh_thread(f: impl FnOnce() + Send + 'static) {
+        std::thread::spawn(f)
+            .join()
+            .expect("the test thread panicked");
     }
 
     #[test]
-    fn pool_disabled_matches_plain_alloc() {
-        pool::set_enabled(false);
-        pool::reset_stats();
-        drop(Bytes::from(vec![1u8; 64]));
-        assert_eq!(pool::free_buffers(), 0);
-        assert_eq!(pool::stats().reclaimed, 0);
-        let b = Bytes::copy_from_slice(b"still works");
-        assert_eq!(&b[..], b"still works");
-        pool::set_enabled(true);
+    fn pool_recycles_dropped_buffers() {
+        on_fresh_thread(|| {
+            drop(Bytes::from(vec![1u8; 256]));
+            assert_eq!(pool::free_buffers(), 1, "drop should reclaim");
+            let c = Bytes::copy_from_slice(&[2u8; 128]);
+            assert_eq!(&c[..], &[2u8; 128]);
+            assert_eq!(pool::stats().reused, 1, "copy should reuse the buffer");
+        });
+    }
+
+    #[test]
+    fn free_list_is_bounded_by_the_live_peak() {
+        on_fresh_thread(|| {
+            let live: Vec<Bytes> = (0..5u8).map(|i| Bytes::from(vec![i; 64])).collect();
+            assert_eq!(pool::stats().live_peak, 5);
+            drop(live);
+            assert_eq!(pool::free_buffers(), 5);
+            // Twenty scratch buffers at once: five come off the free list,
+            // fifteen are fresh, and only five go back.
+            let scratch: Vec<BytesMut> = (0..20).map(|_| BytesMut::with_capacity(64)).collect();
+            assert_eq!(pool::stats().allocated, 15);
+            drop(scratch);
+            assert_eq!(pool::free_buffers(), 5);
+            assert!(pool::free_buffers() as i64 <= pool::stats().live_peak);
+        });
+    }
+
+    #[test]
+    fn recycled_buffers_grow_exactly() {
+        on_fresh_thread(|| {
+            drop(Bytes::from(Vec::<u8>::with_capacity(64)));
+            assert_eq!(pool::free_buffers(), 1);
+            let v = pool::acquire(100);
+            assert_eq!(pool::stats().reused, 1);
+            assert_eq!(v.capacity(), 100, "grown to the request, not doubled");
+        });
     }
 
     #[test]
@@ -693,7 +699,6 @@ mod tests {
 
     #[test]
     fn shared_buffers_are_not_reclaimed_early() {
-        pool::set_enabled(true);
         let b = Bytes::from(vec![5u8; 64]);
         let clone = b.clone();
         let before = pool::free_buffers();

@@ -828,13 +828,12 @@ fn webrtc(seed: u64, reps: u32) -> Artifact {
 }
 
 #[rustfmt::skip]
-const SWEEP_COLUMNS: [&str; 25] = [
+const SWEEP_COLUMNS: [&str; 23] = [
     "cell", "method", "runtime",
     "clients", "rate_mbps", "loss_pct", "corrupt_pct", "duplicate_pct", "jitter_ms",
     "d1_median_ms", "d2_median_ms", "d1_n", "d2_n", "excluded_rounds", "failures",
     "dgram_sent", "dgram_delivered", "dgram_lost", "dgram_reordered", "loss_pct_meas",
     "owd_up_p50_ms", "owd_down_p50_ms", "wire_jitter_p50_ms",
-    "pool_live_peak", "pool_allocated",
 ];
 
 /// How many of [`SWEEP_COLUMNS`] are datagram fields (blank for a
@@ -847,7 +846,7 @@ const THROUGHPUT_COLUMNS: [&str; 7] = [
     "wire_mbps", "browser_mbps", "underestimated_pct",
 ];
 
-/// Run each cell as its own executor batch and tabulate one row per cell
+/// Run the cells as one executor batch and tabulate one row per cell
 /// that ran, in input order.
 ///
 /// The network columns come from the cell: clients, server link rate,
@@ -856,27 +855,21 @@ const THROUGHPUT_COLUMNS: [&str; 7] = [
 /// the medians and `d1_n`/`d2_n` cover all clients, not only the
 /// reference one. The datagram counters sum over sessions and the
 /// one-way-delay and wire-jitter medians pool them; all eight fields are
-/// blank for a reliable method. `pool_live_peak`/`pool_allocated` are
-/// the frame-pool gauges of the cell's own batch, which is why each cell
-/// runs alone.
+/// blank for a reliable method. Every column is a measurement, so the
+/// table is the same however the executor spreads the reps.
 pub fn sweep_table(title: impl Into<String>, cells: &[ExperimentCell]) -> (Table, Failed) {
     let mut table = Table::new(title, &SWEEP_COLUMNS);
     let mut failed = Vec::new();
-    for cell in cells {
-        let (mut results, stats) =
-            Executor::new().run_with_stats(std::slice::from_ref(cell), |_| {});
-        match results
-            .pop()
-            .expect("the executor returns one result per cell")
-        {
-            Ok(r) => table.row(sweep_row(cell, &r, &stats.pool)),
+    for (cell, result) in cells.iter().zip(Executor::new().run(cells)) {
+        match result {
+            Ok(r) => table.row(sweep_row(cell, &r)),
             Err(e) => failed.push((cell.clone(), e)),
         }
     }
     (table, failed)
 }
 
-fn sweep_row(cell: &ExperimentCell, r: &CellResult, pool: &bytes::pool::PoolStats) -> Vec<Value> {
+fn sweep_row(cell: &ExperimentCell, r: &CellResult) -> Vec<Value> {
     let median = |v: &[f64]| Value::Num(DistSummary::of_samples(v).p50);
     let d1: Vec<f64> = r
         .sessions
@@ -936,10 +929,6 @@ fn sweep_row(cell: &ExperimentCell, r: &CellResult, pool: &bytes::pool::PoolStat
             row.extend(std::iter::repeat_with(|| Value::Text(String::new())).take(DATAGRAM_COLUMNS))
         }
     }
-    row.extend([
-        Value::Int(pool.live_peak),
-        Value::Int(pool.allocated as i64),
-    ]);
     row
 }
 

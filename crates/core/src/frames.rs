@@ -10,11 +10,11 @@ use bytes::Bytes;
 
 /// Transport payload of a captured frame, if it parses.
 ///
-/// Returns the parser's own refcounted payload view — no extra copy is
-/// made for the caller. Frames that fail to parse, and transports
+/// Returns a view into `frame` itself: parsing verifies every checksum
+/// but copies no byte. Frames that fail to parse, and transports
 /// without a greppable payload (ICMP, unknown), yield `None`, exactly
 /// as a checksum-filtering analyst would drop them.
-pub fn payload_of(frame: &[u8]) -> Option<Bytes> {
+pub fn payload_of(frame: &Bytes) -> Option<Bytes> {
     let parsed = ParsedPacket::parse(frame).ok()?;
     match parsed.transport {
         Transport::Tcp(seg) => Some(seg.payload),
@@ -100,8 +100,8 @@ mod tests {
 
     #[test]
     fn garbage_yields_none() {
-        assert!(payload_of(b"not a frame").is_none());
-        assert!(payload_of(&[]).is_none());
+        assert!(payload_of(&Bytes::from_static(b"not a frame")).is_none());
+        assert!(payload_of(&Bytes::new()).is_none());
     }
 
     #[test]

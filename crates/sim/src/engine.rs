@@ -114,11 +114,6 @@ impl Ctx<'_> {
         self.engine.now
     }
 
-    /// The node being dispatched.
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     /// Hand a frame to the NIC on `port` for transmission now.
     ///
     /// Panics if the port is not connected — a wiring bug, not a runtime

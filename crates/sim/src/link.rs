@@ -75,16 +75,6 @@ impl LinkSpec {
         }
     }
 
-    /// Gigabit Ethernet (for extension experiments).
-    pub fn gigabit() -> LinkSpec {
-        LinkSpec {
-            rate_bps: 1_000_000_000,
-            propagation: SimDuration::from_micros(2),
-            extra_delay: SimDuration::ZERO,
-            queue_limit_bytes: 1024 * 1024,
-        }
-    }
-
     /// Check the spec's documented preconditions. A zero rate would
     /// panic deep in [`SimDuration::serialization`]; a zero queue bound
     /// silently drops every frame and hangs any protocol above it.

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use bytes::Bytes;
 
 use crate::engine::{Ctx, Node, PortNo};
-use crate::wire::{EthernetFrame, MacAddr};
+use crate::wire::{ethernet, MacAddr};
 
 /// A learning Ethernet switch with `ports` interfaces.
 pub struct Switch {
@@ -79,17 +79,17 @@ impl Switch {
 
 impl Node for Switch {
     fn on_frame(&mut self, ctx: &mut Ctx, port: PortNo, frame: Bytes) {
-        let Ok(eth) = EthernetFrame::parse(&frame) else {
+        let Ok((dst, src, _)) = ethernet::parse_header(&frame) else {
             self.parse_drops += 1;
             return;
         };
         // Learn the source.
-        if !eth.src.is_multicast() {
-            self.table.insert(eth.src, port);
+        if !src.is_multicast() {
+            self.table.insert(src, port);
         }
         self.forwarded += 1;
-        match self.table.get(&eth.dst) {
-            Some(&out) if !eth.dst.is_broadcast() => {
+        match self.table.get(&dst) {
+            Some(&out) if !dst.is_broadcast() => {
                 if out != port {
                     self.forward(ctx, out, frame);
                 }
@@ -121,7 +121,7 @@ mod tests {
     use crate::engine::Engine;
     use crate::link::LinkSpec;
     use crate::time::SimDuration;
-    use crate::wire::EtherType;
+    use crate::wire::{EtherType, EthernetFrame};
 
     /// Leaf host that sends scheduled frames and records arrivals.
     struct Leaf {

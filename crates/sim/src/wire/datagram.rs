@@ -115,8 +115,9 @@ impl DataChunk {
         buf.freeze()
     }
 
-    /// Parse a chunk from a UDP payload.
-    pub fn parse(data: &[u8]) -> Result<DataChunk, WireError> {
+    /// Parse a chunk from a UDP payload. The chunk's payload is a view
+    /// into `data`.
+    pub fn parse(data: &Bytes) -> Result<DataChunk, WireError> {
         if data.len() < CHUNK_HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -126,7 +127,7 @@ impl DataChunk {
             stream: u16::from_be_bytes([data[2], data[3]]),
             seq: u32::from_be_bytes([data[4], data[5], data[6], data[7]]),
             ppid: u32::from_be_bytes([data[8], data[9], data[10], data[11]]),
-            payload: Bytes::copy_from_slice(&data[CHUNK_HEADER_LEN..]),
+            payload: data.slice(CHUNK_HEADER_LEN..),
         })
     }
 }
@@ -165,7 +166,7 @@ mod tests {
     #[test]
     fn truncated_rejected() {
         assert_eq!(
-            DataChunk::parse(&[0u8; CHUNK_HEADER_LEN - 1]).unwrap_err(),
+            DataChunk::parse(&Bytes::from_static(&[0u8; CHUNK_HEADER_LEN - 1])).unwrap_err(),
             WireError::Truncated
         );
     }
@@ -174,6 +175,9 @@ mod tests {
     fn unknown_kind_rejected() {
         let mut bytes = DataChunk::open(1).emit().to_vec();
         bytes[0] = 0x7F;
-        assert_eq!(DataChunk::parse(&bytes).unwrap_err(), WireError::Malformed);
+        assert_eq!(
+            DataChunk::parse(&Bytes::from(bytes)).unwrap_err(),
+            WireError::Malformed
+        );
     }
 }

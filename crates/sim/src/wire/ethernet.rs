@@ -85,32 +85,41 @@ pub struct EthernetFrame {
     pub payload: Bytes,
 }
 
+/// Append an Ethernet II header.
+pub(super) fn put_header(buf: &mut BytesMut, dst: MacAddr, src: MacAddr, ethertype: EtherType) {
+    buf.put_slice(&dst.0);
+    buf.put_slice(&src.0);
+    buf.put_u16(ethertype.value());
+}
+
+/// Destination MAC, source MAC and ethertype of a frame, read from its
+/// 14-byte header alone (all a switch needs to forward it).
+pub(crate) fn parse_header(data: &[u8]) -> Result<(MacAddr, MacAddr, EtherType), WireError> {
+    if data.len() < HEADER_LEN {
+        return Err(WireError::Truncated);
+    }
+    let mac = |at: usize| MacAddr(data[at..at + 6].try_into().expect("six header bytes"));
+    let ethertype = EtherType::from_value(u16::from_be_bytes([data[12], data[13]]));
+    Ok((mac(0), mac(6), ethertype))
+}
+
 impl EthernetFrame {
     /// Serialize to raw bytes.
     pub fn emit(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER_LEN + self.payload.len());
-        buf.put_slice(&self.dst.0);
-        buf.put_slice(&self.src.0);
-        buf.put_u16(self.ethertype.value());
+        let mut buf = BytesMut::with_capacity(self.wire_len());
+        put_header(&mut buf, self.dst, self.src, self.ethertype);
         buf.put_slice(&self.payload);
         buf.freeze()
     }
 
-    /// Parse from raw bytes.
-    pub fn parse(data: &[u8]) -> Result<EthernetFrame, WireError> {
-        if data.len() < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        dst.copy_from_slice(&data[0..6]);
-        src.copy_from_slice(&data[6..12]);
-        let ethertype = EtherType::from_value(u16::from_be_bytes([data[12], data[13]]));
+    /// Parse from raw bytes. The payload is a view into `data`.
+    pub fn parse(data: &Bytes) -> Result<EthernetFrame, WireError> {
+        let (dst, src, ethertype) = parse_header(data)?;
         Ok(EthernetFrame {
-            dst: MacAddr(dst),
-            src: MacAddr(src),
+            dst,
+            src,
             ethertype,
-            payload: Bytes::copy_from_slice(&data[HEADER_LEN..]),
+            payload: data.slice(HEADER_LEN..),
         })
     }
 
@@ -144,7 +153,7 @@ mod tests {
     #[test]
     fn too_short_is_truncated() {
         assert_eq!(
-            EthernetFrame::parse(&[0u8; 13]).unwrap_err(),
+            EthernetFrame::parse(&Bytes::from_static(&[0u8; 13])).unwrap_err(),
             WireError::Truncated
         );
     }

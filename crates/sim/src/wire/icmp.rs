@@ -27,22 +27,33 @@ pub struct IcmpEcho {
 }
 
 impl IcmpEcho {
-    /// Serialize with a valid checksum.
-    pub fn emit(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER_LEN + self.payload.len());
+    /// Length of the emitted message: header and payload.
+    pub(crate) fn wire_len(&self) -> usize {
+        HEADER_LEN + self.payload.len()
+    }
+
+    /// Append the message to `buf`, with a valid checksum.
+    pub(super) fn put(&self, buf: &mut BytesMut) {
+        let start = buf.len();
         buf.put_u8(if self.is_request { 8 } else { 0 });
         buf.put_u8(0); // code
         buf.put_u16(0); // checksum placeholder
         buf.put_u16(self.ident);
         buf.put_u16(self.seq);
         buf.put_slice(&self.payload);
-        let c = checksum::checksum(&buf);
-        buf[2..4].copy_from_slice(&c.to_be_bytes());
+        let c = checksum::checksum(&buf[start..]);
+        buf[start + 2..start + 4].copy_from_slice(&c.to_be_bytes());
+    }
+
+    /// Serialize with a valid checksum.
+    pub fn emit(&self) -> Bytes {
+        let mut buf = BytesMut::with_capacity(self.wire_len());
+        self.put(&mut buf);
         buf.freeze()
     }
 
-    /// Parse and verify the checksum.
-    pub fn parse(data: &[u8]) -> Result<IcmpEcho, WireError> {
+    /// Parse and verify the checksum. The payload is a view into `data`.
+    pub fn parse(data: &Bytes) -> Result<IcmpEcho, WireError> {
         if data.len() < HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -61,7 +72,7 @@ impl IcmpEcho {
             is_request,
             ident: u16::from_be_bytes([data[4], data[5]]),
             seq: u16::from_be_bytes([data[6], data[7]]),
-            payload: Bytes::copy_from_slice(&data[HEADER_LEN..]),
+            payload: data.slice(HEADER_LEN..),
         })
     }
 
@@ -112,7 +123,10 @@ mod tests {
     fn corruption_detected() {
         let mut bytes = request().emit().to_vec();
         bytes[6] ^= 0x40;
-        assert_eq!(IcmpEcho::parse(&bytes).unwrap_err(), WireError::BadChecksum);
+        assert_eq!(
+            IcmpEcho::parse(&Bytes::from(bytes)).unwrap_err(),
+            WireError::BadChecksum
+        );
     }
 
     #[test]
@@ -121,13 +135,16 @@ mod tests {
         let mut buf = vec![3u8, 0, 0, 0, 0, 0, 0, 0];
         let c = checksum::checksum(&buf);
         buf[2..4].copy_from_slice(&c.to_be_bytes());
-        assert_eq!(IcmpEcho::parse(&buf).unwrap_err(), WireError::Malformed);
+        assert_eq!(
+            IcmpEcho::parse(&Bytes::from(buf)).unwrap_err(),
+            WireError::Malformed
+        );
     }
 
     #[test]
     fn truncated_rejected() {
         assert_eq!(
-            IcmpEcho::parse(&[8, 0, 0]).unwrap_err(),
+            IcmpEcho::parse(&Bytes::from_static(&[8, 0, 0])).unwrap_err(),
             WireError::Truncated
         );
     }

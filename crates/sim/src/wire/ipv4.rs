@@ -64,30 +64,54 @@ pub struct Ipv4Packet {
     pub payload: Bytes,
 }
 
+/// Append an option-less header for a packet carrying `payload_len`
+/// transport bytes, header checksum included.
+pub(super) fn put_header(
+    buf: &mut BytesMut,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    protocol: IpProtocol,
+    ttl: u8,
+    ident: u16,
+    payload_len: usize,
+) {
+    let total_len = HEADER_LEN + payload_len;
+    assert!(total_len <= u16::MAX as usize, "IPv4 packet too large");
+    let start = buf.len();
+    buf.put_u8(0x45); // version 4, IHL 5
+    buf.put_u8(0); // DSCP/ECN
+    buf.put_u16(total_len as u16);
+    buf.put_u16(ident);
+    buf.put_u16(0x4000); // flags: DF, fragment offset 0
+    buf.put_u8(ttl);
+    buf.put_u8(protocol.value());
+    buf.put_u16(0); // checksum placeholder
+    buf.put_slice(&src.octets());
+    buf.put_slice(&dst.octets());
+    let c = checksum::checksum(&buf[start..]);
+    buf[start + 10..start + 12].copy_from_slice(&c.to_be_bytes());
+}
+
 impl Ipv4Packet {
     /// Serialize, computing the header checksum.
     pub fn emit(&self) -> Bytes {
-        let total_len = HEADER_LEN + self.payload.len();
-        assert!(total_len <= u16::MAX as usize, "IPv4 packet too large");
-        let mut buf = BytesMut::with_capacity(total_len);
-        buf.put_u8(0x45); // version 4, IHL 5
-        buf.put_u8(0); // DSCP/ECN
-        buf.put_u16(total_len as u16);
-        buf.put_u16(self.ident);
-        buf.put_u16(0x4000); // flags: DF, fragment offset 0
-        buf.put_u8(self.ttl);
-        buf.put_u8(self.protocol.value());
-        buf.put_u16(0); // checksum placeholder
-        buf.put_slice(&self.src.octets());
-        buf.put_slice(&self.dst.octets());
-        let c = checksum::checksum(&buf[..HEADER_LEN]);
-        buf[10..12].copy_from_slice(&c.to_be_bytes());
+        let mut buf = BytesMut::with_capacity(self.wire_len());
+        put_header(
+            &mut buf,
+            self.src,
+            self.dst,
+            self.protocol,
+            self.ttl,
+            self.ident,
+            self.payload.len(),
+        );
         buf.put_slice(&self.payload);
         buf.freeze()
     }
 
-    /// Parse and verify the header checksum and length fields.
-    pub fn parse(data: &[u8]) -> Result<Ipv4Packet, WireError> {
+    /// Parse and verify the header checksum and length fields. The
+    /// payload is a view into `data`.
+    pub fn parse(data: &Bytes) -> Result<Ipv4Packet, WireError> {
         if data.len() < HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -116,7 +140,7 @@ impl Ipv4Packet {
             protocol,
             ttl,
             ident,
-            payload: Bytes::copy_from_slice(&data[ihl..total_len]),
+            payload: data.slice(ihl..total_len),
         })
     }
 
@@ -159,7 +183,7 @@ mod tests {
         let mut bytes = sample().emit().to_vec();
         bytes[8] ^= 0x55; // flip TTL bits
         assert_eq!(
-            Ipv4Packet::parse(&bytes).unwrap_err(),
+            Ipv4Packet::parse(&Bytes::from(bytes)).unwrap_err(),
             WireError::BadChecksum
         );
     }
@@ -168,7 +192,10 @@ mod tests {
     fn rejects_non_v4() {
         let mut bytes = sample().emit().to_vec();
         bytes[0] = 0x65; // version 6
-        assert_eq!(Ipv4Packet::parse(&bytes).unwrap_err(), WireError::Malformed);
+        assert_eq!(
+            Ipv4Packet::parse(&Bytes::from(bytes)).unwrap_err(),
+            WireError::Malformed
+        );
     }
 
     #[test]
@@ -182,13 +209,16 @@ mod tests {
         bytes[11] = 0;
         let c = checksum::checksum(&bytes[..HEADER_LEN]);
         bytes[10..12].copy_from_slice(&c.to_be_bytes());
-        assert_eq!(Ipv4Packet::parse(&bytes).unwrap_err(), WireError::BadLength);
+        assert_eq!(
+            Ipv4Packet::parse(&Bytes::from(bytes)).unwrap_err(),
+            WireError::BadLength
+        );
     }
 
     #[test]
     fn truncated() {
         assert_eq!(
-            Ipv4Packet::parse(&[0x45; 10]).unwrap_err(),
+            Ipv4Packet::parse(&Bytes::from_static(&[0x45; 10])).unwrap_err(),
             WireError::Truncated
         );
     }
@@ -199,7 +229,7 @@ mod tests {
         let p = sample();
         let mut bytes = p.emit().to_vec();
         bytes.extend_from_slice(&[0u8; 12]);
-        let q = Ipv4Packet::parse(&bytes).unwrap();
+        let q = Ipv4Packet::parse(&Bytes::from(bytes)).unwrap();
         assert_eq!(q.payload, p.payload);
     }
 }

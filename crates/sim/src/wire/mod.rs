@@ -4,6 +4,13 @@
 //! experiment harness recovers its ground-truth timestamps (`tN` in the
 //! paper's Eq. 1) by parsing capture-tap records with these parsers — the
 //! same workflow as running WinDump/tcpdump next to a browser.
+//!
+//! A frame is one buffer. [`Envelope`] writes the Ethernet, IPv4 and
+//! transport headers, every checksum and the payload into it in one
+//! pass; each layer's own `emit` is the layered reference it must equal
+//! byte for byte. Every parser takes the frame's `&Bytes` and returns
+//! payloads as views into it (`Bytes::slice`), so reading a frame copies
+//! nothing, while every checksum is still verified.
 
 pub mod checksum;
 pub mod datagram;
@@ -20,7 +27,9 @@ pub use ipv4::{IpProtocol, Ipv4Packet};
 pub use tcp::{TcpFlags, TcpSegment};
 pub use udp::UdpDatagram;
 
+use bytes::{Bytes, BytesMut};
 use std::fmt;
+use std::net::Ipv4Addr;
 
 /// Errors raised while parsing or emitting wire formats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +56,75 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// The link and network header fields of an Ethernet II + IPv4 frame,
+/// for building a whole frame in one buffer.
+///
+/// `envelope.tcp(&seg)` equals the layered
+/// `EthernetFrame { payload: Ipv4Packet { payload: seg.emit(src_ip, dst_ip), .. }.emit(), .. }.emit()`
+/// byte for byte, and likewise [`Envelope::udp`] and [`Envelope::icmp`],
+/// but it allocates one buffer instead of three and copies the payload
+/// once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Envelope {
+    /// Destination MAC.
+    pub dst_mac: MacAddr,
+    /// Source MAC.
+    pub src_mac: MacAddr,
+    /// Source IPv4 address.
+    pub src_ip: Ipv4Addr,
+    /// Destination IPv4 address.
+    pub dst_ip: Ipv4Addr,
+    /// IPv4 time to live.
+    pub ttl: u8,
+    /// IPv4 identification field.
+    pub ident: u16,
+}
+
+impl Envelope {
+    /// A TCP segment in a frame.
+    pub fn tcp(&self, seg: &TcpSegment) -> Bytes {
+        self.frame(IpProtocol::Tcp, seg.wire_len(), |buf| {
+            seg.put(buf, self.src_ip, self.dst_ip)
+        })
+    }
+
+    /// A UDP datagram in a frame.
+    pub fn udp(&self, dgram: &UdpDatagram) -> Bytes {
+        self.frame(IpProtocol::Udp, dgram.wire_len(), |buf| {
+            dgram.put(buf, self.src_ip, self.dst_ip)
+        })
+    }
+
+    /// An ICMP echo message in a frame.
+    pub fn icmp(&self, echo: &IcmpEcho) -> Bytes {
+        self.frame(IpProtocol::Icmp, echo.wire_len(), |buf| echo.put(buf))
+    }
+
+    /// The two headers, then the `transport_len` bytes `put` appends.
+    fn frame(
+        &self,
+        protocol: IpProtocol,
+        transport_len: usize,
+        put: impl FnOnce(&mut BytesMut),
+    ) -> Bytes {
+        let len = ethernet::HEADER_LEN + ipv4::HEADER_LEN + transport_len;
+        let mut buf = BytesMut::with_capacity(len);
+        ethernet::put_header(&mut buf, self.dst_mac, self.src_mac, EtherType::Ipv4);
+        ipv4::put_header(
+            &mut buf,
+            self.src_ip,
+            self.dst_ip,
+            protocol,
+            self.ttl,
+            self.ident,
+            transport_len,
+        );
+        put(&mut buf);
+        debug_assert_eq!(buf.len(), len);
+        buf.freeze()
+    }
+}
 
 /// A fully parsed client-visible packet: Ethernet → IPv4 → TCP/UDP.
 ///
@@ -77,8 +155,9 @@ pub enum Transport {
 
 impl ParsedPacket {
     /// Parse a raw Ethernet frame all the way to the transport layer,
-    /// verifying every checksum on the way.
-    pub fn parse(frame: &[u8]) -> Result<ParsedPacket, WireError> {
+    /// verifying every checksum on the way. Every layer's payload is a
+    /// view into `frame`.
+    pub fn parse(frame: &Bytes) -> Result<ParsedPacket, WireError> {
         let eth = EthernetFrame::parse(frame)?;
         if eth.ethertype != EtherType::Ipv4 {
             return Err(WireError::Malformed);
@@ -113,8 +192,6 @@ impl ParsedPacket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use std::net::Ipv4Addr;
 
     #[test]
     fn end_to_end_tcp_roundtrip() {
@@ -200,6 +277,6 @@ mod tests {
         // Corrupt a byte inside the TCP header (after 14 eth + 20 ip).
         let idx = 14 + 20 + 4;
         bytes[idx] ^= 0xFF;
-        assert!(ParsedPacket::parse(&bytes).is_err());
+        assert!(ParsedPacket::parse(&Bytes::from(bytes)).is_err());
     }
 }

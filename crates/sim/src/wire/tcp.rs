@@ -34,11 +34,6 @@ impl TcpFlags {
     pub fn contains(self, other: TcpFlags) -> bool {
         self.0 & other.0 == other.0
     }
-
-    /// Whether any flag in `other` is set in `self`.
-    pub fn intersects(self, other: TcpFlags) -> bool {
-        self.0 & other.0 != 0
-    }
 }
 
 impl BitOr for TcpFlags {
@@ -95,13 +90,17 @@ pub struct TcpSegment {
 }
 
 impl TcpSegment {
-    /// Serialize with a valid checksum over the given pseudo-header
-    /// addresses.
-    pub fn emit(&self, src_ip: Ipv4Addr, dst_ip: Ipv4Addr) -> Bytes {
+    /// Length of the emitted segment: header, MSS option and payload.
+    pub(crate) fn wire_len(&self) -> usize {
         let opt_len = if self.mss.is_some() { 4 } else { 0 };
-        let header_len = HEADER_LEN + opt_len;
-        let total = header_len + self.payload.len();
-        let mut buf = BytesMut::with_capacity(total);
+        HEADER_LEN + opt_len + self.payload.len()
+    }
+
+    /// Append the segment to `buf`, with a valid checksum over the given
+    /// pseudo-header addresses.
+    pub(super) fn put(&self, buf: &mut BytesMut, src_ip: Ipv4Addr, dst_ip: Ipv4Addr) {
+        let start = buf.len();
+        let header_len = self.wire_len() - self.payload.len();
         buf.put_u16(self.src_port);
         buf.put_u16(self.dst_port);
         buf.put_u32(self.seq);
@@ -117,15 +116,28 @@ impl TcpSegment {
             buf.put_u16(mss);
         }
         buf.put_slice(&self.payload);
-        let mut acc = checksum::pseudo_header(src_ip, dst_ip, 6, total);
-        acc = checksum::sum(acc, &buf);
+        let segment = &buf[start..];
+        let mut acc = checksum::pseudo_header(src_ip, dst_ip, 6, segment.len());
+        acc = checksum::sum(acc, segment);
         let c = checksum::finish(acc);
-        buf[16..18].copy_from_slice(&c.to_be_bytes());
+        buf[start + 16..start + 18].copy_from_slice(&c.to_be_bytes());
+    }
+
+    /// Serialize with a valid checksum over the given pseudo-header
+    /// addresses.
+    pub fn emit(&self, src_ip: Ipv4Addr, dst_ip: Ipv4Addr) -> Bytes {
+        let mut buf = BytesMut::with_capacity(self.wire_len());
+        self.put(&mut buf, src_ip, dst_ip);
         buf.freeze()
     }
 
-    /// Parse and verify the checksum against the pseudo-header.
-    pub fn parse(data: &[u8], src_ip: Ipv4Addr, dst_ip: Ipv4Addr) -> Result<TcpSegment, WireError> {
+    /// Parse and verify the checksum against the pseudo-header. The
+    /// payload is a view into `data`.
+    pub fn parse(
+        data: &Bytes,
+        src_ip: Ipv4Addr,
+        dst_ip: Ipv4Addr,
+    ) -> Result<TcpSegment, WireError> {
         if data.len() < HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -178,7 +190,7 @@ impl TcpSegment {
             flags,
             window,
             mss,
-            payload: Bytes::copy_from_slice(&data[data_offset..]),
+            payload: data.slice(data_offset..),
         })
     }
 
@@ -282,7 +294,7 @@ mod tests {
     #[test]
     fn truncated_rejected() {
         assert_eq!(
-            TcpSegment::parse(&[0u8; 10], A, B).unwrap_err(),
+            TcpSegment::parse(&Bytes::from_static(&[0u8; 10]), A, B).unwrap_err(),
             WireError::Truncated
         );
     }

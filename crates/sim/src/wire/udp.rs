@@ -21,29 +21,41 @@ pub struct UdpDatagram {
 }
 
 impl UdpDatagram {
-    /// Serialize with a valid checksum.
-    pub fn emit(&self, src_ip: Ipv4Addr, dst_ip: Ipv4Addr) -> Bytes {
-        let total = HEADER_LEN + self.payload.len();
-        let mut buf = BytesMut::with_capacity(total);
+    /// Length of the emitted datagram: header and payload.
+    pub(crate) fn wire_len(&self) -> usize {
+        HEADER_LEN + self.payload.len()
+    }
+
+    /// Append the datagram to `buf`, with a valid checksum.
+    pub(super) fn put(&self, buf: &mut BytesMut, src_ip: Ipv4Addr, dst_ip: Ipv4Addr) {
+        let start = buf.len();
+        let total = self.wire_len();
         buf.put_u16(self.src_port);
         buf.put_u16(self.dst_port);
         buf.put_u16(total as u16);
         buf.put_u16(0); // checksum placeholder
         buf.put_slice(&self.payload);
         let mut acc = checksum::pseudo_header(src_ip, dst_ip, 17, total);
-        acc = checksum::sum(acc, &buf);
+        acc = checksum::sum(acc, &buf[start..]);
         let mut c = checksum::finish(acc);
         // RFC 768: a computed zero checksum is transmitted as all ones.
         if c == 0 {
             c = 0xFFFF;
         }
-        buf[6..8].copy_from_slice(&c.to_be_bytes());
+        buf[start + 6..start + 8].copy_from_slice(&c.to_be_bytes());
+    }
+
+    /// Serialize with a valid checksum.
+    pub fn emit(&self, src_ip: Ipv4Addr, dst_ip: Ipv4Addr) -> Bytes {
+        let mut buf = BytesMut::with_capacity(self.wire_len());
+        self.put(&mut buf, src_ip, dst_ip);
         buf.freeze()
     }
 
-    /// Parse and verify length and checksum.
+    /// Parse and verify length and checksum. The payload is a view into
+    /// `data`.
     pub fn parse(
-        data: &[u8],
+        data: &Bytes,
         src_ip: Ipv4Addr,
         dst_ip: Ipv4Addr,
     ) -> Result<UdpDatagram, WireError> {
@@ -65,7 +77,7 @@ impl UdpDatagram {
         Ok(UdpDatagram {
             src_port: u16::from_be_bytes([data[0], data[1]]),
             dst_port: u16::from_be_bytes([data[2], data[3]]),
-            payload: Bytes::copy_from_slice(&data[HEADER_LEN..len]),
+            payload: data.slice(HEADER_LEN..len),
         })
     }
 }
@@ -101,7 +113,7 @@ mod tests {
         let mut bytes = d.emit(A, B).to_vec();
         bytes[8] ^= 0x01;
         assert_eq!(
-            UdpDatagram::parse(&bytes, A, B).unwrap_err(),
+            UdpDatagram::parse(&Bytes::from(bytes), A, B).unwrap_err(),
             WireError::BadChecksum
         );
     }
@@ -128,7 +140,7 @@ mod tests {
         bytes[4] = 0xFF;
         bytes[5] = 0xFF;
         assert_eq!(
-            UdpDatagram::parse(&bytes, A, B).unwrap_err(),
+            UdpDatagram::parse(&Bytes::from(bytes), A, B).unwrap_err(),
             WireError::BadLength
         );
     }

@@ -67,11 +67,6 @@ impl WindowedSketch {
         self.span_pans
     }
 
-    /// Window span in nanoseconds.
-    pub fn span_ns(&self) -> u64 {
-        self.pan_ns.saturating_mul(self.span_pans as u64)
-    }
-
     /// The guaranteed relative error of merged-window quantiles — the
     /// same `√γ − 1` bound every per-pan sketch carries (merging only
     /// adds bucket counts, it never re-buckets).

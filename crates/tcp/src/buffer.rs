@@ -60,9 +60,7 @@ impl SendBuffer {
             return Bytes::new();
         }
         let take = len.min(self.data.len() - offset);
-        let mut out = Vec::with_capacity(take);
-        out.extend(self.data.iter().skip(offset).take(take));
-        Bytes::from(out)
+        Bytes::from(copy_range(&self.data, offset, take))
     }
 
     /// Acknowledge everything below `ack`: drop it from the buffer.
@@ -131,7 +129,8 @@ impl RecvBuffer {
     /// Drain up to `max` bytes for the application.
     pub fn read(&mut self, max: usize) -> Bytes {
         let take = max.min(self.data.len());
-        let out: Vec<u8> = self.data.drain(..take).collect();
+        let out = copy_range(&self.data, 0, take);
+        self.data.drain(..take);
         Bytes::from(out)
     }
 
@@ -139,6 +138,19 @@ impl RecvBuffer {
     pub fn read_all(&mut self) -> Bytes {
         self.read(usize::MAX)
     }
+}
+
+/// `len` bytes of `data` from `offset`, copied a slice at a time from
+/// the deque's (at most two) contiguous runs.
+fn copy_range(data: &VecDeque<u8>, offset: usize, len: usize) -> Vec<u8> {
+    let (front, back) = data.as_slices();
+    let mut out = Vec::with_capacity(len);
+    let head = front.get(offset..).unwrap_or_default();
+    let from_head = head.len().min(len);
+    out.extend_from_slice(&head[..from_head]);
+    let skip = offset.saturating_sub(front.len());
+    out.extend_from_slice(&back[skip..skip + len - from_head]);
+    out
 }
 
 #[cfg(test)]
@@ -197,6 +209,27 @@ mod tests {
         assert_eq!(r.window(), 4);
         assert_eq!(&r.read_all()[..], b"efgh");
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn copies_span_the_deque_wrap() {
+        // Draining the front and refilling wraps the ring, so the bytes
+        // sit in two runs.
+        let mut b = SendBuffer::new(SeqNum(0), 8);
+        b.write(b"abcdefgh");
+        b.ack_to(SeqNum(6));
+        b.write(b"ijklmn");
+        let (front, back) = b.data.as_slices();
+        assert!(!front.is_empty() && !back.is_empty(), "the ring wrapped");
+        assert_eq!(&b.peek(SeqNum(6), 8)[..], b"ghijklmn");
+        assert_eq!(&b.peek(SeqNum(7), 3)[..], b"hij");
+        assert_eq!(&b.peek(SeqNum(9), 4)[..], b"jklm");
+        let mut r = RecvBuffer::new(8);
+        r.push(b"abcdefgh");
+        r.read(6);
+        r.push(b"ijklmn");
+        assert_eq!(&r.read(5)[..], b"ghijk");
+        assert_eq!(&r.read_all()[..], b"lmn");
     }
 
     #[test]

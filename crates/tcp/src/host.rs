@@ -20,9 +20,7 @@ use bytes::Bytes;
 
 use bnm_sim::engine::{Ctx, Node, PortNo};
 use bnm_sim::time::{SimDuration, SimTime};
-use bnm_sim::wire::{
-    EtherType, EthernetFrame, IcmpEcho, IpProtocol, Ipv4Packet, MacAddr, ParsedPacket, Transport,
-};
+use bnm_sim::wire::{Envelope, IcmpEcho, MacAddr, ParsedPacket, Transport};
 
 use crate::socket::{SocketId, TcpConfig};
 use crate::stack::{SockEvent, TcpStack};
@@ -62,12 +60,6 @@ impl HostConfig {
     /// Add a static neighbor entry.
     pub fn with_neighbor(mut self, ip: Ipv4Addr, mac: MacAddr) -> Self {
         self.neighbors.push((ip, mac));
-        self
-    }
-
-    /// Override the TCP config.
-    pub fn with_tcp(mut self, tcp: TcpConfig) -> Self {
-        self.tcp = tcp;
         self
     }
 }
@@ -194,53 +186,45 @@ impl HostCtx<'_, '_> {
             seq,
             payload,
         };
-        let frame = self.build_ip_frame(dst, IpProtocol::Icmp, echo.emit());
+        let frame = self.envelope(dst).icmp(&echo);
         self.sim.send_frame(0, frame);
     }
 
     /// Send an ICMP echo reply (used internally by the host "kernel").
     pub(crate) fn send_ping_reply(&mut self, dst: Ipv4Addr, echo: &IcmpEcho) {
-        let frame = self.build_ip_frame(dst, IpProtocol::Icmp, echo.reply().emit());
+        let frame = self.envelope(dst).icmp(&echo.reply());
         self.sim.send_frame(0, frame);
     }
 
-    /// Push everything the stacks queued onto the wire.
+    /// Push everything the stacks queued onto the wire, each frame
+    /// built in one buffer.
     fn flush(&mut self) {
-        let src_ip = self.cfg.ip;
         for (dst_ip, seg) in self.tcp.take_out() {
-            let payload = seg.emit(src_ip, dst_ip);
-            let frame = self.build_ip_frame(dst_ip, IpProtocol::Tcp, payload);
+            let frame = self.envelope(dst_ip).tcp(&seg);
             self.sim.send_frame(0, frame);
         }
         for (dst_ip, dgram) in self.udp.take_out() {
-            let payload = dgram.emit(src_ip, dst_ip);
-            let frame = self.build_ip_frame(dst_ip, IpProtocol::Udp, payload);
+            let frame = self.envelope(dst_ip).udp(&dgram);
             self.sim.send_frame(0, frame);
         }
     }
 
-    fn build_ip_frame(&mut self, dst_ip: Ipv4Addr, protocol: IpProtocol, payload: Bytes) -> Bytes {
+    /// The headers of the next frame to `dst_ip`: one more IP ident, and
+    /// the neighbor's MAC (broadcast when unknown).
+    fn envelope(&mut self, dst_ip: Ipv4Addr) -> Envelope {
         *self.ip_ident = self.ip_ident.wrapping_add(1);
-        let ip = Ipv4Packet {
-            src: self.cfg.ip,
-            dst: dst_ip,
-            protocol,
+        Envelope {
+            dst_mac: self
+                .neighbor_cache
+                .get(&dst_ip)
+                .copied()
+                .unwrap_or(MacAddr::BROADCAST),
+            src_mac: self.cfg.mac,
+            src_ip: self.cfg.ip,
+            dst_ip,
             ttl: 64,
             ident: *self.ip_ident,
-            payload,
-        };
-        let dst_mac = self
-            .neighbor_cache
-            .get(&dst_ip)
-            .copied()
-            .unwrap_or(MacAddr::BROADCAST);
-        EthernetFrame {
-            dst: dst_mac,
-            src: self.cfg.mac,
-            ethertype: EtherType::Ipv4,
-            payload: ip.emit(),
         }
-        .emit()
     }
 }
 
@@ -295,11 +279,6 @@ impl<A: HostApp> Host<A> {
     /// Borrow the application (to read results after a run).
     pub fn app(&self) -> &A {
         &self.app
-    }
-
-    /// Mutably borrow the application (to configure before a run).
-    pub fn app_mut(&mut self) -> &mut A {
-        &mut self.app
     }
 
     /// Borrow the TCP stack (diagnostics).

@@ -165,11 +165,6 @@ impl TcpStack {
         self.listeners.insert(port);
     }
 
-    /// Stop listening on `port` (existing connections unaffected).
-    pub fn unlisten(&mut self, port: u16) {
-        self.listeners.remove(&port);
-    }
-
     /// Open a connection to `peer`; the SYN leaves immediately.
     pub fn connect(&mut self, now: SimTime, peer: (Ipv4Addr, u16)) -> SocketId {
         self.connect_with(now, peer, self.cfg)

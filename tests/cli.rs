@@ -174,8 +174,6 @@ fn hex_and_decimal_seeds_run_identically() {
         let title = hex.lines().next().unwrap_or_default();
         assert!(title.contains("seed 0x10"), "{cmd:?} title: {title}");
     }
-    // A sweep row's last two columns are frame-pool gauges, which depend
-    // on how the executor spread the reps over threads: compare the rest.
     let impair = |seed, format| {
         stdout_of(&[
             "impair", "--method", "xhr_get", "--reps", "2", "--seed", seed, "--format", format,
@@ -190,13 +188,7 @@ fn hex_and_decimal_seeds_run_identically() {
             .contains("seed 0x10"),
         "{title}"
     );
-    let rows = |seed| -> Vec<String> {
-        let csv = impair(seed, "csv");
-        csv.lines()
-            .map(|l| l.rsplitn(3, ',').last().unwrap_or_default().to_string())
-            .collect()
-    };
-    assert_eq!(rows("0x10"), rows("16"));
+    assert_eq!(impair("0x10", "csv"), impair("16", "csv"));
 }
 
 /// An artifact that cannot be written fails the run (exit 1) and names
@@ -210,12 +202,12 @@ fn unwritable_results_directory_exits_1() {
 }
 
 /// `bnm reproduce` at one seed writes the same artifacts and prints the
-/// same report every time.
+/// same report every time, the executor-run sweeps included.
 #[test]
 fn reproduce_is_deterministic() {
     let dir = std::env::temp_dir().join(format!("bnm-reproduce-{}", std::process::id()));
     let results = dir.to_str().expect("a UTF-8 temp path");
-    let names = ["table1", "table2", "table3"];
+    let names = ["table1", "table2", "table3", "impair", "contend", "webrtc"];
     let only = names.join(",");
     let run = || {
         let stdout = stdout_of(&[
@@ -227,9 +219,9 @@ fn reproduce_is_deterministic() {
             "--results",
             results,
         ]);
-        let files: Vec<Vec<u8>> = ["table1.csv", "table2.csv", "table3.csv"]
+        let files: Vec<Vec<u8>> = names
             .iter()
-            .map(|f| std::fs::read(dir.join(f)).expect("an artifact"))
+            .map(|f| std::fs::read(dir.join(format!("{f}.csv"))).expect("an artifact"))
             .collect();
         (stdout, files)
     };

@@ -43,7 +43,9 @@ fn pcap_export_roundtrips_through_the_parser() {
     while offset < bytes.len() {
         let incl = u32::from_le_bytes(bytes[offset + 8..offset + 12].try_into().unwrap()) as usize;
         let frame = &bytes[offset + 16..offset + 16 + incl];
-        assert!(bnm::sim::wire::EthernetFrame::parse(frame).is_ok());
+        assert!(
+            bnm::sim::wire::EthernetFrame::parse(&bytes::Bytes::copy_from_slice(frame)).is_ok()
+        );
         frames += 1;
         offset += 16 + incl;
     }

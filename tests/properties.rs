@@ -6,17 +6,110 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
+use bnm::core::frames::payload_of;
 use bnm::http::websocket::{accept_key, base64, frame::Frame, frame::FrameDecoder, frame::Opcode};
 use bnm::sim::time::{SimDuration, SimTime};
 use bnm::sim::wire::{
-    EtherType, EthernetFrame, IpProtocol, Ipv4Packet, MacAddr, ParsedPacket, TcpFlags, TcpSegment,
-    UdpDatagram,
+    DataChunk, Envelope, EtherType, EthernetFrame, IcmpEcho, IpProtocol, Ipv4Packet, MacAddr,
+    ParsedPacket, TcpFlags, TcpSegment, Transport, UdpDatagram,
 };
 use bnm::stats::{summary::quantile, BoxStats, Cdf, Summary};
 use bnm::tcp::seq::SeqNum;
 
 fn ip_strategy() -> impl Strategy<Value = Ipv4Addr> {
     any::<u32>().prop_map(Ipv4Addr::from)
+}
+
+/// A TCP (with or without MSS), UDP or ICMP frame, by `kind % 3`, built
+/// both ways: `(one pass, layered reference)`.
+fn frame_both_ways(
+    kind: u8,
+    env: &Envelope,
+    seed: u64,
+    mss: Option<u16>,
+    payload: &[u8],
+) -> (Bytes, Bytes) {
+    let payload = Bytes::copy_from_slice(payload);
+    let (protocol, one_pass, transport) = match kind % 3 {
+        0 => {
+            let seg = TcpSegment {
+                src_port: seed as u16,
+                dst_port: (seed >> 16) as u16,
+                seq: (seed >> 8) as u32,
+                ack: (seed >> 24) as u32,
+                flags: TcpFlags((seed >> 40) as u8 & 0x1F),
+                window: (seed >> 48) as u16,
+                mss,
+                payload,
+            };
+            (
+                IpProtocol::Tcp,
+                env.tcp(&seg),
+                seg.emit(env.src_ip, env.dst_ip),
+            )
+        }
+        1 => {
+            let dgram = UdpDatagram {
+                src_port: seed as u16,
+                dst_port: (seed >> 16) as u16,
+                payload,
+            };
+            (
+                IpProtocol::Udp,
+                env.udp(&dgram),
+                dgram.emit(env.src_ip, env.dst_ip),
+            )
+        }
+        _ => {
+            let echo = IcmpEcho {
+                is_request: seed & 1 == 0,
+                ident: (seed >> 16) as u16,
+                seq: (seed >> 32) as u16,
+                payload,
+            };
+            (IpProtocol::Icmp, env.icmp(&echo), echo.emit())
+        }
+    };
+    let layered = EthernetFrame {
+        dst: env.dst_mac,
+        src: env.src_mac,
+        ethertype: EtherType::Ipv4,
+        payload: Ipv4Packet {
+            src: env.src_ip,
+            dst: env.dst_ip,
+            protocol,
+            ttl: env.ttl,
+            ident: env.ident,
+            payload: transport,
+        }
+        .emit(),
+    }
+    .emit();
+    (one_pass, layered)
+}
+
+/// Whether `view` lies inside `frame`'s bytes: a view, not a copy.
+fn is_view_into(view: &[u8], frame: &[u8]) -> bool {
+    let range = frame.as_ptr_range();
+    let (lo, hi) = (view.as_ptr(), view.as_ptr().wrapping_add(view.len()));
+    range.start <= lo && hi <= range.end
+}
+
+/// Feed `bytes` to every wire parser and to `payload_of`, as a frame and
+/// as each layer's input. Each returns `Ok` or a `WireError`; none may
+/// panic.
+fn parse_everywhere(bytes: &Bytes, src: Ipv4Addr, dst: Ipv4Addr) {
+    for at in [0, 14, 34] {
+        let b = bytes.slice(at.min(bytes.len())..);
+        let _ = EthernetFrame::parse(&b);
+        let _ = Ipv4Packet::parse(&b);
+        let _ = TcpSegment::parse(&b, src, dst);
+        let _ = UdpDatagram::parse(&b, src, dst);
+        let _ = IcmpEcho::parse(&b);
+        let _ = DataChunk::parse(&b);
+        let _ = ParsedPacket::parse(&b);
+        let _ = payload_of(&b);
+    }
 }
 
 proptest! {
@@ -84,7 +177,7 @@ proptest! {
         let mut bad = frame.to_vec();
         let idx = 14 + corrupt_at % (bad.len() - 14);
         bad[idx] ^= corrupt_xor;
-        let parsed = ParsedPacket::parse(&bad);
+        let parsed = ParsedPacket::parse(&Bytes::from(bad));
         prop_assert!(parsed.is_err(), "corruption at {} went unnoticed", idx);
     }
 
@@ -100,6 +193,75 @@ proptest! {
         let back = UdpDatagram::parse(&d.emit(src, dst), src, dst).unwrap();
         prop_assert_eq!(back.src_port, src_port);
         prop_assert_eq!(&back.payload[..], &payload[..]);
+    }
+
+    #[test]
+    fn one_pass_frames_equal_the_layered_reference_and_parse_to_views(
+        kind in 0u8..3,
+        seed in any::<u64>(),
+        mss in proptest::option::of(536u16..9000),
+        payload in proptest::collection::vec(any::<u8>(), 0..=1460),
+        macs in any::<[u8; 12]>(),
+        src in ip_strategy(),
+        dst in ip_strategy(),
+        ttl in any::<u8>(),
+        ident in any::<u16>(),
+    ) {
+        let env = Envelope {
+            dst_mac: MacAddr(macs[..6].try_into().unwrap()),
+            src_mac: MacAddr(macs[6..].try_into().unwrap()),
+            src_ip: src,
+            dst_ip: dst,
+            ttl,
+            ident,
+        };
+        let (frame, layered) = frame_both_ways(kind, &env, seed, mss, &payload);
+        prop_assert_eq!(&frame, &layered, "kind {}", kind);
+        let parsed = ParsedPacket::parse(&frame).expect("a built frame parses");
+        let body = match &parsed.transport {
+            Transport::Tcp(seg) => seg.payload.clone(),
+            Transport::Udp(d) => d.payload.clone(),
+            Transport::Icmp(e) => e.payload.clone(),
+            Transport::Other(p) => panic!("protocol {p}"),
+        };
+        prop_assert_eq!(&body[..], &payload[..]);
+        prop_assert!(is_view_into(&body, &frame), "kind {}: payload was copied", kind);
+        prop_assert!(is_view_into(&parsed.ip.payload, &frame));
+        if let Some(p) = payload_of(&frame) {
+            prop_assert!(is_view_into(&p, &frame), "payload_of copied");
+        }
+    }
+
+    #[test]
+    fn truncated_and_spliced_frames_are_errors_not_panics(
+        kinds in any::<[u8; 2]>(),
+        seed_a in any::<u64>(),
+        seed_b in any::<u64>(),
+        mss in proptest::option::of(536u16..9000),
+        payload in proptest::collection::vec(any::<u8>(), 0..200),
+        cut_a in any::<usize>(),
+        cut_b in any::<usize>(),
+    ) {
+        let (src, dst) = (Ipv4Addr::new(192, 168, 1, 2), Ipv4Addr::new(192, 168, 1, 10));
+        let env = Envelope {
+            dst_mac: MacAddr::local(1),
+            src_mac: MacAddr::local(2),
+            src_ip: src,
+            dst_ip: dst,
+            ttl: 64,
+            ident: 7,
+        };
+        let (a, _) = frame_both_ways(kinds[0], &env, seed_a, mss, &payload);
+        let (b, _) = frame_both_ways(kinds[1], &env, seed_b, mss, &payload[payload.len() / 2..]);
+        for n in 0..a.len() {
+            let prefix = a.slice(..n);
+            prop_assert!(ParsedPacket::parse(&prefix).is_err(), "a {}-byte prefix parsed", n);
+            parse_everywhere(&prefix, src, dst);
+        }
+        let (cut_a, cut_b) = (cut_a % (a.len() + 1), cut_b % (b.len() + 1));
+        let mut spliced = a[..cut_a].to_vec();
+        spliced.extend_from_slice(&b[cut_b..]);
+        parse_everywhere(&Bytes::from(spliced), src, dst);
     }
 
     // ---------- WebSocket / base64 ----------
