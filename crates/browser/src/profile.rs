@@ -188,7 +188,7 @@ impl ConnPolicy {
 }
 
 /// Code-path primitive latencies (all [`DelayModel`]s, µs scale).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathPrimitives {
     /// send(2) syscall → frame visible at the capture point.
     pub os_send: DelayModel,
@@ -242,7 +242,7 @@ pub struct PathPrimitives {
 }
 
 /// First-use costs added to round 1 only (object instantiation).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FirstUse {
     /// Creating the XHR object.
     pub xhr: DelayModel,
@@ -261,7 +261,7 @@ pub struct FirstUse {
 }
 
 /// A complete per-(runtime, OS) cost profile.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BrowserProfile {
     /// Which runtime this profiles.
     pub runtime: Runtime,

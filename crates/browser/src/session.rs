@@ -21,6 +21,7 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use rand::rngs::SmallRng;
@@ -97,8 +98,9 @@ pub struct SessionConfig {
     pub webrtc_port: u16,
     /// The method to execute.
     pub plan: ProbePlan,
-    /// The runtime cost profile.
-    pub profile: BrowserProfile,
+    /// The runtime cost profile. Sessions of one scenario that run the
+    /// same profile share one copy.
+    pub profile: Arc<BrowserProfile>,
     /// The client machine's timer (shared granularity regimes).
     pub machine: MachineTimer,
     /// Repetition token — embedded in probe markers so capture analysis
@@ -255,6 +257,12 @@ impl BrowserSession {
     /// The plan being executed.
     pub fn plan(&self) -> &ProbePlan {
         &self.cfg.plan
+    }
+
+    /// The runtime cost profile, shared with the scenario's other
+    /// sessions that run it.
+    pub fn profile(&self) -> &Arc<BrowserProfile> {
+        &self.cfg.profile
     }
 
     fn schedule(&mut self, ctx: &mut HostCtx, delay: SimDuration, step: Step) {
@@ -869,7 +877,7 @@ impl BrowserSession {
         let Some(parser) = self.parsers.get_mut(&sock) else {
             return;
         };
-        let mut outcome = parser.feed_at(now_ns, &data);
+        let mut outcome = parser.feed_at(now_ns, data);
         while let ParseOutcome::Response(resp) = outcome {
             let remainder = if resp.status == 101 {
                 Some(self.parsers.get_mut(&sock).unwrap().take_remainder())
@@ -1069,7 +1077,7 @@ mod tests {
             udp_port: 7,
             webrtc_port: 3478,
             plan,
-            profile,
+            profile: Arc::new(profile),
             machine,
             rep_token: 42,
             session: 0,
@@ -1270,7 +1278,7 @@ mod tests {
                     ProbeTransport::TcpEcho,
                     TimingApiKind::JavaDateGetTime,
                 ),
-                profile,
+                profile: Arc::new(profile),
                 machine,
                 rep_token: rep,
                 session: 0,
@@ -1382,7 +1390,7 @@ mod cache_tests {
             udp_port: 7,
             webrtc_port: 3478,
             plan,
-            profile,
+            profile: Arc::new(profile),
             machine,
             rep_token: 9,
             session: 0,

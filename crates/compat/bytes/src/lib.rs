@@ -15,7 +15,6 @@
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::mem::ManuallyDrop;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
@@ -29,10 +28,12 @@ use std::sync::Arc;
 /// buffer reclaimed on one thread is reused by that thread only.
 ///
 /// The free list is bounded by demand: a dropped buffer is parked only
-/// while the list holds fewer than [`PoolStats::live_peak`] buffers, as
+/// while the list holds fewer than
+/// [`PoolStats::live_peak`](pool::PoolStats::live_peak) buffers, as
 /// many as the thread has had alive at once since its last
-/// [`reset_stats`]. A thread therefore never parks more idle buffers
-/// than it has shown it can use; beyond that, a drop frees.
+/// [`reset_stats`](pool::reset_stats). A thread therefore never parks
+/// more idle buffers than it has shown it can use; beyond that, a drop
+/// frees.
 pub mod pool {
     use std::cell::RefCell;
 
@@ -165,17 +166,22 @@ pub mod pool {
 /// A cheaply cloneable, sliceable, immutable byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    // `ManuallyDrop` so `Drop` can take the `Arc` out and, when this was
-    // the last reference, recycle the backing `Vec` through the pool.
-    data: ManuallyDrop<Arc<Vec<u8>>>,
+    // `None` is the empty buffer, which owns no allocation. `Drop` takes
+    // the `Arc` out and, when this was the last reference, recycles the
+    // backing `Vec` through the pool.
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// The empty buffer.
-    pub fn new() -> Bytes {
-        Bytes::default()
+    /// The empty buffer. Allocates nothing, as in the upstream crate.
+    pub const fn new() -> Bytes {
+        Bytes {
+            data: None,
+            start: 0,
+            end: 0,
+        }
     }
 
     /// Wrap a static slice (no allocation in the real crate; here one
@@ -185,8 +191,11 @@ impl Bytes {
     }
 
     /// Copy a slice into a new buffer (recycled from the pool when one
-    /// is available).
+    /// is available). An empty slice gives the empty buffer.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
+        if data.is_empty() {
+            return Bytes::new();
+        }
         let mut v = pool::acquire(data.len());
         v.extend_from_slice(data);
         Bytes::from(v)
@@ -203,7 +212,8 @@ impl Bytes {
     }
 
     /// Zero-copy sub-view. Panics if the range is out of bounds,
-    /// matching the upstream crate.
+    /// matching the upstream crate. An empty range gives the empty
+    /// buffer, which keeps nothing alive.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
         let lo = match range.start_bound() {
             Bound::Included(&n) => n,
@@ -220,8 +230,11 @@ impl Bytes {
             "slice {lo}..{hi} out of bounds of {}",
             self.len()
         );
+        if lo == hi {
+            return Bytes::new();
+        }
         Bytes {
-            data: ManuallyDrop::new(Arc::clone(&self.data)),
+            data: self.data.clone(),
             start: self.start + lo,
             end: self.start + hi,
         }
@@ -235,13 +248,8 @@ impl Bytes {
 
 impl Drop for Bytes {
     fn drop(&mut self) {
-        // SAFETY: `self.data` is never touched again — this is the drop
-        // glue, and `ManuallyDrop` suppresses the automatic second drop.
-        let arc = unsafe { ManuallyDrop::take(&mut self.data) };
-        if let Ok(v) = Arc::try_unwrap(arc) {
-            if v.capacity() > 0 {
-                pool::note_death();
-            }
+        if let Some(Ok(v)) = self.data.take().map(Arc::try_unwrap) {
+            pool::note_death();
             pool::reclaim(v);
         }
     }
@@ -250,7 +258,10 @@ impl Drop for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(v) => &v[self.start..self.end],
+            None => &[],
+        }
     }
 }
 
@@ -268,15 +279,15 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        // Capacity-0 vectors (e.g. the derived `Default`) hold no
-        // allocation, so they don't count toward the live gauge —
-        // `Drop` applies the same gate.
-        if v.capacity() > 0 {
-            pool::note_birth();
+        // A capacity-0 vector holds no allocation: it becomes the empty
+        // buffer, which never counts toward the live gauge.
+        if v.capacity() == 0 {
+            return Bytes::new();
         }
+        pool::note_birth();
         let end = v.len();
         Bytes {
-            data: ManuallyDrop::new(Arc::new(v)),
+            data: Some(Arc::new(v)),
             start: 0,
             end,
         }

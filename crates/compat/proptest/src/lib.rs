@@ -141,7 +141,7 @@ macro_rules! impl_strategy_int_range {
             fn sample(&self, rng: &mut TestRng) -> $t {
                 assert!(self.start < self.end, "empty range strategy");
                 let span = (self.end as u128).wrapping_sub(self.start as u128);
-                self.start.wrapping_add(((u128::from(rng.next_u64()) % span) as $t))
+                self.start.wrapping_add((u128::from(rng.next_u64()) % span) as $t)
             }
         }
         impl Strategy for RangeInclusive<$t> {
@@ -252,7 +252,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Size specifications accepted by [`vec`].
+    /// Size specifications accepted by [`vec()`].
     pub trait SizeRange {
         /// Draw a length.
         fn sample_len(&self, rng: &mut TestRng) -> usize;
@@ -282,7 +282,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// The [`vec`] strategy.
+    /// The [`vec()`] strategy.
     pub struct VecStrategy<S, Z> {
         element: S,
         size: Z,

@@ -29,7 +29,8 @@ use crate::error::RunError;
 use crate::exec::Executor;
 use crate::impact::{JitterImpact, ThroughputImpact};
 use crate::report::{
-    panel_rows, panel_table, render_cdf_block, to_csv, DistSummary, Render, Table, Value,
+    panel_rows, panel_table, push_csv_rows, render_cdf_block, DistSummary, Render, Table, Value,
+    CSV_HEADER,
 };
 use crate::runner::{CellResult, DatagramSamples};
 use crate::sweep::{d1_slope, d2_slope, try_sweep};
@@ -197,7 +198,10 @@ fn table2(_: u64, _: u32) -> Artifact {
 /// Figure 3 (a)–(j): box plots of Δd1/Δd2 for the ten methods across the
 /// eight browser-OS combinations. The artifact holds every sample.
 fn fig3(seed: u64, n: u32) -> Artifact {
-    let mut out = Artifact::default();
+    let mut out = Artifact {
+        csv: CSV_HEADER.to_string(),
+        ..Artifact::default()
+    };
     for method in MethodId::FIGURE3 {
         let cells = figure3_combos()
             .into_iter()
@@ -214,7 +218,7 @@ fn fig3(seed: u64, n: u32) -> Artifact {
         let mut rows = Vec::new();
         for (cell, result) in &results {
             rows.extend(panel_rows(cell, result));
-            out.csv.push_str(&to_csv(cell, result));
+            push_csv_rows(&mut out.csv, cell, result);
         }
         let title = format!(
             "Figure 3({}) {}: Δd (ms), {n} reps/cell, seed {seed:#x}",

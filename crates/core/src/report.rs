@@ -18,7 +18,7 @@
 //!   same trait.
 //!
 //! The figure-style helpers ([`panel_rows`], [`panel_table`],
-//! [`render_cdf_block`], [`to_csv`]) serve the Figure 3/4 paths of
+//! [`render_cdf_block`], [`push_csv_rows`]) serve the Figure 3/4 paths of
 //! [`crate::experiments`].
 
 use std::fmt::Write as _;
@@ -920,9 +920,13 @@ pub fn render_cdf_block(title: &str, cdf: &Cdf, width: usize, height: usize) -> 
     )
 }
 
-/// One CSV line per Δd sample: `method,runtime,os,round,rep_index,delta_ms`.
-pub fn to_csv(cell: &ExperimentCell, result: &CellResult) -> String {
-    let mut out = String::from("method,runtime,os,round,index,delta_ms\n");
+/// The header line of the Δd sample CSV that [`push_csv_rows`] fills.
+pub const CSV_HEADER: &str = "method,runtime,os,round,index,delta_ms\n";
+
+/// Append one CSV line per Δd sample of `cell`,
+/// `method,runtime,os,round,rep_index,delta_ms`, to `out`; a file that
+/// gathers several cells starts with one [`CSV_HEADER`].
+pub fn push_csv_rows(out: &mut String, cell: &ExperimentCell, result: &CellResult) {
     let runtime = cell.runtime.figure_label(cell.os);
     for (round, data) in [(1u8, &result.d1), (2u8, &result.d2)] {
         for (i, d) in data.iter().enumerate() {
@@ -938,7 +942,6 @@ pub fn to_csv(cell: &ExperimentCell, result: &CellResult) -> String {
             );
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -987,7 +990,8 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_all_samples() {
-        let csv = to_csv(&cell(), &result());
+        let mut csv = String::from(CSV_HEADER);
+        push_csv_rows(&mut csv, &cell(), &result());
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "method,runtime,os,round,index,delta_ms");
         assert_eq!(lines.len(), 1 + 40);

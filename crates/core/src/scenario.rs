@@ -17,6 +17,7 @@
 //! connection-reusing methods (WebSocket) stay tight.
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use bnm_browser::session::SessionConfig;
 use bnm_browser::{BrowserProfile, BrowserSession, ProbePlan, ProbeTransport};
@@ -176,7 +177,18 @@ impl Scenario {
         let mut clients = Vec::with_capacity(n);
         let mut session_ids = Vec::with_capacity(n);
         let mut client_nics = Vec::with_capacity(n);
+        // Sessions with equal profiles share one copy; a crowd usually
+        // runs one or two.
+        let mut profiles: Vec<Arc<BrowserProfile>> = Vec::new();
         for (i, spec) in specs.into_iter().enumerate() {
+            let profile = match profiles.iter().find(|p| ***p == spec.profile) {
+                Some(p) => Arc::clone(p),
+                None => {
+                    let p = Arc::new(spec.profile);
+                    profiles.push(Arc::clone(&p));
+                    p
+                }
+            };
             let session_trace = if i == 0 {
                 trace.clone()
             } else {
@@ -191,7 +203,7 @@ impl Scenario {
                 udp_port: cfg.server.udp_echo_port,
                 webrtc_port: cfg.server.webrtc_port,
                 plan: spec.plan,
-                profile: spec.profile,
+                profile,
                 machine: spec.machine,
                 rep_token,
                 session: spec.id,

@@ -7,7 +7,7 @@
 //! and small dynamic content).
 
 use bnm_obs::Trace;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use crate::message::{HttpRequest, HttpResponse, Method};
 
@@ -25,9 +25,14 @@ pub enum ParseOutcome {
 }
 
 /// Incremental parser over a TCP byte stream carrying HTTP messages.
+///
+/// The parser keeps nothing between messages: it holds only the bytes of
+/// a message that is not complete yet, and any pipelined bytes after the
+/// message it last returned.
 #[derive(Debug, Default)]
 pub struct HttpParser {
-    buf: Vec<u8>,
+    /// Fed bytes not yet consumed by a returned message.
+    pending: Bytes,
     trace: Trace,
     /// Virtual time the first byte of the in-flight message arrived
     /// (tracing only).
@@ -52,38 +57,52 @@ impl HttpParser {
 
     /// Bytes currently buffered (diagnostics).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.pending.len()
     }
 
-    /// Append stream bytes and try to extract the next message.
-    /// Call [`HttpParser::poll`] repeatedly to drain multiple pipelined
-    /// messages.
-    pub fn feed(&mut self, data: &[u8]) -> ParseOutcome {
+    /// Take stream bytes, as the socket returned them, and try to
+    /// extract the next message. Call [`HttpParser::poll`] repeatedly to
+    /// drain multiple pipelined messages.
+    ///
+    /// When nothing is pending, `data` is kept as it is, without a copy:
+    /// a message that lies wholly inside it is parsed in place, and its
+    /// body is a view of `data`. Bytes that continue an incomplete
+    /// message are joined to it in one new buffer.
+    pub fn feed(&mut self, data: Bytes) -> ParseOutcome {
         if self.trace.is_enabled() {
-            if !data.is_empty() && self.buf.is_empty() && self.msg_start_ns.is_none() {
+            if !data.is_empty() && self.pending.is_empty() && self.msg_start_ns.is_none() {
                 self.msg_start_ns = Some(self.last_feed_ns);
             }
             self.trace.count("http.bytes_fed", data.len() as u64);
         }
-        self.buf.extend_from_slice(data);
+        if self.pending.is_empty() {
+            self.pending = data;
+        } else if !data.is_empty() {
+            let mut joined = BytesMut::with_capacity(self.pending.len() + data.len());
+            joined.extend_from_slice(&self.pending);
+            joined.extend_from_slice(&data);
+            self.pending = joined.freeze();
+        }
         self.poll()
     }
 
     /// [`HttpParser::feed`] with a virtual-time stamp, so traced parsers
     /// can span a message from first byte to completion.
-    pub fn feed_at(&mut self, now_ns: u64, data: &[u8]) -> ParseOutcome {
+    pub fn feed_at(&mut self, now_ns: u64, data: Bytes) -> ParseOutcome {
         self.last_feed_ns = now_ns;
         self.feed(data)
     }
 
     /// Try to extract the next complete message from buffered bytes.
     pub fn poll(&mut self) -> ParseOutcome {
-        let Some(header_end) = find_header_end(&self.buf) else {
+        // A second handle on the pending bytes (a refcount), so the
+        // header block can be read in place while `pending` moves on.
+        let buf = self.pending.clone();
+        let Some(header_end) = find_header_end(&buf) else {
             return ParseOutcome::Incomplete;
         };
-        let head = match std::str::from_utf8(&self.buf[..header_end]) {
-            Ok(h) => h.to_owned(),
-            Err(_) => return ParseOutcome::Error("non-utf8 header block"),
+        let Ok(head) = std::str::from_utf8(&buf[..header_end]) else {
+            return ParseOutcome::Error("non-utf8 header block");
         };
         let mut lines = head.split("\r\n");
         let start_line = lines.next().unwrap_or("");
@@ -106,12 +125,14 @@ impl HttpParser {
             Some(Err(_)) => return ParseOutcome::Error("bad content-length"),
             None => 0,
         };
-        let total = header_end + 4 + body_len;
-        if self.buf.len() < total {
+        let Some(total) = (header_end + 4).checked_add(body_len) else {
+            return ParseOutcome::Error("bad content-length");
+        };
+        if buf.len() < total {
             return ParseOutcome::Incomplete;
         }
-        let body = Bytes::copy_from_slice(&self.buf[header_end + 4..total]);
-        self.buf.drain(..total);
+        let body = buf.slice(header_end + 4..total);
+        self.pending = buf.slice(total..);
         if self.trace.is_enabled() {
             let start = self.msg_start_ns.take().unwrap_or(self.last_feed_ns);
             self.trace
@@ -119,7 +140,7 @@ impl HttpParser {
             self.trace.count("http.messages", 1);
             // Pipelined leftovers belong to the next message, whose first
             // byte arrived in the same feed.
-            if !self.buf.is_empty() {
+            if !self.pending.is_empty() {
                 self.msg_start_ns = Some(self.last_feed_ns);
             }
         }
@@ -164,7 +185,7 @@ impl HttpParser {
     /// Hand back any bytes that were buffered but not consumed (used when
     /// a connection upgrades to WebSocket mid-stream).
     pub fn take_remainder(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
+        std::mem::take(&mut self.pending).to_vec()
     }
 }
 
@@ -193,7 +214,9 @@ mod tests {
     #[test]
     fn parses_simple_get() {
         let mut p = HttpParser::new();
-        let req = expect_request(p.feed(b"GET /probe?r=1 HTTP/1.1\r\nHost: x\r\n\r\n"));
+        let req = expect_request(p.feed(Bytes::from_static(
+            b"GET /probe?r=1 HTTP/1.1\r\nHost: x\r\n\r\n",
+        )));
         assert_eq!(req.method, Method::Get);
         assert_eq!(req.target, "/probe?r=1");
         assert_eq!(req.get_header("host"), Some("x"));
@@ -206,7 +229,7 @@ mod tests {
         let wire = b"POST /p HTTP/1.1\r\nContent-Length: 4\r\n\r\nr=1&";
         let mut p = HttpParser::new();
         for (i, b) in wire.iter().enumerate() {
-            match p.feed(&[*b]) {
+            match p.feed(Bytes::copy_from_slice(&[*b])) {
                 ParseOutcome::Incomplete => assert!(i + 1 < wire.len()),
                 ParseOutcome::Request(req) => {
                     assert_eq!(i + 1, wire.len());
@@ -223,7 +246,7 @@ mod tests {
     fn pipelined_messages_drain_one_by_one() {
         let mut p = HttpParser::new();
         let two = b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
-        let first = expect_request(p.feed(two));
+        let first = expect_request(p.feed(Bytes::from_static(two)));
         assert_eq!(first.target, "/a");
         let second = expect_request(p.poll());
         assert_eq!(second.target, "/b");
@@ -233,9 +256,9 @@ mod tests {
     #[test]
     fn parses_response_with_body() {
         let mut p = HttpParser::new();
-        let r = expect_response(
-            p.feed(b"HTTP/1.1 200 OK\r\nServer: apache\r\nContent-Length: 4\r\n\r\npong"),
-        );
+        let r = expect_response(p.feed(Bytes::from_static(
+            b"HTTP/1.1 200 OK\r\nServer: apache\r\nContent-Length: 4\r\n\r\npong",
+        )));
         assert_eq!(r.status, 200);
         assert_eq!(r.reason, "OK");
         assert_eq!(&r.body[..], b"pong");
@@ -244,9 +267,9 @@ mod tests {
     #[test]
     fn parses_101_upgrade() {
         let mut p = HttpParser::new();
-        let r = expect_response(
-            p.feed(b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\n\r\n"),
-        );
+        let r = expect_response(p.feed(Bytes::from_static(
+            b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\n\r\n",
+        )));
         assert_eq!(r.status, 101);
         assert_eq!(r.get_header("upgrade"), Some("websocket"));
     }
@@ -255,7 +278,7 @@ mod tests {
     fn remainder_preserved_for_upgrade() {
         let mut p = HttpParser::new();
         let wire = b"HTTP/1.1 101 Switching Protocols\r\n\r\n\x81\x04ping";
-        expect_response(p.feed(wire));
+        expect_response(p.feed(Bytes::from_static(wire)));
         assert_eq!(p.take_remainder(), b"\x81\x04ping");
     }
 
@@ -263,7 +286,9 @@ mod tests {
     fn rejects_bad_content_length() {
         let mut p = HttpParser::new();
         assert!(matches!(
-            p.feed(b"GET / HTTP/1.1\r\nContent-Length: banana\r\n\r\n"),
+            p.feed(Bytes::from_static(
+                b"GET / HTTP/1.1\r\nContent-Length: banana\r\n\r\n"
+            )),
             ParseOutcome::Error(_)
         ));
     }
@@ -272,7 +297,7 @@ mod tests {
     fn rejects_http10() {
         let mut p = HttpParser::new();
         assert!(matches!(
-            p.feed(b"GET / HTTP/1.0\r\n\r\n"),
+            p.feed(Bytes::from_static(b"GET / HTTP/1.0\r\n\r\n")),
             ParseOutcome::Error(_)
         ));
     }
@@ -283,8 +308,11 @@ mod tests {
         let mut p = HttpParser::new().with_trace(trace.clone());
         let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\npong";
         let (head, tail) = wire.split_at(10);
-        assert!(matches!(p.feed_at(1_000, head), ParseOutcome::Incomplete));
-        expect_response(p.feed_at(5_000, tail));
+        assert!(matches!(
+            p.feed_at(1_000, Bytes::from_static(head)),
+            ParseOutcome::Incomplete
+        ));
+        expect_response(p.feed_at(5_000, Bytes::from_static(tail)));
         let d = trace.take().unwrap();
         let span = d
             .events
@@ -298,13 +326,26 @@ mod tests {
     }
 
     #[test]
+    fn a_whole_message_is_parsed_in_place() {
+        let wire = Bytes::from(b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\npong".to_vec());
+        let mut p = HttpParser::new();
+        let r = expect_response(p.feed(wire.clone()));
+        let (outer, inner) = (wire.as_ptr_range(), r.body.as_ptr_range());
+        assert!(
+            outer.start <= inner.start && inner.end <= outer.end,
+            "the body was copied"
+        );
+        assert_eq!(p.buffered(), 0, "nothing is kept after the message");
+    }
+
+    #[test]
     fn roundtrip_with_message_emitters() {
         use crate::message::HttpRequest as Req;
         let req = Req::new(Method::Post, "/probe")
             .header("Host", "server")
             .with_body(Bytes::from_static(b"round=2"));
         let mut p = HttpParser::new();
-        let parsed = expect_request(p.feed(&req.emit()));
+        let parsed = expect_request(p.feed(req.emit()));
         assert_eq!(parsed.method, Method::Post);
         assert_eq!(&parsed.body[..], b"round=2");
         assert_eq!(parsed.get_header("content-length"), Some("7"));

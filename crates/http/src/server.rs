@@ -91,6 +91,23 @@ fn parse_ws_bulk(payload: &[u8]) -> Option<(usize, String, String)> {
     Some((n?, r?, t?))
 }
 
+/// The container page body: HTML with a script stub, padded to
+/// `size` (its exact content is irrelevant to timing; its size is
+/// what shows up on the wire).
+fn container_page(size: usize) -> Bytes {
+    let head = "<!DOCTYPE html><html><head><title>bnm probe</title></head><body>\
+                <script src=\"/measure.js\"></script>";
+    let tail = "</body></html>";
+    let mut page = String::with_capacity(size);
+    page.push_str(head);
+    while page.len() + tail.len() < size {
+        page.push_str("<!-- padding -->");
+    }
+    page.truncate(size.saturating_sub(tail.len()));
+    page.push_str(tail);
+    Bytes::from(page)
+}
+
 /// A reply scheduled after the handler delay.
 struct PendingReply {
     sock: SocketId,
@@ -129,8 +146,21 @@ pub struct ServerStats {
 }
 
 /// The web server application.
+///
+/// Its constant bodies (the container page, `measure.js`, `plugin.swf`
+/// and `applet.jar`) are built once, in [`WebServer::new`]; each request
+/// serves a refcounted clone.
 pub struct WebServer {
     cfg: ServerConfig,
+    /// The container page, padded to the configured size.
+    page: Bytes,
+    /// The measurement script stub.
+    script: Bytes,
+    /// A stand-in SWF: magic bytes + padding (the size is what matters
+    /// to the wire, not the content).
+    swf: Bytes,
+    /// A stand-in JAR: ZIP magic + padding.
+    jar: Bytes,
     conns: HashMap<SocketId, Conn>,
     pending: Vec<PendingReply>,
     /// Bytes a full send buffer rejected, awaiting `Writable`.
@@ -142,7 +172,16 @@ pub struct WebServer {
 impl WebServer {
     /// A server with the given configuration.
     pub fn new(cfg: ServerConfig) -> Self {
+        let padded = |magic: &[u8], len: usize| {
+            let mut body = magic.to_vec();
+            body.resize(len, 0u8);
+            Bytes::from(body)
+        };
         WebServer {
+            page: container_page(cfg.container_page_size),
+            script: Bytes::from_static(b"/* measurement code stub */"),
+            swf: padded(b"FWS\x09", 1200),
+            jar: padded(b"PK\x03\x04", 1800),
             cfg,
             conns: HashMap::new(),
             pending: Vec::new(),
@@ -156,21 +195,10 @@ impl WebServer {
         &self.cfg
     }
 
-    /// The container page body: HTML with a script stub, padded to the
-    /// configured size (its exact content is irrelevant to timing; its
-    /// size is what shows up on the wire).
+    /// The container page body, a refcounted clone of the page built
+    /// in [`WebServer::new`].
     fn container_page(&self) -> Bytes {
-        let head = "<!DOCTYPE html><html><head><title>bnm probe</title></head><body>\
-                    <script src=\"/measure.js\"></script>";
-        let tail = "</body></html>";
-        let mut page = String::with_capacity(self.cfg.container_page_size);
-        page.push_str(head);
-        while page.len() + tail.len() < self.cfg.container_page_size {
-            page.push_str("<!-- padding -->");
-        }
-        page.truncate(self.cfg.container_page_size.saturating_sub(tail.len()));
-        page.push_str(tail);
-        Bytes::from(page)
+        self.page.clone()
     }
 
     fn probe_body(&self, round: &str, token: &str) -> Bytes {
@@ -215,28 +243,21 @@ impl WebServer {
                 HttpResponse::new(200)
                     .header("Server", "bnm-apache/2.2")
                     .header("Content-Type", "application/javascript")
-                    .with_body(Bytes::from_static(b"/* measurement code stub */"))
+                    .with_body(self.script.clone())
             }
             (Method::Get, "/plugin.swf") => {
                 self.stats.gets += 1;
-                // A stand-in SWF: magic bytes + padding (the size is what
-                // matters to the wire, not the content).
-                let mut body = b"FWS\x09".to_vec();
-                body.resize(1200, 0u8);
                 HttpResponse::new(200)
                     .header("Server", "bnm-apache/2.2")
                     .header("Content-Type", "application/x-shockwave-flash")
-                    .with_body(Bytes::from(body))
+                    .with_body(self.swf.clone())
             }
             (Method::Get, "/applet.jar") => {
                 self.stats.gets += 1;
-                // A stand-in JAR: ZIP magic + padding.
-                let mut body = b"PK\x03\x04".to_vec();
-                body.resize(1800, 0u8);
                 HttpResponse::new(200)
                     .header("Server", "bnm-apache/2.2")
                     .header("Content-Type", "application/java-archive")
-                    .with_body(Bytes::from(body))
+                    .with_body(self.jar.clone())
             }
             (Method::Get, "/probe") => {
                 self.stats.gets += 1;
@@ -322,7 +343,7 @@ impl WebServer {
         }
     }
 
-    fn on_http_bytes(&mut self, ctx: &mut HostCtx, sock: SocketId, data: &[u8]) {
+    fn on_http_bytes(&mut self, ctx: &mut HostCtx, sock: SocketId, data: Bytes) {
         // Take the connection state out to sidestep the borrow of `self`.
         let Some(mut conn) = self.conns.remove(&sock) else {
             return;
@@ -343,7 +364,7 @@ impl WebServer {
                                 self.conns.insert(sock, Conn::WebSocket { decoder });
                                 // Frames may have arrived piggybacked on the
                                 // upgrade segment: process them right away.
-                                self.on_http_bytes(ctx, sock, &[]);
+                                self.on_http_bytes(ctx, sock, Bytes::new());
                                 return;
                             }
                             let (resp, close) = self.route(&req);
@@ -365,7 +386,7 @@ impl WebServer {
                 }
             }
             Conn::WebSocket { decoder } => {
-                decoder.feed(data);
+                decoder.feed(&data);
                 loop {
                     match decoder.poll() {
                         Ok(Some(frame)) => match frame.opcode {
@@ -420,8 +441,7 @@ impl WebServer {
             }
             Conn::Echo => {
                 self.stats.tcp_echo_bytes += data.len() as u64;
-                let echoed = Bytes::copy_from_slice(data);
-                self.queue_reply(ctx, sock, echoed, false);
+                self.queue_reply(ctx, sock, data, false);
             }
         }
         self.conns.insert(sock, conn);
@@ -456,7 +476,7 @@ impl HostApp for WebServer {
             }
             SockEvent::Data { sock } => {
                 let data = ctx.recv(sock);
-                self.on_http_bytes(ctx, sock, &data);
+                self.on_http_bytes(ctx, sock, data);
             }
             SockEvent::PeerClosed { sock } => {
                 ctx.close(sock);

@@ -600,16 +600,16 @@ impl TcpSocket {
         let seq = SeqNum(seg.seq);
         let payload_end = seq + seg.payload.len() as u32;
         // Trim any already-received prefix.
-        let payload: &[u8] = if seq.lt(self.rcv_nxt) {
+        let payload = if seq.lt(self.rcv_nxt) {
             let skip = self.rcv_nxt.since(seq) as usize;
             if skip >= seg.payload.len() {
                 // Entirely old data (pure duplicate). FIN may still be new.
-                &[]
+                Bytes::new()
             } else {
-                &seg.payload[skip..]
+                seg.payload.slice(skip..)
             }
         } else if seq == self.rcv_nxt {
-            &seg.payload[..]
+            seg.payload.clone()
         } else {
             // Out-of-order: dup-ACK and drop (no reassembly by design).
             out.seg(self.pure_ack());

@@ -63,7 +63,9 @@ pub enum SockEvent {
 pub struct TcpStack {
     local_ip: Ipv4Addr,
     cfg: TcpConfig,
-    sockets: Vec<Option<TcpSocket>>,
+    /// Socket slots, boxed: a client stack holds one or two connections,
+    /// and an empty slot costs a pointer, not a whole socket.
+    sockets: Vec<Option<Box<TcpSocket>>>,
     /// `(peer_ip, peer_port, local_port) → socket`.
     tuple_map: HashMap<(Ipv4Addr, u16, u16), SocketId>,
     listeners: HashSet<u16>,
@@ -131,11 +133,12 @@ impl TcpStack {
 
     fn alloc_socket(&mut self, sock: TcpSocket) -> SocketId {
         // Reuse a dead slot if one exists.
+        let sock = Some(Box::new(sock));
         if let Some(idx) = self.sockets.iter().position(|s| s.is_none()) {
-            self.sockets[idx] = Some(sock);
+            self.sockets[idx] = sock;
             idx
         } else {
-            self.sockets.push(Some(sock));
+            self.sockets.push(sock);
             self.sockets.len() - 1
         }
     }
@@ -196,7 +199,7 @@ impl TcpStack {
 
     /// Queue data on `sock` and push out what the windows allow.
     pub fn send(&mut self, now: SimTime, sock: SocketId, data: &[u8]) -> usize {
-        let Some(s) = self.sockets.get_mut(sock).and_then(Option::as_mut) else {
+        let Some(s) = self.sockets.get_mut(sock).and_then(Option::as_deref_mut) else {
             return 0;
         };
         let n = s.send(data);
@@ -209,7 +212,7 @@ impl TcpStack {
     /// Read all available in-order bytes. Emits a window-update ACK when
     /// the read reopens a cramped receive window.
     pub fn recv(&mut self, sock: SocketId) -> Bytes {
-        let Some(s) = self.sockets.get_mut(sock).and_then(Option::as_mut) else {
+        let Some(s) = self.sockets.get_mut(sock).and_then(Option::as_deref_mut) else {
             return Bytes::new();
         };
         let (data, update) = s.recv_and_update();
@@ -223,7 +226,7 @@ impl TcpStack {
 
     /// Begin an orderly close.
     pub fn close(&mut self, now: SimTime, sock: SocketId) {
-        let Some(s) = self.sockets.get_mut(sock).and_then(Option::as_mut) else {
+        let Some(s) = self.sockets.get_mut(sock).and_then(Option::as_deref_mut) else {
             return;
         };
         s.close();
@@ -234,7 +237,7 @@ impl TcpStack {
 
     /// Abort with RST.
     pub fn abort(&mut self, sock: SocketId) {
-        let Some(s) = self.sockets.get_mut(sock).and_then(Option::as_mut) else {
+        let Some(s) = self.sockets.get_mut(sock).and_then(Option::as_deref_mut) else {
             return;
         };
         let peer_ip = s.peer.0;
@@ -248,7 +251,7 @@ impl TcpStack {
     pub fn state(&self, sock: SocketId) -> Option<TcpState> {
         self.sockets
             .get(sock)
-            .and_then(Option::as_ref)
+            .and_then(Option::as_deref)
             .map(|s| s.state)
     }
 
@@ -256,7 +259,7 @@ impl TcpStack {
     pub fn srtt(&self, sock: SocketId) -> Option<bnm_sim::time::SimDuration> {
         self.sockets
             .get(sock)
-            .and_then(Option::as_ref)
+            .and_then(Option::as_deref)
             .and_then(|s| s.srtt())
     }
 
@@ -264,7 +267,7 @@ impl TcpStack {
     pub fn local_port(&self, sock: SocketId) -> Option<u16> {
         self.sockets
             .get(sock)
-            .and_then(Option::as_ref)
+            .and_then(Option::as_deref)
             .map(|s| s.local.1)
     }
 
@@ -331,7 +334,7 @@ impl TcpStack {
             let current = self
                 .sockets
                 .get(id)
-                .and_then(Option::as_ref)
+                .and_then(Option::as_deref)
                 .and_then(TcpSocket::next_deadline);
             if current == Some(d) {
                 due.push(id);
@@ -362,7 +365,7 @@ impl TcpStack {
             let current = self
                 .sockets
                 .get(id)
-                .and_then(Option::as_ref)
+                .and_then(Option::as_deref)
                 .and_then(TcpSocket::next_deadline);
             if current == Some(d) {
                 return Some(d);
@@ -444,7 +447,7 @@ impl TcpStack {
         if let Some(d) = self
             .sockets
             .get(id)
-            .and_then(Option::as_ref)
+            .and_then(Option::as_deref)
             .and_then(TcpSocket::next_deadline)
         {
             self.deadline_heap.push(Reverse((d, id)));

@@ -2,12 +2,12 @@
 # Repo health gate: the tier-1 acceptance commands plus lint and docs.
 #
 #   scripts/check.sh            # fmt + build + test + parity + clippy + docs,
-#                               # then the CLI, reproduce and example smokes,
-#                               # the battery artifact gate and the
-#                               # benchmark's tests + traced run
+#                               # then the CLI and example smokes, the
+#                               # battery and reproduce artifact gates and
+#                               # the benchmark's tests + traced run
 #   scripts/check.sh --fast     # skip the release build (debug test run only)
-#                               # and the smokes and gate, which need it
-#   scripts/check.sh --quick    # skip the smokes, the battery gate and the
+#                               # and the smokes and gates, which need it
+#   scripts/check.sh --quick    # skip the smokes, the artifact gates and the
 #                               # benchmark's tests + traced run
 #   scripts/check.sh --bench    # also run the benchmark (BENCHMARK.json's
 #                               # command, all workloads) and gate it with its
@@ -37,6 +37,12 @@ fi
 
 echo "==> cargo test -q"
 cargo test -q
+
+# Every other workspace member's own unit and doc tests, the
+# `crates/compat` stand-ins included: `cargo test` at the root runs only
+# the root package's.
+echo "==> cargo test -q --workspace --exclude bnm"
+cargo test -q --workspace --exclude bnm
 
 # The tracing layer's tier-1 guarantees, run explicitly so a filtered or
 # partial test invocation can't silently skip them: parallel traces must
@@ -172,16 +178,17 @@ if [[ $quick -eq 0 && $fast -eq 0 ]]; then
     exit 1
   fi
 
-  # Reproduce smoke: every experiment at 2 reps, in one process. Each of
-  # the 13 CSV artifacts must be written with at least one data row.
-  echo "==> reproduce smoke: all 13 artifacts at 2 reps"
+  # Reproduce artifact gate: every experiment at the default reps, in one
+  # process, must write the 13 committed results/*.csv byte for byte, as
+  # the battery gate does for results/battery.json.
+  echo "==> reproduce gate: all 13 artifacts equal results/*.csv"
   tmp=$(mktemp -d)
   trap 'rm -rf "$tmp"' EXIT
-  ./target/release/bnm reproduce --reps 2 --results "$tmp" >/dev/null
+  ./target/release/bnm reproduce --results "$tmp" >/dev/null
   for f in table1 table2 fig3_deltas table3 fig4_cdfs fig5_granularity table4 \
            tput sweep appraisals impair contend webrtc; do
-    if [[ ! -f "$tmp/$f.csv" || $(wc -l <"$tmp/$f.csv") -lt 2 ]]; then
-      echo "reproduce wrote no data rows to $f.csv" >&2
+    if ! cmp "$tmp/$f.csv" "results/$f.csv"; then
+      echo "bnm reproduce wrote $f.csv differently from results/$f.csv" >&2
       exit 1
     fi
   done

@@ -875,3 +875,120 @@ proptest! {
         }
     }
 }
+
+// ---------- HTTP parser: hostile and split input ----------
+
+use bnm::http::{HttpParser, HttpRequest, HttpResponse, Method, ParseOutcome};
+
+/// The message `gene` describes, as its `emit` writes it: a GET, POST
+/// or HEAD request or a response of one of six statuses, with up to
+/// three headers and a body of up to 3,000 bytes (two segments' worth).
+/// A 101 upgrade carries no body, since it announces no length.
+fn http_message(gene: u64) -> Bytes {
+    const NAMES: [&str; 5] = ["Host", "User-Agent", "X-Probe", "Cache-Control", "Server"];
+    let status = [200, 204, 404, 500, 101, 299][(gene >> 4) as usize % 6];
+    let body_len = if status == 101 {
+        0
+    } else {
+        (gene >> 8) as usize % 3_000
+    };
+    let body: Bytes = (0..body_len)
+        .map(|i| (i as u64).wrapping_mul(31).wrapping_add(gene) as u8)
+        .collect();
+    let headers = (0..(gene >> 20) % 4).map(|i| {
+        let name = NAMES[((gene >> (24 + 3 * i)) % 5) as usize];
+        (name, format!("v{}:{}", gene >> 40, i))
+    });
+    if gene & 1 == 0 {
+        let method = [Method::Get, Method::Post, Method::Head][(gene >> 1) as usize % 3];
+        let target = format!("/probe?r={}&t={}", gene % 7, gene >> 50);
+        let mut req = HttpRequest::new(method, target).with_body(body);
+        for (n, v) in headers {
+            req = req.header(n, v);
+        }
+        req.emit()
+    } else {
+        let mut resp = HttpResponse::new(status).with_body(body);
+        for (n, v) in headers {
+            resp = resp.header(n, v);
+        }
+        resp.emit()
+    }
+}
+
+/// What a parser makes of a stream: each message re-emitted with its
+/// body, then the error that stopped the stream, if one did.
+type Parsed = (Vec<(Bytes, Bytes)>, Option<&'static str>);
+
+/// Feed `wire` to a fresh parser in pieces cut at `cuts` (taken modulo
+/// the stream length), draining every message each piece completes.
+fn parse_split(wire: &[u8], cuts: &[usize]) -> Parsed {
+    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (wire.len() + 1)).collect();
+    bounds.extend([0, wire.len()]);
+    bounds.sort_unstable();
+    bounds.dedup();
+    let mut p = HttpParser::new();
+    let mut messages = Vec::new();
+    for piece in bounds.windows(2) {
+        let mut outcome = p.feed(Bytes::copy_from_slice(&wire[piece[0]..piece[1]]));
+        loop {
+            match outcome {
+                ParseOutcome::Incomplete => break,
+                ParseOutcome::Error(e) => return (messages, Some(e)),
+                ParseOutcome::Request(r) => messages.push((r.emit(), r.body)),
+                ParseOutcome::Response(r) => messages.push((r.emit(), r.body)),
+            }
+            outcome = p.poll();
+        }
+    }
+    (messages, None)
+}
+
+proptest! {
+    #[test]
+    fn emitted_http_streams_parse_the_same_whole_or_split(
+        genes in proptest::collection::vec(any::<u64>(), 1..5),
+        cuts in proptest::collection::vec(any::<usize>(), 0..8),
+    ) {
+        let sent: Vec<Bytes> = genes.iter().map(|&g| http_message(g)).collect();
+        let wire = sent.concat();
+        let (whole, error) = parse_split(&wire, &[]);
+        prop_assert_eq!(error, None);
+        prop_assert_eq!(whole.len(), sent.len());
+        for ((emitted, body), original) in whole.iter().zip(&sent) {
+            prop_assert_eq!(emitted, original);
+            prop_assert!(original.ends_with(body), "the body is not the message's tail");
+        }
+        prop_assert_eq!(parse_split(&wire, &cuts), (whole, None));
+    }
+
+    #[test]
+    fn hostile_http_bytes_are_outcomes_not_panics(
+        genes in proptest::collection::vec(any::<u64>(), 1..4),
+        noise in proptest::collection::vec(any::<u8>(), 0..300),
+        mutation in any::<u64>(),
+        flips in proptest::collection::vec(any::<usize>(), 1..6),
+        cuts in proptest::collection::vec(any::<usize>(), 0..8),
+    ) {
+        let wire = genes.iter().map(|&g| http_message(g)).collect::<Vec<_>>().concat();
+        let at = |x: u64| x as usize % (wire.len() + 1);
+        let hostile = match mutation % 4 {
+            0 => noise,
+            1 => wire[..at(mutation >> 8)].to_vec(),
+            2 => {
+                let (a, b) = (at(mutation >> 8), at(mutation >> 36));
+                [&wire[..a], &noise[..], &wire[b..]].concat()
+            }
+            _ => {
+                let mut w = wire.clone();
+                for f in flips {
+                    let i = f % w.len();
+                    w[i] ^= 1 << (f / w.len() % 8);
+                }
+                w
+            }
+        };
+        // Whole or in pieces, every feed gives an outcome, and the same one.
+        prop_assert_eq!(parse_split(&hostile, &cuts), parse_split(&hostile, &[]));
+    }
+}
