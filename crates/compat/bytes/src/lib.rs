@@ -8,9 +8,10 @@
 //! `slice` is a refcount bump, and when the last reference drops the
 //! backing `Vec` goes back to a thread-local [`pool`] for reuse. The
 //! simulator's hot loop leans on all three: a host builds each frame
-//! into one buffer, links, switch ports and taps pass that buffer on
-//! by refcount, and every parser reads it through `slice` views, so a
-//! frame costs one buffer from birth to its last reader.
+//! into one buffer, links and switch ports pass that buffer on by
+//! refcount, capture sinks read it borrowed, and a receiving host keeps
+//! one `slice` view of its payload, so a frame costs one buffer from
+//! birth to its last reader.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -28,12 +29,11 @@ use std::sync::Arc;
 /// buffer reclaimed on one thread is reused by that thread only.
 ///
 /// The free list is bounded by demand: a dropped buffer is parked only
-/// while the list holds fewer than
-/// [`PoolStats::live_peak`](pool::PoolStats::live_peak) buffers, as
-/// many as the thread has had alive at once since its last
-/// [`reset_stats`](pool::reset_stats). A thread therefore never parks
-/// more idle buffers than it has shown it can use; beyond that, a drop
-/// frees.
+/// while the list holds fewer buffers than the thread has ever had
+/// alive at once. A thread therefore never parks more idle buffers
+/// than it has shown it can use; beyond that, a drop frees. The bound
+/// is kept apart from the [`PoolStats`](pool::PoolStats) gauges, so
+/// [`reset_stats`](pool::reset_stats) moves no buffer.
 pub mod pool {
     use std::cell::RefCell;
 
@@ -60,14 +60,18 @@ pub mod pool {
         /// hand-off; single-threaded flows (an engine run) are exact.
         pub live: i64,
         /// High-water mark of [`PoolStats::live`] since the last reset
-        /// — the retention gauge the streaming capture pipeline bounds,
-        /// and the free list's capacity.
+        /// — the retention gauge the streaming capture pipeline bounds.
         pub live_peak: i64,
     }
 
     struct PoolInner {
         free: Vec<Vec<u8>>,
         stats: PoolStats,
+        /// Backing buffers alive on this thread, never reset.
+        live: i64,
+        /// High-water mark of `live` over the thread's life: the free
+        /// list's bound.
+        demand: i64,
     }
 
     thread_local! {
@@ -81,6 +85,8 @@ pub mod pool {
                     live: 0,
                     live_peak: 0,
                 },
+                live: 0,
+                demand: 0,
             })
         };
     }
@@ -106,7 +112,9 @@ pub mod pool {
 
     /// Zero the counters for the current thread. `live`/`live_peak`
     /// restart from zero, so they gauge buffers born after the reset;
-    /// buffers already outstanding debit below zero when they drop.
+    /// buffers already outstanding debit below zero when they drop. The
+    /// free list and its bound are untouched: a reset changes what the
+    /// gauges read, never which buffers are kept.
     pub fn reset_stats() {
         let _ = POOL.try_with(|p| p.borrow_mut().stats = PoolStats::default());
     }
@@ -136,16 +144,20 @@ pub mod pool {
     pub(crate) fn note_birth() {
         let _ = POOL.try_with(|p| {
             let mut p = p.borrow_mut();
+            p.live += 1;
+            p.demand = p.demand.max(p.live);
             p.stats.live += 1;
-            if p.stats.live > p.stats.live_peak {
-                p.stats.live_peak = p.stats.live;
-            }
+            p.stats.live_peak = p.stats.live_peak.max(p.stats.live);
         });
     }
 
     /// The last reference to a `Bytes` backing buffer dropped.
     pub(crate) fn note_death() {
-        let _ = POOL.try_with(|p| p.borrow_mut().stats.live -= 1);
+        let _ = POOL.try_with(|p| {
+            let mut p = p.borrow_mut();
+            p.live -= 1;
+            p.stats.live -= 1;
+        });
     }
 
     pub(crate) fn reclaim(mut v: Vec<u8>) {
@@ -154,7 +166,7 @@ pub mod pool {
         }
         let _ = POOL.try_with(|p| {
             let mut p = p.borrow_mut();
-            if (p.free.len() as i64) < p.stats.live_peak {
+            if (p.free.len() as i64) < p.demand {
                 v.clear();
                 p.free.push(v);
                 p.stats.reclaimed += 1;
@@ -248,7 +260,10 @@ impl Bytes {
 
 impl Drop for Bytes {
     fn drop(&mut self) {
-        if let Some(Ok(v)) = self.data.take().map(Arc::try_unwrap) {
+        // `into_inner` is one atomic decrement; `try_unwrap` would pay a
+        // compare-exchange and then a decrement on every drop that is
+        // not the last.
+        if let Some(v) = self.data.take().and_then(Arc::into_inner) {
             pool::note_death();
             pool::reclaim(v);
         }
@@ -672,6 +687,29 @@ mod tests {
             drop(scratch);
             assert_eq!(pool::free_buffers(), 5);
             assert!(pool::free_buffers() as i64 <= pool::stats().live_peak);
+        });
+    }
+
+    #[test]
+    fn a_stats_reset_keeps_the_free_list_bound() {
+        on_fresh_thread(|| {
+            drop(
+                (0..5u8)
+                    .map(|i| Bytes::from(vec![i; 64]))
+                    .collect::<Vec<_>>(),
+            );
+            assert_eq!(pool::free_buffers(), 5);
+            pool::reset_stats();
+            // One buffer alive at a time: the gauges' peak reads 1, but
+            // the thread has shown it uses five.
+            for _ in 0..5 {
+                drop(Bytes::copy_from_slice(&[1u8; 64]));
+            }
+            assert_eq!(pool::stats().live_peak, 1);
+            assert_eq!(pool::free_buffers(), 5, "a reset must not shrink the bound");
+            let again: Vec<Bytes> = (0..5).map(|_| Bytes::copy_from_slice(&[2u8; 64])).collect();
+            assert_eq!(pool::stats().allocated, 0);
+            drop(again);
         });
     }
 

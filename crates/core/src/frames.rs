@@ -1,26 +1,34 @@
 //! Shared frame-parsing helpers for capture analysis.
 //!
-//! Both the client-side matcher ([`crate::matching`]) and the
-//! server-side overhead appraisal ([`crate::server_side`]) grep
-//! transport payloads out of raw captured frames. The two modules used
-//! to carry verbatim copies of these helpers; they live here once.
+//! The capture sinks ([`crate::streaming`]), the batch matcher
+//! ([`crate::matching`]) and the server-side overhead appraisal
+//! ([`crate::server_side`]) all grep transport payloads out of raw
+//! captured frames, through one locator, [`payload_range`].
 
-use bnm_sim::wire::{ParsedPacket, Transport};
+use std::ops::Range;
+
+use bnm_sim::wire::{FrameLayout, TransportHeader};
 use bytes::Bytes;
 
-/// Transport payload of a captured frame, if it parses.
+/// Where a captured frame's greppable transport payload lies, if the
+/// frame parses.
 ///
-/// Returns a view into `frame` itself: parsing verifies every checksum
-/// but copies no byte. Frames that fail to parse, and transports
+/// Reads the frame in place: every checksum is verified, and no byte is
+/// copied and no view made. Frames that fail to parse, and transports
 /// without a greppable payload (ICMP, unknown), yield `None`, exactly
 /// as a checksum-filtering analyst would drop them.
-pub fn payload_of(frame: &Bytes) -> Option<Bytes> {
-    let parsed = ParsedPacket::parse(frame).ok()?;
-    match parsed.transport {
-        Transport::Tcp(seg) => Some(seg.payload),
-        Transport::Udp(d) => Some(d.payload),
-        Transport::Icmp(_) | Transport::Other(_) => None,
+pub fn payload_range(frame: &[u8]) -> Option<Range<usize>> {
+    let layout = FrameLayout::read(frame).ok()?;
+    match layout.transport {
+        TransportHeader::Tcp(_) | TransportHeader::Udp(_) => Some(layout.payload),
+        TransportHeader::Icmp(_) | TransportHeader::Other(_) => None,
     }
+}
+
+/// Transport payload of a captured frame, if it parses: a view into
+/// `frame` at [`payload_range`], for readers that keep it.
+pub fn payload_of(frame: &Bytes) -> Option<Bytes> {
+    payload_range(frame).map(|r| frame.slice(r))
 }
 
 /// Whether `payload` carries `marker` (the capture analyst's `grep`).
@@ -29,6 +37,10 @@ pub fn payload_of(frame: &Bytes) -> Option<Bytes> {
 /// that ends in a digit must also end the payload's digit run there:
 /// `t=1` is not carried by a payload reading `t=10`, so no session's
 /// token matches another's whose decimal form it prefixes.
+///
+/// Inlined into the batch matcher's per-record loops, which call it
+/// once per record for every marker they test.
+#[inline]
 pub fn carries_marker(payload: &[u8], marker: &[u8]) -> bool {
     let Some(last) = marker.last() else {
         return false;

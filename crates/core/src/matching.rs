@@ -424,7 +424,7 @@ mod tests {
     fn capture_with(records: &[(u64, CaptureDir, &[u8])]) -> CaptureBuffer {
         let mut buf = CaptureBuffer::new("test");
         for (ms, dir, payload) in records {
-            buf.record(SimTime::from_millis(*ms), *dir, tcp_frame(payload, 5, 80));
+            buf.record(SimTime::from_millis(*ms), *dir, &tcp_frame(payload, 5, 80));
         }
         buf
     }
@@ -463,7 +463,7 @@ mod tests {
             buf.record(
                 SimTime::from_micros(*us),
                 *dir,
-                udp_frame(chunk.emit().as_ref()),
+                &udp_frame(chunk.emit().as_ref()),
             );
         }
         ParsedCapture::parse(&buf)
@@ -792,7 +792,7 @@ mod tests {
         cap.record(
             SimTime::from_millis(1),
             CaptureDir::Rx,
-            Bytes::from_static(b"not a frame"),
+            &Bytes::from_static(b"not a frame"),
         );
         assert!(match_round(&cap, MethodId::XhrGet, 1, 0).is_ok());
     }

@@ -16,8 +16,10 @@
 //! * the tap stamps records identically in both modes (same noise RNG
 //!   stream, same monotonicity clamp) — the sink sees the exact records
 //!   a retaining tap would store;
-//! * both sinks apply the *same* payload extraction
-//!   ([`crate::frames::payload_of`]) as `ParsedCapture::evidence`;
+//! * both sinks locate the payload with the *same* function
+//!   ([`crate::frames::payload_range`]) that `ParsedCapture::evidence`'s
+//!   `payload_of` slices by, and scan it in place: a record costs no
+//!   view, no copy and no refcount;
 //! * they find the same markers without testing each one. The oracle
 //!   asks [`crate::frames::carries_marker`] about one marker at a time.
 //!   A sink scans each payload once per **marker family** instead: the
@@ -38,7 +40,7 @@ use bnm_sim::capture::{CaptureDir, CaptureSink};
 use bnm_sim::time::SimTime;
 use bytes::Bytes;
 
-use crate::frames::payload_of;
+use crate::frames::payload_range;
 use crate::matching::{
     judge_datagram_train, judge_round, MarkerHits, MatchError, ProbeEvidence, ProbeVerdict,
     WireTimes,
@@ -234,11 +236,11 @@ impl SessionMarkerSink {
 impl CaptureSink for SessionMarkerSink {
     fn on_record(&mut self, ts: SimTime, dir: CaptureDir, frame: &Bytes) {
         self.records += 1;
-        let Some(payload) = payload_of(frame) else {
+        let Some(payload) = payload_range(frame) else {
             return;
         };
         let family = self.scanner.client_family(dir);
-        family.scan(&payload, &mut self.found);
+        family.scan(&frame[payload], &mut self.found);
         for &(round, token) in &self.found {
             match round_index(round, self.rounds.len()) {
                 Some(i) if token == self.token => {
@@ -331,16 +333,17 @@ impl ServerMarkerIndex {
 
 impl CaptureSink for ServerMarkerIndex {
     fn on_record(&mut self, ts: SimTime, dir: CaptureDir, frame: &Bytes) {
-        let Some(payload) = payload_of(frame) else {
+        let Some(payload) = payload_range(frame) else {
             return;
         };
+        let payload = &frame[payload];
         let families = [
             (false, Some(&self.scanner.request)),
             (true, self.scanner.response.as_ref()),
         ];
         for (is_resp, family) in families {
             let Some(family) = family else { continue };
-            family.scan(&payload, &mut self.found);
+            family.scan(payload, &mut self.found);
             for &(round, token) in &self.found {
                 let slot = self.tokens.get(&token);
                 if let (Some(&slot), Some(ri)) = (slot, round_index(round, self.rounds)) {
@@ -434,7 +437,7 @@ mod tests {
     fn batch_of(records: &[(u64, CaptureDir, &[u8])]) -> ParsedCapture {
         let mut buf = CaptureBuffer::new("ref");
         for (ms, dir, payload) in records {
-            buf.record(SimTime::from_millis(*ms), *dir, tcp_frame(payload));
+            buf.record(SimTime::from_millis(*ms), *dir, &tcp_frame(payload));
         }
         ParsedCapture::parse(&buf)
     }

@@ -10,6 +10,12 @@
 //! accuracy worse than 0.3 ms for software capture — so a tap can model
 //! timestamping noise with a uniform ± jitter bound. The default is exact
 //! timestamps.
+//!
+//! A tap either retains its records (one handle to each frame) or
+//! streams them to a [`CaptureSink`]. A streaming tap borrows each frame
+//! for the sink's call and keeps nothing, and a sink that reads the
+//! frame in place ([`crate::wire::FrameLayout::read`]) makes no view of
+//! it either, so recording a frame costs no refcount operation at all.
 
 use std::any::Any;
 
@@ -62,17 +68,19 @@ pub enum TimestampNoise {
 /// Streaming consumer for a tap: sees every record as it is stamped, in
 /// capture order, instead of the tap retaining it.
 ///
-/// With a sink installed the tap holds no frame past the `on_record`
-/// call — the refcounted frame view drops as soon as the sink returns,
-/// so pooled buffers recycle mid-run instead of accumulating until the
-/// scenario ends. The sink observes exactly what a retaining tap would
-/// have stored: the same noise-stamped timestamp (the noise RNG stream
-/// and the monotonicity clamp are shared code), the same direction, the
-/// same frame view. A run with a sink is therefore bit-equivalent to a
-/// retained run followed by a replay of `records()` — the parity the
-/// streaming pipeline relies on.
+/// With a sink installed the tap holds no frame at all: `record`
+/// borrows the link's frame for the `on_record` call and takes no
+/// reference of its own, so pooled buffers recycle mid-run instead of
+/// accumulating until the scenario ends. The sink observes exactly what
+/// a retaining tap would have stored: the same noise-stamped timestamp
+/// (the noise RNG stream and the monotonicity clamp are shared code),
+/// the same direction, the same frame bytes. A run with a sink is
+/// therefore bit-equivalent to a retained run followed by a replay of
+/// `records()` — the parity the streaming pipeline relies on.
 pub trait CaptureSink: std::fmt::Debug {
-    /// Observe one stamped record. `frame` is only valid for the call.
+    /// Observe one stamped record. `frame` is borrowed for the call; a
+    /// sink that scans it in place (`wire::FrameLayout::read`) makes no
+    /// view of it.
     fn on_record(&mut self, ts: SimTime, dir: CaptureDir, frame: &Bytes);
     /// Downcast support for retrieving concrete sink state after a run.
     fn as_any(&self) -> &dyn Any;
@@ -117,10 +125,11 @@ impl CaptureBuffer {
 
     /// Record one frame at wire-event time `ts`.
     ///
-    /// Takes the frame by value: `Bytes` is a refcounted view, so the
-    /// record indexes into the same allocation the wire delivered —
-    /// nothing is copied.
-    pub fn record(&mut self, ts: SimTime, dir: CaptureDir, frame: Bytes) {
+    /// Borrows the frame. A sink reads it for the call; only a
+    /// retaining tap clones it, and `Bytes` is a refcounted view, so
+    /// the record indexes into the same allocation the wire delivered:
+    /// nothing is copied either way.
+    pub fn record(&mut self, ts: SimTime, dir: CaptureDir, frame: &Bytes) {
         let stamped = match &mut self.noise {
             TimestampNoise::Exact => ts,
             TimestampNoise::UniformLag { bound_ns, rng } => {
@@ -139,13 +148,12 @@ impl CaptureBuffer {
         self.last_ts = stamped;
         self.total += 1;
         if let Some(sink) = &mut self.sink {
-            sink.on_record(stamped, dir, &frame);
-            // `frame` drops here — the underlying buffer recycles now.
+            sink.on_record(stamped, dir, frame);
         } else {
             self.records.push(CaptureRecord {
                 ts: stamped,
                 dir,
-                frame,
+                frame: frame.clone(),
             });
         }
     }
@@ -214,12 +222,12 @@ mod tests {
         buf.record(
             SimTime::from_millis(1),
             CaptureDir::Tx,
-            Bytes::from_static(b"a"),
+            &Bytes::from_static(b"a"),
         );
         buf.record(
             SimTime::from_millis(2),
             CaptureDir::Rx,
-            Bytes::from_static(b"b"),
+            &Bytes::from_static(b"b"),
         );
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.records()[0].dir, CaptureDir::Tx);
@@ -235,7 +243,7 @@ mod tests {
         let mut buf = CaptureBuffer::new("t").with_noise(noise);
         let t = SimTime::from_millis(10);
         for _ in 0..100 {
-            buf.record(t, CaptureDir::Rx, Bytes::from_static(b"x"));
+            buf.record(t, CaptureDir::Rx, &Bytes::from_static(b"x"));
         }
         for r in buf.records() {
             assert!(r.ts >= t);
@@ -256,7 +264,7 @@ mod tests {
             buf.record(
                 SimTime::from_nanos(i * 10),
                 CaptureDir::Rx,
-                Bytes::from_static(b"x"),
+                &Bytes::from_static(b"x"),
             );
         }
         let mut prev = SimTime::ZERO;
@@ -269,7 +277,7 @@ mod tests {
     #[test]
     fn clear_empties() {
         let mut buf = CaptureBuffer::new("t");
-        buf.record(SimTime::ZERO, CaptureDir::Tx, Bytes::from_static(b"a"));
+        buf.record(SimTime::ZERO, CaptureDir::Tx, &Bytes::from_static(b"a"));
         buf.clear();
         assert!(buf.is_empty());
     }
@@ -280,12 +288,12 @@ mod tests {
         buf.record(
             SimTime::from_millis(1),
             CaptureDir::Tx,
-            Bytes::from_static(b"a"),
+            &Bytes::from_static(b"a"),
         );
         buf.record(
             SimTime::from_millis(2),
             CaptureDir::Rx,
-            Bytes::from_static(b"b"),
+            &Bytes::from_static(b"b"),
         );
         let drained = buf.drain();
         assert_eq!(drained.len(), 2);
@@ -293,7 +301,7 @@ mod tests {
         buf.record(
             SimTime::from_millis(3),
             CaptureDir::Tx,
-            Bytes::from_static(b"c"),
+            &Bytes::from_static(b"c"),
         );
         assert_eq!(buf.len(), 1);
         assert_eq!(buf.total_recorded(), 3);
@@ -335,8 +343,8 @@ mod tests {
                 CaptureDir::Rx
             };
             let frame = Bytes::copy_from_slice(&[i as u8; 6]);
-            retained.record(SimTime::from_nanos(i * 50), dir, frame.clone());
-            streamed.record(SimTime::from_nanos(i * 50), dir, frame);
+            retained.record(SimTime::from_nanos(i * 50), dir, &frame);
+            streamed.record(SimTime::from_nanos(i * 50), dir, &frame);
         }
         assert!(streamed.is_empty(), "streaming tap must retain nothing");
         assert_eq!(streamed.total_recorded(), 200);

@@ -5,6 +5,12 @@
 //! temporarily taken out of the node table, so its handler receives a
 //! [`Ctx`] with full mutable access to the rest of the engine (links,
 //! timers, taps) without aliasing.
+//!
+//! A transmitted frame costs one event, its delivery. The engine keeps
+//! the `(time, seq)` of the event it is dispatching, and a link
+//! direction settles its queue against it before judging the next
+//! frame (see [`crate::link`]), so a frame's end of serialization needs
+//! no event of its own.
 
 use std::any::Any;
 
@@ -147,6 +153,8 @@ pub struct Engine {
     taps: Vec<CaptureBuffer>,
     started: bool,
     events_processed: u64,
+    /// Sequence number of the event being dispatched.
+    dispatching: u64,
     trace: Trace,
 }
 
@@ -168,6 +176,7 @@ impl Engine {
             taps: Vec::new(),
             started: false,
             events_processed: 0,
+            dispatching: 0,
             trace: Trace::disabled(),
         }
     }
@@ -454,6 +463,7 @@ impl Engine {
         };
         debug_assert!(event.at >= self.now, "time went backwards");
         self.now = event.at;
+        self.dispatching = event.seq;
         self.events_processed += 1;
         match event.kind {
             EventKind::Start { node } => self.dispatch(node, |n, ctx| n.on_start(ctx)),
@@ -462,10 +472,6 @@ impl Engine {
             }
             EventKind::FrameDelivery { node, port, frame } => {
                 self.dispatch(node, |n, ctx| n.on_frame(ctx, port, frame))
-            }
-            EventKind::LinkTxDone { link, dir, bytes } => {
-                let st = self.links[link].dir_state(dir);
-                st.queued_bytes = st.queued_bytes.saturating_sub(bytes);
             }
         }
         true
@@ -506,7 +512,7 @@ impl Engine {
         }
         for i in 0..n_src_taps {
             let tap = self.links[link_id].source_taps(dir)[i];
-            self.taps[tap].record(t, CaptureDir::Tx, frame.clone());
+            self.taps[tap].record(t, CaptureDir::Tx, &frame);
         }
 
         let action = match self.links[link_id].dir_state(dir).fault.as_mut() {
@@ -532,6 +538,7 @@ impl Engine {
             }
             let len = f.len();
             let st = self.links[link_id].dir_state(dir);
+            st.settle(t, self.dispatching);
             if st.queued_bytes + len > st.spec.queue_limit_bytes {
                 st.queue_drops += 1;
                 self.trace
@@ -564,8 +571,7 @@ impl Engine {
             let rate = st.dynamics.schedule.rate_at(start, st.spec.rate_bps);
             let tx_done = start + SimDuration::serialization(len, rate);
             st.busy_until = tx_done;
-            st.queued_bytes += len;
-            st.queue_peak_bytes = st.queue_peak_bytes.max(st.queued_bytes);
+            st.enqueue(tx_done, self.queue.reserve_seq(), len);
             let propagation = st.spec.propagation;
             if self.trace.is_enabled() {
                 self.trace
@@ -586,14 +592,6 @@ impl Engine {
                     tx_done.saturating_since(start).as_nanos(),
                 );
             }
-            self.queue.push(
-                tx_done,
-                EventKind::LinkTxDone {
-                    link: link_id,
-                    dir,
-                    bytes: len,
-                },
-            );
             let arrival = tx_done + propagation + extra;
             let sink = self.links[link_id].sink(dir);
             // Receive-side taps stamp at arrival.
@@ -608,7 +606,7 @@ impl Engine {
                 // is equivalent to recording on delivery, and keeps taps
                 // ordered even if the receiving node is slow.
                 let tap = self.links[link_id].sink_taps(dir)[i];
-                self.taps[tap].record(arrival, CaptureDir::Rx, f.clone());
+                self.taps[tap].record(arrival, CaptureDir::Rx, &f);
             }
             self.queue.push(
                 arrival,
@@ -1207,5 +1205,317 @@ mod more_tests {
         let c = e.add_node(Box::new(Inert));
         let link = e.connect(a, 0, b, 0, LinkSpec::fast_ethernet());
         e.add_tap(link, c, crate::capture::CaptureBuffer::new("bad"));
+    }
+}
+
+#[cfg(test)]
+mod lazy_queue_tests {
+    //! The lazy link-queue rule against a model that queues an explicit
+    //! transmit-done event per frame and replays the events in
+    //! `(time, seq)` order, as the engine once did.
+
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// One byte per microsecond.
+    const RATE_BPS: u64 = 8_000_000;
+    const US: u64 = 1_000;
+
+    /// What a step of an offer schedule does, in order.
+    #[derive(Debug, Clone, Copy)]
+    enum Action {
+        /// Offer a frame of this many bytes to the link.
+        Send(usize),
+        /// Arm a timer that runs the step `.1` after `.0` µs.
+        Arm(u64, usize),
+    }
+
+    /// An offer schedule: the timers armed at start, and the steps.
+    #[derive(Debug, Clone)]
+    struct Script {
+        limit: usize,
+        start: Vec<(u64, usize)>,
+        steps: Vec<Vec<Action>>,
+    }
+
+    /// Gauges of the direction after a step that offered frames:
+    /// `(queued_bytes, queue_peak_bytes, queue_drops)`.
+    type Gauges = (usize, usize, u64);
+
+    /// What the link did with a script: the ids of the admitted frames
+    /// in admission order, the gauges after every step that offered a
+    /// frame, and the final drops and peak.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Outcome {
+        admitted: Vec<u32>,
+        after_offers: Vec<Gauges>,
+        drops: u64,
+        peak: usize,
+    }
+
+    /// Runs the script's steps on its timers. Each frame carries its
+    /// offer index in its first four bytes.
+    struct Offerer {
+        script: Script,
+        offered: u32,
+    }
+
+    impl Offerer {
+        fn act(&mut self, ctx: &mut Ctx, actions: &[Action]) {
+            for &action in actions {
+                match action {
+                    Action::Send(len) => {
+                        let mut frame = vec![0u8; len];
+                        frame[..4].copy_from_slice(&self.offered.to_be_bytes());
+                        self.offered += 1;
+                        ctx.send_frame(0, Bytes::from(frame));
+                    }
+                    Action::Arm(delay_us, step) => {
+                        ctx.set_timer(SimDuration::from_micros(delay_us), step as u64)
+                    }
+                }
+            }
+        }
+    }
+
+    impl Node for Offerer {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            let start: Vec<Action> = self
+                .script
+                .start
+                .iter()
+                .map(|&(delay, step)| Action::Arm(delay, step))
+                .collect();
+            self.act(ctx, &start);
+        }
+        fn on_frame(&mut self, _: &mut Ctx, _: PortNo, _: Bytes) {}
+        fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
+            let actions = self.script.steps[token as usize].clone();
+            self.act(ctx, &actions);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Records the id of every frame that arrives.
+    #[derive(Default)]
+    struct Receiver {
+        ids: Vec<u32>,
+    }
+
+    impl Node for Receiver {
+        fn on_frame(&mut self, _: &mut Ctx, _: PortNo, frame: Bytes) {
+            self.ids
+                .push(u32::from_be_bytes(frame[..4].try_into().unwrap()));
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn spec(limit: usize) -> LinkSpec {
+        LinkSpec {
+            rate_bps: RATE_BPS,
+            propagation: SimDuration::ZERO,
+            extra_delay: SimDuration::ZERO,
+            queue_limit_bytes: limit,
+        }
+    }
+
+    /// The engine's outcome, read off the direction after every step
+    /// that offered a frame (a step settles the queue at its first
+    /// offer, so its gauges are exact there).
+    fn engine_outcome(script: &Script) -> Outcome {
+        let mut e = Engine::new();
+        let o = e.add_node(Box::new(Offerer {
+            script: script.clone(),
+            offered: 0,
+        }));
+        let r = e.add_node(Box::new(Receiver::default()));
+        e.connect(o, 0, r, 0, spec(script.limit));
+        let mut after_offers = Vec::new();
+        let mut offered = 0;
+        while e.step() {
+            let now = e.node_ref::<Offerer>(o).offered;
+            if now > offered {
+                offered = now;
+                let st = &e.links[0].a_to_b;
+                after_offers.push((st.queued_bytes, st.queue_peak_bytes, st.queue_drops));
+            }
+        }
+        Outcome {
+            admitted: e.node_ref::<Receiver>(r).ids.clone(),
+            after_offers,
+            drops: e.queue_drops(0, o),
+            peak: e.queue_peak_bytes(0, o),
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum ModelEvent {
+        Start,
+        Step(usize),
+        TxDone(usize),
+        Delivery(u32),
+    }
+
+    /// The drop-tail direction with one transmit-done event per frame,
+    /// its events pushed in the order the engine pushes its own.
+    fn model_outcome(script: &Script) -> Outcome {
+        let mut heap: BinaryHeap<Reverse<(u64, u64, ModelEvent)>> = BinaryHeap::new();
+        let mut next_seq = 0;
+        let mut push = |heap: &mut BinaryHeap<_>, at: u64, ev: ModelEvent| {
+            heap.push(Reverse((at, next_seq, ev)));
+            next_seq += 1;
+        };
+        // The engine starts its two nodes at zero; the receiver's start
+        // does nothing.
+        push(&mut heap, 0, ModelEvent::Start);
+        push(&mut heap, 0, ModelEvent::Start);
+        let (mut busy_until, mut queued, mut peak, mut drops) = (0, 0, 0, 0);
+        let (mut offered, mut started) = (0u32, false);
+        let mut out = Outcome {
+            admitted: Vec::new(),
+            after_offers: Vec::new(),
+            drops: 0,
+            peak: 0,
+        };
+        while let Some(Reverse((now, _, ev))) = heap.pop() {
+            let actions: Vec<Action> = match ev {
+                ModelEvent::Start if !started => {
+                    started = true;
+                    script
+                        .start
+                        .iter()
+                        .map(|&(d, s)| Action::Arm(d, s))
+                        .collect()
+                }
+                ModelEvent::Start => Vec::new(),
+                ModelEvent::Step(step) => script.steps[step].clone(),
+                ModelEvent::TxDone(len) => {
+                    queued -= len;
+                    continue;
+                }
+                ModelEvent::Delivery(id) => {
+                    out.admitted.push(id);
+                    continue;
+                }
+            };
+            let mut sent = false;
+            for action in actions {
+                match action {
+                    Action::Send(len) => {
+                        sent = true;
+                        let id = offered;
+                        offered += 1;
+                        if queued + len > script.limit {
+                            drops += 1;
+                            continue;
+                        }
+                        let tx_done = busy_until.max(now) + len as u64 * US;
+                        busy_until = tx_done;
+                        queued += len;
+                        peak = peak.max(queued);
+                        push(&mut heap, tx_done, ModelEvent::TxDone(len));
+                        push(&mut heap, tx_done, ModelEvent::Delivery(id));
+                    }
+                    Action::Arm(delay, step) => {
+                        push(&mut heap, now + delay * US, ModelEvent::Step(step))
+                    }
+                }
+            }
+            if sent {
+                out.after_offers.push((queued, peak, drops));
+            }
+        }
+        out.drops = drops;
+        out.peak = peak;
+        out
+    }
+
+    /// A script from genes: offer sizes and delays are multiples of
+    /// 50 bytes and 50 µs, so offers keep landing on the instants other
+    /// frames finish, from timers armed both before and after those
+    /// frames were sent. A step arms only later steps, at most twice.
+    fn script(limit_gene: u64, start: &[u64], steps: &[Vec<u64>]) -> Script {
+        let n = steps.len();
+        let delay = |g: u64| (g >> 8) % 7 * 50;
+        let steps = steps
+            .iter()
+            .enumerate()
+            .map(|(i, genes)| {
+                let mut arms = 0;
+                genes
+                    .iter()
+                    .filter_map(|&g| {
+                        if g % 3 == 0 && i + 1 < n && arms < 2 {
+                            arms += 1;
+                            let to = i + 1 + (g >> 16) as usize % (n - i - 1);
+                            Some(Action::Arm(delay(g), to))
+                        } else if g % 3 == 0 {
+                            None
+                        } else {
+                            Some(Action::Send(50 * (1 + (g >> 4) as usize % 4)))
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        Script {
+            limit: 100 + 50 * (limit_gene % 7) as usize,
+            start: start
+                .iter()
+                .map(|&g| (delay(g), (g >> 16) as usize % n))
+                .collect(),
+            steps,
+        }
+    }
+
+    #[test]
+    fn an_offer_at_tx_done_sees_the_frame_only_if_armed_before_it_was_sent() {
+        // Frame 0 (100 B) finishes at 100 µs; a second 100 B frame fits
+        // the 150 B queue only once frame 0 has left.
+        let armed_before = Script {
+            limit: 150,
+            start: vec![(0, 0), (100, 1)],
+            steps: vec![vec![Action::Send(100)], vec![Action::Send(100)]],
+        };
+        let armed_after = Script {
+            limit: 150,
+            start: vec![(0, 0)],
+            steps: vec![
+                vec![Action::Send(100), Action::Arm(100, 1)],
+                vec![Action::Send(100)],
+            ],
+        };
+        let before = engine_outcome(&armed_before);
+        assert_eq!(before, model_outcome(&armed_before));
+        assert_eq!((before.admitted, before.drops), (vec![0], 1));
+        let after = engine_outcome(&armed_after);
+        assert_eq!(after, model_outcome(&armed_after));
+        assert_eq!((after.admitted, after.drops), (vec![0, 1], 0));
+    }
+
+    proptest! {
+        #[test]
+        fn lazy_settlement_admits_and_drops_like_transmit_done_events(
+            limit in any::<u64>(),
+            start in proptest::collection::vec(any::<u64>(), 1..4),
+            steps in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 0..6), 1..7),
+        ) {
+            let script = script(limit, &start, &steps);
+            prop_assert_eq!(engine_outcome(&script), model_outcome(&script), "{:?}", script);
+        }
     }
 }

@@ -9,6 +9,13 @@
 //! `BinaryHeap`, so [`Event`]'s `Ord` is the pop order.
 //! `tests/properties.rs` pins that contract, pop for pop, against a
 //! model that takes the minimum `(time, push index)` from a plain `Vec`.
+//!
+//! Three kinds of event are queued: frame deliveries, node timers and
+//! node starts. A link direction's transmit-done instants are not
+//! events: the direction keeps them and settles its queue lazily (see
+//! [`crate::link`]), stamping each with a number from
+//! [`EventQueue::reserve_seq`] so that it sorts among the events exactly
+//! where an event of its own would have.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -16,7 +23,6 @@ use std::collections::BinaryHeap;
 use bytes::Bytes;
 
 use crate::engine::{NodeId, PortNo};
-use crate::link::{Dir, LinkId};
 use crate::time::SimTime;
 
 /// What happens when an event fires.
@@ -37,16 +43,6 @@ pub enum EventKind {
         node: NodeId,
         /// Opaque token chosen by the node when arming.
         token: u64,
-    },
-    /// A link direction finished serializing a frame of `bytes` length;
-    /// used internally for queue accounting.
-    LinkTxDone {
-        /// The link in question.
-        link: LinkId,
-        /// Which direction of the full-duplex link.
-        dir: Dir,
-        /// Size of the frame leaving the queue.
-        bytes: usize,
     },
     /// Deliver `Node::on_start` at simulation boot.
     Start {
@@ -102,9 +98,17 @@ impl EventQueue {
 
     /// Schedule `kind` to fire at `at`.
     pub fn push(&mut self, at: SimTime, kind: EventKind) {
+        let seq = self.reserve_seq();
+        self.heap.push(Event { at, seq, kind });
+    }
+
+    /// Take the next sequence number without queuing an event. Every
+    /// later push keeps the number it would have had if an event had
+    /// been pushed here.
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Event { at, seq, kind });
+        seq
     }
 
     /// Remove and return the earliest event.
@@ -165,6 +169,17 @@ mod tests {
             })
             .collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_reserved_number_orders_like_a_push() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(5);
+        q.push(t, timer(0, 0));
+        assert_eq!(q.reserve_seq(), 1);
+        q.push(t, timer(0, 2));
+        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![0, 2]);
     }
 
     #[test]

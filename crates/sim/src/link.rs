@@ -5,6 +5,18 @@
 //! optional fixed *extra delay* — the simulator's equivalent of `netem
 //! delay`, used to reproduce the paper's "additional delay of 50 ms on the
 //! server side".
+//!
+//! A frame leaves the queue when its serialization ends, but that
+//! instant queues no event. The direction keeps its admitted frames as
+//! `(tx_done, seq, len)` in FIFO order, `seq` being the event-queue
+//! number the instant would have had, and settles `queued_bytes` only
+//! when the next frame is offered: every frame whose `(tx_done, seq)`
+//! comes before the offer's `(now, seq)` has left by then, exactly the
+//! frames whose transmit-done events would have been dispatched. Every
+//! admit, drop and gauge is the one an event per frame gives, for one
+//! event per frame instead of two.
+
+use std::collections::VecDeque;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -115,8 +127,11 @@ pub(crate) struct DirState {
     pub codel: CoDelState,
     /// When the transmitter becomes free.
     pub busy_until: SimTime,
-    /// Bytes currently queued or serializing.
+    /// Bytes queued or serializing as of the last [`DirState::settle`].
     pub queued_bytes: usize,
+    /// Frames counted in `queued_bytes`, as `(tx_done, seq, len)` in
+    /// FIFO order: both `tx_done` and `seq` grow along it.
+    pub in_flight: VecDeque<(SimTime, u64, usize)>,
     /// High-water mark of `queued_bytes` — the gauge that makes
     /// bufferbloat runs explainable.
     pub queue_peak_bytes: usize,
@@ -159,11 +174,33 @@ impl DirState {
             codel: CoDelState::default(),
             busy_until: SimTime::ZERO,
             queued_bytes: 0,
+            in_flight: VecDeque::new(),
             queue_peak_bytes: 0,
             queue_drops: 0,
             fault: None,
             jitter: None,
         }
+    }
+
+    /// Take every frame whose transmit-done instant `(tx_done, seq)`
+    /// comes before `(now, seq)` out of `queued_bytes`: the frames whose
+    /// transmit-done events would have been dispatched before the event
+    /// numbered `seq` at `now`.
+    pub(crate) fn settle(&mut self, now: SimTime, seq: u64) {
+        while let Some(&(tx_done, done_seq, len)) = self.in_flight.front() {
+            if (tx_done, done_seq) >= (now, seq) {
+                break;
+            }
+            self.queued_bytes -= len;
+            self.in_flight.pop_front();
+        }
+    }
+
+    /// Count an admitted frame of `len` bytes until `(tx_done, seq)`.
+    pub(crate) fn enqueue(&mut self, tx_done: SimTime, seq: u64, len: usize) {
+        self.queued_bytes += len;
+        self.queue_peak_bytes = self.queue_peak_bytes.max(self.queued_bytes);
+        self.in_flight.push_back((tx_done, seq, len));
     }
 }
 

@@ -77,12 +77,12 @@ mod tests {
         b.record(
             SimTime::from_nanos(1_500_002_000),
             CaptureDir::Tx,
-            Bytes::from_static(&[0xAA; 60]),
+            &Bytes::from_static(&[0xAA; 60]),
         );
         b.record(
             SimTime::from_millis(1600),
             CaptureDir::Rx,
-            Bytes::from_static(&[0xBB; 100]),
+            &Bytes::from_static(&[0xBB; 100]),
         );
         b
     }

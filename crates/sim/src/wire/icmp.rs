@@ -6,12 +6,62 @@
 //! modelled — exactly what `ping` uses.
 
 use bytes::{BufMut, Bytes, BytesMut};
+use std::ops::Range;
 
 use super::checksum;
 use super::WireError;
 
 /// ICMP header length (echo variant).
 pub const HEADER_LEN: usize = 8;
+
+/// The header fields of an ICMPv4 echo message, read in place by
+/// [`IcmpHeader::read`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IcmpHeader {
+    /// True for echo request (type 8), false for reply (type 0).
+    pub is_request: bool,
+    /// Identifier.
+    pub ident: u16,
+    /// Sequence number.
+    pub seq: u16,
+}
+
+impl IcmpHeader {
+    /// Verify `data` as an ICMP echo message (the checksum, type and
+    /// code) and read its header. The payload is `data[range]`.
+    pub fn read(data: &[u8]) -> Result<(IcmpHeader, Range<usize>), WireError> {
+        if data.len() < HEADER_LEN {
+            return Err(WireError::Truncated);
+        }
+        if !checksum::verify(checksum::sum(0, data)) {
+            return Err(WireError::BadChecksum);
+        }
+        let is_request = match data[0] {
+            8 => true,
+            0 => false,
+            _ => return Err(WireError::Malformed),
+        };
+        if data[1] != 0 {
+            return Err(WireError::Malformed);
+        }
+        let header = IcmpHeader {
+            is_request,
+            ident: u16::from_be_bytes([data[4], data[5]]),
+            seq: u16::from_be_bytes([data[6], data[7]]),
+        };
+        Ok((header, HEADER_LEN..data.len()))
+    }
+
+    /// The message these header fields and `payload` make.
+    pub fn echo(self, payload: Bytes) -> IcmpEcho {
+        IcmpEcho {
+            is_request: self.is_request,
+            ident: self.ident,
+            seq: self.seq,
+            payload,
+        }
+    }
+}
 
 /// An ICMPv4 echo message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,28 +102,11 @@ impl IcmpEcho {
         buf.freeze()
     }
 
-    /// Parse and verify the checksum. The payload is a view into `data`.
+    /// Parse and verify the checksum ([`IcmpHeader::read`]). The
+    /// payload is a view into `data`.
     pub fn parse(data: &Bytes) -> Result<IcmpEcho, WireError> {
-        if data.len() < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        if !checksum::verify(checksum::sum(0, data)) {
-            return Err(WireError::BadChecksum);
-        }
-        let is_request = match data[0] {
-            8 => true,
-            0 => false,
-            _ => return Err(WireError::Malformed),
-        };
-        if data[1] != 0 {
-            return Err(WireError::Malformed);
-        }
-        Ok(IcmpEcho {
-            is_request,
-            ident: u16::from_be_bytes([data[4], data[5]]),
-            seq: u16::from_be_bytes([data[6], data[7]]),
-            payload: data.slice(HEADER_LEN..),
-        })
+        let (header, payload) = IcmpHeader::read(data)?;
+        Ok(header.echo(data.slice(payload)))
     }
 
     /// The reply to this request (echoes the payload, per RFC 792).

@@ -4,6 +4,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 use super::checksum;
 use super::WireError;
@@ -64,6 +65,68 @@ pub struct Ipv4Packet {
     pub payload: Bytes,
 }
 
+/// The header fields of an IPv4 packet, read in place by
+/// [`Ipv4Header::read`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ipv4Header {
+    /// Source address.
+    pub src: Ipv4Addr,
+    /// Destination address.
+    pub dst: Ipv4Addr,
+    /// Payload protocol.
+    pub protocol: IpProtocol,
+    /// Time to live.
+    pub ttl: u8,
+    /// Identification field.
+    pub ident: u16,
+}
+
+impl Ipv4Header {
+    /// Verify `data` as an IPv4 packet (version, IHL, total length and
+    /// header checksum) and read its header. The payload is
+    /// `data[range]`; link padding past the total length is not part of
+    /// it.
+    pub fn read(data: &[u8]) -> Result<(Ipv4Header, Range<usize>), WireError> {
+        if data.len() < HEADER_LEN {
+            return Err(WireError::Truncated);
+        }
+        if data[0] >> 4 != 4 {
+            return Err(WireError::Malformed);
+        }
+        let ihl = (data[0] & 0x0F) as usize * 4;
+        if ihl < HEADER_LEN || data.len() < ihl {
+            return Err(WireError::Malformed);
+        }
+        let total_len = u16::from_be_bytes([data[2], data[3]]) as usize;
+        if total_len < ihl || total_len > data.len() {
+            return Err(WireError::BadLength);
+        }
+        if !checksum::verify(checksum::sum(0, &data[..ihl])) {
+            return Err(WireError::BadChecksum);
+        }
+        let header = Ipv4Header {
+            src: Ipv4Addr::new(data[12], data[13], data[14], data[15]),
+            dst: Ipv4Addr::new(data[16], data[17], data[18], data[19]),
+            protocol: IpProtocol::from_value(data[9]),
+            ttl: data[8],
+            ident: u16::from_be_bytes([data[4], data[5]]),
+        };
+        Ok((header, ihl..total_len))
+    }
+
+    /// The packet these header fields and `payload` make.
+    pub fn packet(self, payload: Bytes) -> Ipv4Packet {
+        Ipv4Packet {
+            src: self.src,
+            dst: self.dst,
+            protocol: self.protocol,
+            ttl: self.ttl,
+            ident: self.ident,
+            payload,
+        }
+    }
+}
+
 /// Append an option-less header for a packet carrying `payload_len`
 /// transport bytes, header checksum included.
 pub(super) fn put_header(
@@ -109,39 +172,11 @@ impl Ipv4Packet {
         buf.freeze()
     }
 
-    /// Parse and verify the header checksum and length fields. The
-    /// payload is a view into `data`.
+    /// Parse and verify the header checksum and length fields
+    /// ([`Ipv4Header::read`]). The payload is a view into `data`.
     pub fn parse(data: &Bytes) -> Result<Ipv4Packet, WireError> {
-        if data.len() < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        if data[0] >> 4 != 4 {
-            return Err(WireError::Malformed);
-        }
-        let ihl = (data[0] & 0x0F) as usize * 4;
-        if ihl < HEADER_LEN || data.len() < ihl {
-            return Err(WireError::Malformed);
-        }
-        let total_len = u16::from_be_bytes([data[2], data[3]]) as usize;
-        if total_len < ihl || total_len > data.len() {
-            return Err(WireError::BadLength);
-        }
-        if !checksum::verify(checksum::sum(0, &data[..ihl])) {
-            return Err(WireError::BadChecksum);
-        }
-        let ident = u16::from_be_bytes([data[4], data[5]]);
-        let ttl = data[8];
-        let protocol = IpProtocol::from_value(data[9]);
-        let src = Ipv4Addr::new(data[12], data[13], data[14], data[15]);
-        let dst = Ipv4Addr::new(data[16], data[17], data[18], data[19]);
-        Ok(Ipv4Packet {
-            src,
-            dst,
-            protocol,
-            ttl,
-            ident,
-            payload: data.slice(ihl..total_len),
-        })
+        let (header, payload) = Ipv4Header::read(data)?;
+        Ok(header.packet(data.slice(payload)))
     }
 
     /// Length of the emitted packet.

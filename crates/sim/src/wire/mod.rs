@@ -8,9 +8,18 @@
 //! A frame is one buffer. [`Envelope`] writes the Ethernet, IPv4 and
 //! transport headers, every checksum and the payload into it in one
 //! pass; each layer's own `emit` is the layered reference it must equal
-//! byte for byte. Every parser takes the frame's `&Bytes` and returns
-//! payloads as views into it (`Bytes::slice`), so reading a frame copies
-//! nothing, while every checksum is still verified.
+//! byte for byte.
+//!
+//! Reading is done in place. Each layer has one borrowed validator
+//! ([`Ipv4Header::read`], [`TcpHeader::read`], [`UdpHeader::read`],
+//! [`IcmpHeader::read`]) that makes every check of its layer on a
+//! `&[u8]` and returns the header fields and the payload's byte range,
+//! and [`FrameLayout::read`] walks Ethernet → IPv4 → transport with
+//! them once. A reader that only looks at the bytes (a capture sink)
+//! makes no view at all, and one that keeps the payload (a receiving
+//! host) makes exactly one. The `&Bytes` parsers (`TcpSegment::parse`
+//! and the rest, and [`ParsedPacket::parse`]) are thin wrappers that
+//! slice views out of the same ranges, so no layer's rules exist twice.
 
 pub mod checksum;
 pub mod datagram;
@@ -22,14 +31,15 @@ pub mod udp;
 
 pub use datagram::{ChunkKind, DataChunk};
 pub use ethernet::{EtherType, EthernetFrame, MacAddr};
-pub use icmp::IcmpEcho;
-pub use ipv4::{IpProtocol, Ipv4Packet};
-pub use tcp::{TcpFlags, TcpSegment};
-pub use udp::UdpDatagram;
+pub use icmp::{IcmpEcho, IcmpHeader};
+pub use ipv4::{IpProtocol, Ipv4Header, Ipv4Packet};
+pub use tcp::{TcpFlags, TcpHeader, TcpSegment};
+pub use udp::{UdpDatagram, UdpHeader};
 
 use bytes::{Bytes, BytesMut};
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 /// Errors raised while parsing or emitting wire formats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,10 +136,100 @@ impl Envelope {
     }
 }
 
+/// Where everything in an Ethernet II + IPv4 frame lies, read in place
+/// by [`FrameLayout::read`]: the header fields of each layer and the
+/// byte ranges of the IPv4 payload and the transport payload, both
+/// relative to the frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrameLayout {
+    /// Destination MAC.
+    pub dst_mac: MacAddr,
+    /// Source MAC.
+    pub src_mac: MacAddr,
+    /// The IPv4 header fields.
+    pub ip: Ipv4Header,
+    /// The IPv4 payload: the transport header and its payload.
+    pub segment: Range<usize>,
+    /// The transport header fields.
+    pub transport: TransportHeader,
+    /// The transport payload; empty for [`TransportHeader::Other`].
+    pub payload: Range<usize>,
+}
+
+/// Transport header fields of a [`FrameLayout`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TransportHeader {
+    /// A TCP segment's header.
+    Tcp(TcpHeader),
+    /// A UDP datagram's header.
+    Udp(UdpHeader),
+    /// An ICMP echo message's header.
+    Icmp(IcmpHeader),
+    /// An IP protocol this crate does not parse further.
+    Other(u8),
+}
+
+impl FrameLayout {
+    /// Walk a raw Ethernet frame to its transport payload once: the
+    /// ethertype, then each layer's validator in turn, every checksum
+    /// included. [`ParsedPacket::parse`] is this walk plus a view per
+    /// layer, so the two accept and reject the same frames with the
+    /// same error. Nothing is copied and no view is made.
+    pub fn read(frame: &[u8]) -> Result<FrameLayout, WireError> {
+        let (dst_mac, src_mac, ethertype) = ethernet::parse_header(frame)?;
+        if ethertype != EtherType::Ipv4 {
+            return Err(WireError::Malformed);
+        }
+        let at = ethernet::HEADER_LEN;
+        let (ip, segment) = Ipv4Header::read(&frame[at..])?;
+        let segment = at + segment.start..at + segment.end;
+        let data = &frame[segment.clone()];
+        let (transport, payload) = match ip.protocol {
+            IpProtocol::Tcp => {
+                let (h, r) = TcpHeader::read(data, ip.src, ip.dst)?;
+                (TransportHeader::Tcp(h), r)
+            }
+            IpProtocol::Udp => {
+                let (h, r) = UdpHeader::read(data, ip.src, ip.dst)?;
+                (TransportHeader::Udp(h), r)
+            }
+            IpProtocol::Icmp => {
+                let (h, r) = IcmpHeader::read(data)?;
+                (TransportHeader::Icmp(h), r)
+            }
+            IpProtocol::Other(p) => (TransportHeader::Other(p), 0..0),
+        };
+        let payload = segment.start + payload.start..segment.start + payload.end;
+        Ok(FrameLayout {
+            dst_mac,
+            src_mac,
+            ip,
+            segment,
+            transport,
+            payload,
+        })
+    }
+
+    /// The transport content of `frame`, the frame this layout was
+    /// read from, as a receiving host keeps it: the header fields and
+    /// one view of `frame`, the payload's (none when the payload is
+    /// empty).
+    pub fn transport(&self, frame: &Bytes) -> Transport {
+        let payload = frame.slice(self.payload.clone());
+        match self.transport {
+            TransportHeader::Tcp(h) => Transport::Tcp(h.segment(payload)),
+            TransportHeader::Udp(h) => Transport::Udp(h.datagram(payload)),
+            TransportHeader::Icmp(h) => Transport::Icmp(h.echo(payload)),
+            TransportHeader::Other(p) => Transport::Other(p),
+        }
+    }
+}
+
 /// A fully parsed client-visible packet: Ethernet → IPv4 → TCP/UDP.
 ///
-/// Convenience for capture-analysis code that wants to go from raw frame
-/// bytes to transport payload in one call.
+/// Convenience for capture-analysis code that wants every layer as an
+/// owned value. Readers on the hot path use [`FrameLayout::read`],
+/// which makes no views.
 #[derive(Debug, Clone)]
 pub struct ParsedPacket {
     /// Link-layer header.
@@ -155,21 +255,20 @@ pub enum Transport {
 
 impl ParsedPacket {
     /// Parse a raw Ethernet frame all the way to the transport layer,
-    /// verifying every checksum on the way. Every layer's payload is a
-    /// view into `frame`.
+    /// verifying every checksum on the way ([`FrameLayout::read`]).
+    /// Every layer's payload is a view into `frame`.
     pub fn parse(frame: &Bytes) -> Result<ParsedPacket, WireError> {
-        let eth = EthernetFrame::parse(frame)?;
-        if eth.ethertype != EtherType::Ipv4 {
-            return Err(WireError::Malformed);
-        }
-        let ip = Ipv4Packet::parse(&eth.payload)?;
-        let transport = match ip.protocol {
-            IpProtocol::Tcp => Transport::Tcp(TcpSegment::parse(&ip.payload, ip.src, ip.dst)?),
-            IpProtocol::Udp => Transport::Udp(UdpDatagram::parse(&ip.payload, ip.src, ip.dst)?),
-            IpProtocol::Icmp => Transport::Icmp(IcmpEcho::parse(&ip.payload)?),
-            IpProtocol::Other(p) => Transport::Other(p),
-        };
-        Ok(ParsedPacket { eth, ip, transport })
+        let layout = FrameLayout::read(frame)?;
+        Ok(ParsedPacket {
+            eth: EthernetFrame {
+                dst: layout.dst_mac,
+                src: layout.src_mac,
+                ethertype: EtherType::Ipv4,
+                payload: frame.slice(ethernet::HEADER_LEN..),
+            },
+            ip: layout.ip.packet(frame.slice(layout.segment.clone())),
+            transport: layout.transport(frame),
+        })
     }
 
     /// The TCP segment, if this packet carries one.

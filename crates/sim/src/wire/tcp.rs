@@ -4,7 +4,7 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::net::Ipv4Addr;
-use std::ops::BitOr;
+use std::ops::{BitOr, Range};
 
 use super::checksum;
 use super::WireError;
@@ -65,6 +65,100 @@ impl fmt::Display for TcpFlags {
             parts.push(".");
         }
         write!(f, "{}", parts.join("|"))
+    }
+}
+
+/// The header fields of a TCP segment, read in place by
+/// [`TcpHeader::read`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TcpHeader {
+    /// Source port.
+    pub src_port: u16,
+    /// Destination port.
+    pub dst_port: u16,
+    /// Sequence number.
+    pub seq: u32,
+    /// Acknowledgment number.
+    pub ack: u32,
+    /// Control flags.
+    pub flags: TcpFlags,
+    /// Advertised receive window.
+    pub window: u16,
+    /// MSS option, if present.
+    pub mss: Option<u16>,
+}
+
+impl TcpHeader {
+    /// Verify `data` as a TCP segment between `src_ip` and `dst_ip`
+    /// (data offset, the pseudo-header checksum and the option list)
+    /// and read its header. The payload is `data[range]`.
+    pub fn read(
+        data: &[u8],
+        src_ip: Ipv4Addr,
+        dst_ip: Ipv4Addr,
+    ) -> Result<(TcpHeader, Range<usize>), WireError> {
+        if data.len() < HEADER_LEN {
+            return Err(WireError::Truncated);
+        }
+        let data_offset = ((data[12] >> 4) as usize) * 4;
+        if data_offset < HEADER_LEN || data.len() < data_offset {
+            return Err(WireError::Malformed);
+        }
+        let mut acc = checksum::pseudo_header(src_ip, dst_ip, 6, data.len());
+        acc = checksum::sum(acc, data);
+        if !checksum::verify(acc) {
+            return Err(WireError::BadChecksum);
+        }
+        let mut mss = None;
+        let mut opts = &data[HEADER_LEN..data_offset];
+        while !opts.is_empty() {
+            match opts[0] {
+                0 => break,             // end of options
+                1 => opts = &opts[1..], // NOP
+                2 => {
+                    if opts.len() < 4 || opts[1] != 4 {
+                        return Err(WireError::Malformed);
+                    }
+                    mss = Some(u16::from_be_bytes([opts[2], opts[3]]));
+                    opts = &opts[4..];
+                }
+                _ => {
+                    // Unknown option: skip by its length byte.
+                    if opts.len() < 2 {
+                        return Err(WireError::Malformed);
+                    }
+                    let l = opts[1] as usize;
+                    if l < 2 || opts.len() < l {
+                        return Err(WireError::Malformed);
+                    }
+                    opts = &opts[l..];
+                }
+            }
+        }
+        let header = TcpHeader {
+            src_port: u16::from_be_bytes([data[0], data[1]]),
+            dst_port: u16::from_be_bytes([data[2], data[3]]),
+            seq: u32::from_be_bytes([data[4], data[5], data[6], data[7]]),
+            ack: u32::from_be_bytes([data[8], data[9], data[10], data[11]]),
+            flags: TcpFlags(data[13]),
+            window: u16::from_be_bytes([data[14], data[15]]),
+            mss,
+        };
+        Ok((header, data_offset..data.len()))
+    }
+
+    /// The segment these header fields and `payload` make.
+    pub fn segment(self, payload: Bytes) -> TcpSegment {
+        TcpSegment {
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            seq: self.seq,
+            ack: self.ack,
+            flags: self.flags,
+            window: self.window,
+            mss: self.mss,
+            payload,
+        }
     }
 }
 
@@ -131,67 +225,15 @@ impl TcpSegment {
         buf.freeze()
     }
 
-    /// Parse and verify the checksum against the pseudo-header. The
-    /// payload is a view into `data`.
+    /// Parse and verify the checksum against the pseudo-header
+    /// ([`TcpHeader::read`]). The payload is a view into `data`.
     pub fn parse(
         data: &Bytes,
         src_ip: Ipv4Addr,
         dst_ip: Ipv4Addr,
     ) -> Result<TcpSegment, WireError> {
-        if data.len() < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let data_offset = ((data[12] >> 4) as usize) * 4;
-        if data_offset < HEADER_LEN || data.len() < data_offset {
-            return Err(WireError::Malformed);
-        }
-        let mut acc = checksum::pseudo_header(src_ip, dst_ip, 6, data.len());
-        acc = checksum::sum(acc, data);
-        if !checksum::verify(acc) {
-            return Err(WireError::BadChecksum);
-        }
-        let src_port = u16::from_be_bytes([data[0], data[1]]);
-        let dst_port = u16::from_be_bytes([data[2], data[3]]);
-        let seq = u32::from_be_bytes([data[4], data[5], data[6], data[7]]);
-        let ack = u32::from_be_bytes([data[8], data[9], data[10], data[11]]);
-        let flags = TcpFlags(data[13]);
-        let window = u16::from_be_bytes([data[14], data[15]]);
-        let mut mss = None;
-        let mut opts = &data[HEADER_LEN..data_offset];
-        while !opts.is_empty() {
-            match opts[0] {
-                0 => break,             // end of options
-                1 => opts = &opts[1..], // NOP
-                2 => {
-                    if opts.len() < 4 || opts[1] != 4 {
-                        return Err(WireError::Malformed);
-                    }
-                    mss = Some(u16::from_be_bytes([opts[2], opts[3]]));
-                    opts = &opts[4..];
-                }
-                _ => {
-                    // Unknown option: skip by its length byte.
-                    if opts.len() < 2 {
-                        return Err(WireError::Malformed);
-                    }
-                    let l = opts[1] as usize;
-                    if l < 2 || opts.len() < l {
-                        return Err(WireError::Malformed);
-                    }
-                    opts = &opts[l..];
-                }
-            }
-        }
-        Ok(TcpSegment {
-            src_port,
-            dst_port,
-            seq,
-            ack,
-            flags,
-            window,
-            mss,
-            payload: data.slice(data_offset..),
-        })
+        let (header, payload) = TcpHeader::read(data, src_ip, dst_ip)?;
+        Ok(header.segment(data.slice(payload)))
     }
 
     /// Sequence-number footprint of this segment (payload + SYN/FIN).

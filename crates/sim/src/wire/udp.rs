@@ -2,12 +2,64 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 use super::checksum;
 use super::WireError;
 
 /// UDP header length.
 pub const HEADER_LEN: usize = 8;
+
+/// The header fields of a UDP datagram, read in place by
+/// [`UdpHeader::read`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UdpHeader {
+    /// Source port.
+    pub src_port: u16,
+    /// Destination port.
+    pub dst_port: u16,
+}
+
+impl UdpHeader {
+    /// Verify `data` as a UDP datagram between `src_ip` and `dst_ip`
+    /// (the length field and, unless it is zero, the checksum) and read
+    /// its header. The payload is `data[range]`.
+    pub fn read(
+        data: &[u8],
+        src_ip: Ipv4Addr,
+        dst_ip: Ipv4Addr,
+    ) -> Result<(UdpHeader, Range<usize>), WireError> {
+        if data.len() < HEADER_LEN {
+            return Err(WireError::Truncated);
+        }
+        let len = u16::from_be_bytes([data[4], data[5]]) as usize;
+        if len < HEADER_LEN || len > data.len() {
+            return Err(WireError::BadLength);
+        }
+        let cksum = u16::from_be_bytes([data[6], data[7]]);
+        if cksum != 0 {
+            let mut acc = checksum::pseudo_header(src_ip, dst_ip, 17, len);
+            acc = checksum::sum(acc, &data[..len]);
+            if !checksum::verify(acc) {
+                return Err(WireError::BadChecksum);
+            }
+        }
+        let header = UdpHeader {
+            src_port: u16::from_be_bytes([data[0], data[1]]),
+            dst_port: u16::from_be_bytes([data[2], data[3]]),
+        };
+        Ok((header, HEADER_LEN..len))
+    }
+
+    /// The datagram these header fields and `payload` make.
+    pub fn datagram(self, payload: Bytes) -> UdpDatagram {
+        UdpDatagram {
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            payload,
+        }
+    }
+}
 
 /// A UDP datagram.
 #[derive(Debug, Clone)]
@@ -52,33 +104,15 @@ impl UdpDatagram {
         buf.freeze()
     }
 
-    /// Parse and verify length and checksum. The payload is a view into
-    /// `data`.
+    /// Parse and verify length and checksum ([`UdpHeader::read`]). The
+    /// payload is a view into `data`.
     pub fn parse(
         data: &Bytes,
         src_ip: Ipv4Addr,
         dst_ip: Ipv4Addr,
     ) -> Result<UdpDatagram, WireError> {
-        if data.len() < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let len = u16::from_be_bytes([data[4], data[5]]) as usize;
-        if len < HEADER_LEN || len > data.len() {
-            return Err(WireError::BadLength);
-        }
-        let cksum = u16::from_be_bytes([data[6], data[7]]);
-        if cksum != 0 {
-            let mut acc = checksum::pseudo_header(src_ip, dst_ip, 17, len);
-            acc = checksum::sum(acc, &data[..len]);
-            if !checksum::verify(acc) {
-                return Err(WireError::BadChecksum);
-            }
-        }
-        Ok(UdpDatagram {
-            src_port: u16::from_be_bytes([data[0], data[1]]),
-            dst_port: u16::from_be_bytes([data[2], data[3]]),
-            payload: data.slice(HEADER_LEN..len),
-        })
+        let (header, payload) = UdpHeader::read(data, src_ip, dst_ip)?;
+        Ok(header.datagram(data.slice(payload)))
     }
 }
 

@@ -20,7 +20,7 @@ use bytes::Bytes;
 
 use bnm_sim::engine::{Ctx, Node, PortNo};
 use bnm_sim::time::{SimDuration, SimTime};
-use bnm_sim::wire::{Envelope, IcmpEcho, MacAddr, ParsedPacket, Transport};
+use bnm_sim::wire::{Envelope, FrameLayout, IcmpEcho, MacAddr, Transport};
 
 use crate::socket::{SocketId, TcpConfig};
 use crate::stack::{SockEvent, TcpStack};
@@ -336,20 +336,22 @@ impl<A: HostApp> Node for Host<A> {
         self.with_ctx(ctx, |app, hc| app.on_boot(hc));
     }
 
+    /// Reads the frame in place and makes one view of it, the
+    /// transport payload (none when the payload is empty).
     fn on_frame(&mut self, ctx: &mut Ctx, _port: PortNo, frame: Bytes) {
-        let parsed = match ParsedPacket::parse(&frame) {
-            Ok(p) => p,
+        let layout = match FrameLayout::read(&frame) {
+            Ok(l) => l,
             Err(_) => {
                 self.rx_errors += 1;
                 return;
             }
         };
-        if parsed.ip.dst != self.cfg.ip {
+        if layout.ip.dst != self.cfg.ip {
             return; // flooded frame for someone else
         }
         let now = ctx.now();
-        let src_ip = parsed.ip.src;
-        match parsed.transport {
+        let src_ip = layout.ip.src;
+        match layout.transport(&frame) {
             Transport::Tcp(seg) => {
                 self.tcp.process(now, src_ip, seg);
             }
@@ -652,12 +654,11 @@ mod tests {
             deadlines.extend(s.map(|d| (server, d)));
         }
         assert_eq!(e.node_ref::<Host<Exchanger>>(client).app().left, 0);
-        // A frame costs one transmit-done and one delivery event; beyond
-        // those, the two start events and the server's one handler timer
-        // per exchange, only one stack timer per distinct deadline may
-        // fire.
+        // A frame costs one delivery event; beyond those, the two start
+        // events and the server's one handler timer per exchange, only
+        // one stack timer per distinct deadline may fire.
         let frames = e.tap(tap).len() as u64;
-        let budget = 2 * frames + 2 + u64::from(EXCHANGES) + deadlines.len() as u64;
+        let budget = frames + 2 + u64::from(EXCHANGES) + deadlines.len() as u64;
         assert!(
             e.events_processed() <= budget,
             "{} events for {frames} frames and {} deadlines",

@@ -6,7 +6,8 @@
 //!    through views, so pool acquisitions stay near one per captured
 //!    frame. Layered emits and copying parsers cost 7.6 per record.
 //! 2. **A demand-bounded free list.** A thread parks at most as many
-//!    idle buffers as it has had alive at once.
+//!    idle buffers as it has had alive at once, and resetting the
+//!    gauges does not move that bound.
 //! 3. **Only the bytes in flight.** A client holds its connections'
 //!    unacknowledged and unread chunks, and shares its browser profile
 //!    with the scenario's other sessions, so a crowd's peak heap per
@@ -174,6 +175,33 @@ fn the_free_list_never_outgrows_the_live_peak() {
     assert!(
         free as i64 <= live_peak,
         "{free} idle buffers parked for a peak of {live_peak} live"
+    );
+}
+
+#[test]
+fn a_second_serial_batch_allocates_no_fresh_buffer() {
+    let (first, second) = on_fresh_thread(|| {
+        let cell = ExperimentCell::builder(
+            MethodId::XhrGet,
+            RuntimeSel::Browser(BrowserKind::Chrome),
+            OsKind::Ubuntu1204,
+        )
+        .contention(ContentionSpec::clients(32))
+        .impairment(Impairment::loss(0.02))
+        .reps(2)
+        .build()
+        .expect("a valid crowd cell");
+        let exec = bnm::Executor::serial();
+        let (_, first) = exec.run_with_stats(std::slice::from_ref(&cell), |_| {});
+        let (_, second) = exec.run_with_stats(std::slice::from_ref(&cell), |_| {});
+        (first.pool, second.pool)
+    });
+    assert!(first.allocated > 0);
+    // The drain resets the gauges before each batch; the buffers the
+    // first batch parked must all still be there for the second.
+    assert_eq!(
+        second.allocated, 0,
+        "the second batch allocated afresh: {second:?}"
     );
 }
 

@@ -818,6 +818,73 @@ fn tcp_frame(payload: &[u8]) -> Bytes {
     .emit()
 }
 
+/// Both capture sinks, registered for every scan token, beside a
+/// retaining tap that the batch oracle reads.
+struct SinksAndOracle {
+    method: MethodId,
+    rounds: u8,
+    index: ServerMarkerIndex,
+    clients: Vec<SessionMarkerSink>,
+    oracle_tap: CaptureBuffer,
+}
+
+impl SinksAndOracle {
+    fn new(method: MethodId, rounds: u8) -> SinksAndOracle {
+        SinksAndOracle {
+            method,
+            rounds,
+            index: ServerMarkerIndex::new(method, rounds, &SCAN_TOKENS),
+            clients: SCAN_TOKENS
+                .iter()
+                .map(|&t| SessionMarkerSink::new(method, rounds, t))
+                .collect(),
+            oracle_tap: CaptureBuffer::new("oracle"),
+        }
+    }
+
+    fn record(&mut self, ts: SimTime, dir: CaptureDir, frame: &Bytes) {
+        self.index.on_record(ts, dir, frame);
+        for client in &mut self.clients {
+            client.on_record(ts, dir, frame);
+        }
+        self.oracle_tap.record(ts, dir, frame);
+    }
+
+    /// For every round and registered token, the sinks' evidence equals
+    /// what `ParsedCapture` counts over the same records.
+    fn assert_count_like_the_oracle(&self) {
+        let (method, oracle) = (self.method, ParsedCapture::parse(&self.oracle_tap));
+        for round in 1..=self.rounds {
+            for (client, &token) in self.clients.iter().zip(&SCAN_TOKENS) {
+                let req = request_marker(method, round, token);
+                let resp = response_marker(method, round, token);
+                let (tx, rx) = (CaptureDir::Tx, CaptureDir::Rx);
+                prop_assert_eq!(
+                    client.evidence(round),
+                    [oracle.evidence(tx, &req), oracle.evidence(rx, &resp)],
+                    "client {:?} round {} token {}",
+                    method,
+                    round,
+                    token
+                );
+                prop_assert_eq!(
+                    self.index.evidence(round, token),
+                    Some([
+                        oracle.evidence(tx, &req),
+                        oracle.evidence(rx, &req),
+                        oracle.evidence(tx, &resp),
+                        oracle.evidence(rx, &resp),
+                    ]),
+                    "server {:?} round {} token {}",
+                    method,
+                    round,
+                    token
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     /// Each record's first gene also picks its direction and how many
     /// bytes to cut off its end, which can split the last marker.
@@ -827,52 +894,183 @@ proptest! {
         rounds in 1u8..=4,
         records in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 1..8), 1..12),
     ) {
-        let method = MethodId::ALL[method];
-        let mut oracle_tap = CaptureBuffer::new("oracle");
-        let mut index = ServerMarkerIndex::new(method, rounds, &SCAN_TOKENS);
-        let mut clients: Vec<SessionMarkerSink> = SCAN_TOKENS
-            .iter()
-            .map(|&t| SessionMarkerSink::new(method, rounds, t))
-            .collect();
+        let mut sinks = SinksAndOracle::new(MethodId::ALL[method], rounds);
         for (i, genes) in records.iter().enumerate() {
             let mut payload = Vec::new();
             let mut prev = Vec::new();
             for &gene in genes {
-                prev = marker_piece(method, rounds, gene, &prev);
+                prev = marker_piece(sinks.method, rounds, gene, &prev);
                 payload.extend_from_slice(&prev);
             }
             payload.truncate(payload.len().saturating_sub((genes[0] >> 40) as usize % 4));
             let dir = if genes[0] >> 44 & 1 == 0 { CaptureDir::Tx } else { CaptureDir::Rx };
-            let (ts, frame) = (SimTime::from_millis(i as u64), tcp_frame(&payload));
-            index.on_record(ts, dir, &frame);
-            for client in &mut clients {
-                client.on_record(ts, dir, &frame);
-            }
-            oracle_tap.record(ts, dir, frame);
+            sinks.record(SimTime::from_millis(i as u64), dir, &tcp_frame(&payload));
         }
-        let oracle = ParsedCapture::parse(&oracle_tap);
-        for round in 1..=rounds {
-            for (client, &token) in clients.iter().zip(&SCAN_TOKENS) {
-                let req = request_marker(method, round, token);
-                let resp = response_marker(method, round, token);
-                let (tx, rx) = (CaptureDir::Tx, CaptureDir::Rx);
-                prop_assert_eq!(
-                    client.evidence(round),
-                    [oracle.evidence(tx, &req), oracle.evidence(rx, &resp)],
-                    "client {:?} round {} token {}", method, round, token
-                );
-                prop_assert_eq!(
-                    index.evidence(round, token),
-                    Some([
-                        oracle.evidence(tx, &req),
-                        oracle.evidence(rx, &req),
-                        oracle.evidence(tx, &resp),
-                        oracle.evidence(rx, &resp),
-                    ]),
-                    "server {:?} round {} token {}", method, round, token
-                );
+        sinks.assert_count_like_the_oracle();
+    }
+}
+
+// ---------- in-place readers and capture sinks on hostile frames ----------
+//
+// The sinks, the locator and the receiving host read each frame in
+// place with `FrameLayout::read`; the batch oracle and analysis code
+// parse it into owned layers with `ParsedPacket::parse`. On frames that
+// are truncated, spliced, bit-flipped or rearranged, both must accept
+// and reject alike, read the same fields and payload, and count the same
+// marker evidence.
+
+use bnm::core::frames::payload_range;
+use bnm::sim::wire::FrameLayout;
+
+/// A frame built from `gene` around `payload`: TCP, UDP or ICMP, an
+/// IPv4 packet of a protocol this crate does not parse, or a non-IPv4
+/// frame. Then kept whole, truncated, spliced with `other`, bit-flipped,
+/// or with two aligned 16-bit words swapped, which keeps every
+/// one's-complement sum that covers both, so such a frame may still
+/// parse, with its bytes moved.
+fn hostile_frame(gene: u64, payload: &[u8], other: &[u8]) -> Bytes {
+    let (src, dst) = (
+        Ipv4Addr::new(192, 168, 1, 2),
+        Ipv4Addr::new(192, 168, 1, 10),
+    );
+    let env = Envelope {
+        dst_mac: MacAddr::local(1),
+        src_mac: MacAddr::local(2),
+        src_ip: src,
+        dst_ip: dst,
+        ttl: 64,
+        ident: gene as u16,
+    };
+    let frame = match gene % 5 {
+        kind @ 0..=2 => frame_both_ways(kind as u8, &env, gene >> 8, None, payload).0,
+        kind => {
+            let ip = Ipv4Packet {
+                src,
+                dst,
+                protocol: IpProtocol::Other([2, 41, 47, 50, 132][(gene >> 8) as usize % 5]),
+                ttl: 64,
+                ident: 1,
+                payload: Bytes::copy_from_slice(payload),
+            };
+            let ethertype = if kind == 3 {
+                EtherType::Ipv4
+            } else {
+                EtherType::Other(0x86DD)
+            };
+            EthernetFrame {
+                dst: env.dst_mac,
+                src: env.src_mac,
+                ethertype,
+                payload: ip.emit(),
             }
+            .emit()
         }
+    };
+    let mut bytes = frame.to_vec();
+    let (a, b) = ((gene >> 16) as usize, (gene >> 40) as usize);
+    match (gene >> 4) % 6 {
+        0 | 1 => {}
+        2 => bytes.truncate(a % (bytes.len() + 1)),
+        3 => {
+            bytes.truncate(a % (bytes.len() + 1));
+            bytes.extend_from_slice(&other[b % (other.len() + 1)..]);
+        }
+        4 => bytes[a % frame.len()] ^= 1 << (b % 8),
+        _ => {
+            let words = bytes.len() / 2;
+            let (i, j) = (2 * (a % words), 2 * (b % words));
+            let (wi, wj) = ([bytes[i], bytes[i + 1]], [bytes[j], bytes[j + 1]]);
+            bytes[i..i + 2].copy_from_slice(&wj);
+            bytes[j..j + 2].copy_from_slice(&wi);
+        }
+    }
+    Bytes::from(bytes)
+}
+
+/// `FrameLayout::read` and the host's one-view transport against
+/// `ParsedPacket::parse`, field for field.
+fn read_in_place_like_parse(frame: &Bytes) {
+    match (FrameLayout::read(frame), ParsedPacket::parse(frame)) {
+        (Err(a), Err(b)) => prop_assert_eq!(a, b),
+        (Ok(l), Ok(p)) => {
+            prop_assert_eq!((l.dst_mac, l.src_mac), (p.eth.dst, p.eth.src));
+            prop_assert_eq!(p.eth.ethertype, EtherType::Ipv4);
+            prop_assert_eq!(
+                (l.ip.src, l.ip.dst, l.ip.protocol, l.ip.ttl, l.ip.ident),
+                (p.ip.src, p.ip.dst, p.ip.protocol, p.ip.ttl, p.ip.ident)
+            );
+            prop_assert_eq!(&frame[l.segment.clone()], &p.ip.payload[..]);
+            let body = match (l.transport(frame), &p.transport) {
+                (Transport::Tcp(a), Transport::Tcp(b)) => {
+                    prop_assert_eq!(
+                        (a.src_port, a.dst_port, a.seq, a.ack, a.flags, a.window, a.mss),
+                        (b.src_port, b.dst_port, b.seq, b.ack, b.flags, b.window, b.mss)
+                    );
+                    prop_assert_eq!(&a.payload, &b.payload);
+                    a.payload
+                }
+                (Transport::Udp(a), Transport::Udp(b)) => {
+                    prop_assert_eq!((a.src_port, a.dst_port), (b.src_port, b.dst_port));
+                    prop_assert_eq!(&a.payload, &b.payload);
+                    a.payload
+                }
+                (Transport::Icmp(a), Transport::Icmp(b)) => {
+                    prop_assert_eq!(&a, b);
+                    a.payload
+                }
+                (Transport::Other(a), Transport::Other(b)) => {
+                    prop_assert_eq!(a, *b);
+                    Bytes::new()
+                }
+                (a, b) => panic!("layout read {a:?}, parse read {b:?}"),
+            };
+            prop_assert_eq!(&body[..], &frame[l.payload.clone()]);
+            prop_assert!(
+                body.is_empty() || is_view_into(&body, frame),
+                "the payload was copied"
+            );
+        }
+        (l, p) => panic!("layout {l:?} but parse {p:?}"),
+    }
+    let greppable = ParsedPacket::parse(frame)
+        .ok()
+        .and_then(|p| match p.transport {
+            Transport::Tcp(seg) => Some(seg.payload),
+            Transport::Udp(d) => Some(d.payload),
+            Transport::Icmp(_) | Transport::Other(_) => None,
+        });
+    prop_assert_eq!(
+        payload_range(frame).map(|r| &frame[r]),
+        greppable.as_deref()
+    );
+}
+
+proptest! {
+    /// Each record's first gene builds and mutates its frame; the rest
+    /// plant its markers. The previous record's frame is the splice
+    /// partner.
+    #[test]
+    fn hostile_frames_read_in_place_like_the_owned_parsers(
+        method in 0usize..MethodId::ALL.len(),
+        rounds in 1u8..=3,
+        records in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 1..6), 1..12),
+    ) {
+        let mut sinks = SinksAndOracle::new(MethodId::ALL[method], rounds);
+        let mut other = Bytes::new();
+        for (i, genes) in records.iter().enumerate() {
+            let mut payload = Vec::new();
+            let mut prev = Vec::new();
+            for &gene in &genes[1..] {
+                prev = marker_piece(sinks.method, rounds, gene, &prev);
+                payload.extend_from_slice(&prev);
+            }
+            let frame = hostile_frame(genes[0], &payload, &other);
+            read_in_place_like_parse(&frame);
+            let dir = if genes[0] >> 3 & 1 == 0 { CaptureDir::Tx } else { CaptureDir::Rx };
+            sinks.record(SimTime::from_millis(i as u64), dir, &frame);
+            other = frame;
+        }
+        sinks.assert_count_like_the_oracle();
     }
 }
 
