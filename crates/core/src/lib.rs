@@ -71,7 +71,7 @@ pub use delta::RoundMeasurement;
 pub use error::RunError;
 pub use exec::{ExecStats, Executor, Progress};
 pub use matching::{MatchError, ParsedCapture, ProbeStatus, ProbeVerdict};
-pub use monitor::{Monitor, MonitorConfig, MonitorFootprint};
+pub use monitor::{Monitor, MonitorFootprint};
 pub use report::{
     DistSummary, LinkReport, Render, ReportFormat, ReportSnapshot, Table, TraceReport, Value,
     WindowReport,

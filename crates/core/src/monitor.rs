@@ -8,20 +8,22 @@
 //! pollable *mid-run*. [`Monitor`] is that loop:
 //!
 //! * it drives the cell's scenario one repetition at a time over a
-//!   virtual clock ([`MonitorConfig::round_period`] apart), reusing the
-//!   exact batch repetition machinery — a monitored round is
-//!   bit-identical to the same `(cell, rep)` of a batch run;
+//!   virtual clock (one round period apart, 1 s unless
+//!   [`Monitor::with_period`] says otherwise), reusing the exact batch
+//!   repetition machinery — a monitored round is bit-identical to the
+//!   same `(cell, rep)` of a batch run;
 //! * each round's Δd samples (every session of the crowd), exclusions
-//!   and failures fold incrementally into tumbling + sliding windows
-//!   (1 s / 10 s / 1 min of virtual time by default) backed by
-//!   [`bnm_stats::WindowedSketch`] and [`bnm_obs::WindowedCounter`],
-//!   plus lifetime sketches — memory is bounded by the window spans and
-//!   the sketch resolution, never by the round count;
+//!   and failures fold into one ring of per-pan records (a pan is one
+//!   second of virtual time), plus lifetime sketches — memory is
+//!   bounded by the longest window and the sketch resolution, never by
+//!   the round count;
 //! * [`Monitor::snapshot`] can be called at any point and yields a
 //!   [`ReportSnapshot`] — the same summary shape
 //!   [`CellResult::summary`](crate::runner::CellResult::summary)
-//!   produces for batch runs — whose quantiles carry the sketch's
-//!   documented relative-error bound.
+//!   produces for batch runs — whose windows (the last 1 s, 10 s and
+//!   1 min, ending at the pan of the last round) merge their suffix of
+//!   the ring, and whose quantiles carry the sketch's documented
+//!   relative-error bound.
 //!
 //! Note one deliberate difference from the batch flat `d1`/`d2`
 //! vectors: the monitor folds *all* sessions' measurements into its
@@ -30,151 +32,64 @@
 //! against exact quantiles over all sessions of the equivalent batch
 //! repetitions.
 
-use bnm_obs::WindowedCounter;
+use std::collections::VecDeque;
+
 use bnm_sim::time::{SimDuration, SimTime};
-use bnm_stats::sketch::DEFAULT_ALPHA;
-use bnm_stats::{QuantileSketch, WindowedSketch};
+use bnm_stats::QuantileSketch;
 
 use crate::config::ExperimentCell;
 use crate::error::RunError;
 use crate::report::{DistSummary, ReportSnapshot, WindowReport};
 use crate::runner::ExperimentRunner;
 
-/// Shape of the monitoring loop: how often rounds fire and how the
-/// aggregation windows tile virtual time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorConfig {
-    /// Virtual time between consecutive measurement rounds.
-    pub round_period: SimDuration,
-    /// The tumbling base interval windows are built from.
-    pub pan: SimDuration,
-    /// Window spans, in pans. A `1` is a tumbling window of one pan;
-    /// larger values slide. The default (with 1 s pans) is
-    /// `[1, 10, 60]` — last second, last ten seconds, last minute.
-    pub window_pans: Vec<u32>,
-    /// Sketch accuracy (DDSketch α) for every window and the lifetime
-    /// digests; must lie in `(0, 1)`, and the sketch clamps it further
-    /// to `[1e-4, 0.25]`.
-    pub alpha: f64,
+/// Width of a pan, the tumbling interval every window is built from.
+const PAN: SimDuration = SimDuration::from_secs(1);
+
+/// The windows, as `(label, span in pans)`: the last second, ten
+/// seconds and minute of virtual time.
+const WINDOWS: [(&str, u64); 3] = [("1s", 1), ("10s", 10), ("1m", 60)];
+
+/// Pans the ring keeps: the longest window's span.
+const RING_PANS: u64 = WINDOWS[2].1;
+
+/// One pan's share of every window: what the rounds whose virtual time
+/// falls inside it contributed. Its sketches use the default accuracy
+/// (`DEFAULT_ALPHA`), like the lifetime digests.
+#[derive(Debug, Clone, Default)]
+struct Pan {
+    index: u64,
+    d1: QuantileSketch,
+    d2: QuantileSketch,
+    rounds: u64,
+    excluded: u64,
+    failures: u64,
 }
 
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            round_period: SimDuration::from_secs(1),
-            pan: SimDuration::from_secs(1),
-            window_pans: vec![1, 10, 60],
-            alpha: DEFAULT_ALPHA,
-        }
-    }
-}
-
-impl MonitorConfig {
-    fn validate(&self) -> Result<(), RunError> {
-        if self.round_period == SimDuration::ZERO {
-            return Err(RunError::InvalidInput("round_period must be positive"));
-        }
-        if self.pan == SimDuration::ZERO {
-            return Err(RunError::InvalidInput("pan must be positive"));
-        }
-        if self.window_pans.is_empty() {
-            return Err(RunError::InvalidInput("at least one window is required"));
-        }
-        if self.window_pans.contains(&0) {
-            return Err(RunError::InvalidInput("window spans must be positive"));
-        }
-        // Checked here because the sketch's `f64::clamp` passes NaN
-        // through.
-        if !self.alpha.is_finite() || self.alpha <= 0.0 || self.alpha >= 1.0 {
-            return Err(RunError::InvalidInput("alpha must lie in (0, 1)"));
-        }
-        Ok(())
-    }
-}
-
-/// Human label for a window span: `"1s"`, `"10s"`, `"1m"`, `"500ms"`.
-fn span_label(span: SimDuration) -> String {
-    let ns = span.as_nanos();
-    const SEC: u64 = 1_000_000_000;
-    if ns >= 60 * SEC && ns.is_multiple_of(60 * SEC) {
-        format!("{}m", ns / (60 * SEC))
-    } else if ns >= SEC && ns.is_multiple_of(SEC) {
-        format!("{}s", ns / SEC)
-    } else {
-        format!("{}ms", ns / 1_000_000)
-    }
-}
-
-/// One aggregation window's live state.
-#[derive(Debug, Clone)]
-struct MonitorWindow {
-    label: String,
-    span: SimDuration,
-    d1: WindowedSketch,
-    d2: WindowedSketch,
-    rounds: WindowedCounter,
-    excluded: WindowedCounter,
-    failures: WindowedCounter,
-}
-
-impl MonitorWindow {
-    fn new(pan: SimDuration, span_pans: u32, alpha: f64) -> MonitorWindow {
-        let pan_ns = pan.as_nanos();
-        let span = SimDuration::from_nanos(pan_ns.saturating_mul(span_pans as u64));
-        MonitorWindow {
-            label: span_label(span),
-            span,
-            d1: WindowedSketch::new(alpha, pan_ns, span_pans as usize),
-            d2: WindowedSketch::new(alpha, pan_ns, span_pans as usize),
-            rounds: WindowedCounter::new(pan_ns, span_pans as usize),
-            excluded: WindowedCounter::new(pan_ns, span_pans as usize),
-            failures: WindowedCounter::new(pan_ns, span_pans as usize),
-        }
-    }
-
-    fn report(&self) -> WindowReport {
-        let d1 = self.d1.merged();
-        let d2 = self.d2.merged();
-        let mut pooled = d1.clone();
-        pooled.merge(&d2);
-        WindowReport {
-            label: self.label.clone(),
-            span_secs: Some(self.span.as_secs_f64()),
-            rounds: self.rounds.total(),
-            excluded_rounds: self.excluded.total(),
-            failures: self.failures.total(),
-            d1: DistSummary::of_sketch(&d1),
-            d2: DistSummary::of_sketch(&d2),
-            pooled: DistSummary::of_sketch(&pooled),
-        }
-    }
-}
-
-/// Memory gauges of a running monitor. Each is bounded by the window
-/// spans and sketch resolution — a parity test asserts they stay flat
-/// between round 100 and round 1,000 of the same run.
+/// Memory gauges of a running monitor. Each is bounded by the longest
+/// window and the sketch resolution — a parity test asserts they stay
+/// flat between round 100 and round 1,000 of the same run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MonitorFootprint {
-    /// Live sketch pans summed over all windows (d1 + d2).
-    pub sketch_pans: usize,
-    /// Occupied sketch buckets summed over all windows and the two
+    /// Pans in the ring (at most 60).
+    pub pans: usize,
+    /// Occupied sketch buckets summed over the ring's pans and the two
     /// lifetime sketches.
     pub sketch_buckets: usize,
-    /// Live counter pans summed over all windows.
-    pub counter_pans: usize,
 }
 
 /// The continuous measurement loop. See the module docs.
 ///
 /// A `Monitor` is deterministic: two monitors built from the same cell
-/// and config, stepped the same number of times, produce `==`
+/// and period, stepped the same number of times, produce `==`
 /// [`ReportSnapshot`]s — each round derives entirely from
 /// `(cell.seed, rep)`.
 #[derive(Debug, Clone)]
 pub struct Monitor {
     cell: ExperimentCell,
-    cfg: MonitorConfig,
-    windows: Vec<MonitorWindow>,
+    period: SimDuration,
+    /// The pans of the last minute that held a round, ascending index;
+    /// the newest is the pan of the last round.
+    pans: VecDeque<Pan>,
     lifetime_d1: QuantileSketch,
     lifetime_d2: QuantileSketch,
     rounds_run: u64,
@@ -185,34 +100,29 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// A monitor over `cell` with the default window layout
-    /// (1 s rounds; 1 s / 10 s / 1 min windows).
+    /// A monitor over `cell` with one round per second of virtual time.
     pub fn new(cell: ExperimentCell) -> Result<Monitor, RunError> {
-        Monitor::with_config(cell, MonitorConfig::default())
+        Monitor::with_period(cell, SimDuration::from_secs(1))
     }
 
-    /// A monitor with an explicit [`MonitorConfig`].
+    /// A monitor whose rounds fire `period` of virtual time apart.
     ///
     /// Fails up-front with [`RunError::Unrunnable`] for a cell the
     /// runtime cannot execute (so the loop cannot spin failures
-    /// forever) or [`RunError::InvalidInput`] for a bad config.
-    pub fn with_config(cell: ExperimentCell, cfg: MonitorConfig) -> Result<Monitor, RunError> {
-        cfg.validate()?;
+    /// forever) or [`RunError::InvalidInput`] for a zero period.
+    pub fn with_period(cell: ExperimentCell, period: SimDuration) -> Result<Monitor, RunError> {
+        if period == SimDuration::ZERO {
+            return Err(RunError::InvalidInput("round period must be positive"));
+        }
         if !cell.is_runnable() {
             return Err(RunError::unrunnable(&cell));
         }
-        let windows = cfg
-            .window_pans
-            .iter()
-            .map(|span| MonitorWindow::new(cfg.pan, *span, cfg.alpha))
-            .collect();
-        let lifetime = QuantileSketch::new(cfg.alpha);
         Ok(Monitor {
             cell,
-            cfg,
-            windows,
-            lifetime_d1: lifetime.clone(),
-            lifetime_d2: lifetime,
+            period,
+            pans: VecDeque::new(),
+            lifetime_d1: QuantileSketch::default(),
+            lifetime_d2: QuantileSketch::default(),
             rounds_run: 0,
             excluded: 0,
             failures: 0,
@@ -236,59 +146,50 @@ impl Monitor {
         self.rounds_run
     }
 
-    /// Run one measurement round at the current virtual time and fold
-    /// it into every window, then advance the clock by
-    /// [`MonitorConfig::round_period`].
+    /// Run one measurement round at the current virtual time, fold it
+    /// into its pan and the lifetime digests, then advance the clock by
+    /// the round period.
     ///
     /// The round is the batch repetition `next_rep` of the same cell —
     /// bit-identical to what `ExperimentRunner::try_run` would have
     /// produced for that rep — so a monitor replaying N rounds sees
     /// exactly the samples of an N-rep batch run.
     pub fn step(&mut self) {
-        let t = self.now.as_nanos();
-        for w in &mut self.windows {
-            w.d1.advance(t);
-            w.d2.advance(t);
-            w.rounds.advance(t);
-            w.excluded.advance(t);
-            w.failures.advance(t);
+        let index = self.now.as_nanos() / PAN.as_nanos();
+        let oldest = index.saturating_sub(RING_PANS - 1);
+        while self.pans.front().is_some_and(|p| p.index < oldest) {
+            self.pans.pop_front();
         }
+        if self.pans.back().is_none_or(|p| p.index != index) {
+            self.pans.push_back(Pan {
+                index,
+                ..Pan::default()
+            });
+        }
+        let pan = self.pans.back_mut().expect("the round's pan exists");
+        pan.rounds += 1;
         match ExperimentRunner::run_rep_traced(&self.cell, self.next_rep) {
             Ok(rep) => {
-                for w in &mut self.windows {
-                    w.rounds.add(t, 1);
-                    w.excluded.add(t, rep.excluded as u64);
-                }
+                pan.excluded += rep.excluded as u64;
                 self.excluded += rep.excluded as u64;
                 for m in &rep.measurements {
                     let v = m.delta_d_ms();
-                    match m.round {
-                        1 => {
-                            self.lifetime_d1.insert(v);
-                            for w in &mut self.windows {
-                                w.d1.record(t, v);
-                            }
-                        }
-                        _ => {
-                            self.lifetime_d2.insert(v);
-                            for w in &mut self.windows {
-                                w.d2.record(t, v);
-                            }
-                        }
-                    }
+                    let (lifetime, windowed) = match m.round {
+                        1 => (&mut self.lifetime_d1, &mut pan.d1),
+                        _ => (&mut self.lifetime_d2, &mut pan.d2),
+                    };
+                    lifetime.insert(v);
+                    windowed.insert(v);
                 }
             }
             Err(_) => {
-                for w in &mut self.windows {
-                    w.rounds.add(t, 1);
-                    w.failures.add(t, 1);
-                }
+                pan.failures += 1;
                 self.failures += 1;
             }
         }
         self.rounds_run += 1;
         self.next_rep += 1;
-        self.now += self.cfg.round_period;
+        self.now += self.period;
     }
 
     /// Step until `duration` of virtual time has elapsed.
@@ -299,12 +200,43 @@ impl Monitor {
         }
     }
 
+    /// One window's report: the pans within `span` pans of the last
+    /// round's, merged oldest first.
+    fn window(&self, label: &str, span: u64) -> WindowReport {
+        let last = self.pans.back().map_or(0, |p| p.index);
+        let start = self.pans.partition_point(|p| p.index + span <= last);
+        let mut d1 = QuantileSketch::default();
+        let mut d2 = QuantileSketch::default();
+        let (mut rounds, mut excluded_rounds, mut failures) = (0, 0, 0);
+        for p in self.pans.range(start..) {
+            d1.merge(&p.d1);
+            d2.merge(&p.d2);
+            rounds += p.rounds;
+            excluded_rounds += p.excluded;
+            failures += p.failures;
+        }
+        let mut pooled = d1.clone();
+        pooled.merge(&d2);
+        WindowReport {
+            label: label.into(),
+            span_secs: Some(span as f64 * PAN.as_secs_f64()),
+            rounds,
+            excluded_rounds,
+            failures,
+            d1: DistSummary::of_sketch(&d1),
+            d2: DistSummary::of_sketch(&d2),
+            pooled: DistSummary::of_sketch(&pooled),
+        }
+    }
+
     /// Poll the current state: per-window digests plus the lifetime
     /// `"total"` window, in bounded time and memory. Callable mid-run
     /// as often as desired; it never perturbs the measurement loop.
     pub fn snapshot(&self) -> ReportSnapshot {
-        let mut windows: Vec<WindowReport> =
-            self.windows.iter().map(MonitorWindow::report).collect();
+        let mut windows: Vec<WindowReport> = WINDOWS
+            .iter()
+            .map(|&(label, span)| self.window(label, span))
+            .collect();
         let mut pooled = self.lifetime_d1.clone();
         pooled.merge(&self.lifetime_d2);
         windows.push(WindowReport {
@@ -333,17 +265,17 @@ impl Monitor {
 
     /// Current memory gauges (see [`MonitorFootprint`]).
     pub fn footprint(&self) -> MonitorFootprint {
-        let mut f = MonitorFootprint {
-            sketch_buckets: self.lifetime_d1.bucket_count() + self.lifetime_d2.bucket_count(),
-            ..MonitorFootprint::default()
-        };
-        for w in &self.windows {
-            f.sketch_pans += w.d1.live_pans() + w.d2.live_pans();
-            f.sketch_buckets += w.d1.bucket_count() + w.d2.bucket_count();
-            f.counter_pans +=
-                w.rounds.live_pans() + w.excluded.live_pans() + w.failures.live_pans();
+        let ring: usize = self
+            .pans
+            .iter()
+            .map(|p| p.d1.bucket_count() + p.d2.bucket_count())
+            .sum();
+        MonitorFootprint {
+            pans: self.pans.len(),
+            sketch_buckets: ring
+                + self.lifetime_d1.bucket_count()
+                + self.lifetime_d2.bucket_count(),
         }
-        f
     }
 }
 
@@ -353,6 +285,7 @@ mod tests {
     use crate::config::{ContentionSpec, RuntimeSel, StreamingSpec};
     use bnm_browser::BrowserKind;
     use bnm_methods::MethodId;
+    use bnm_sim::Impairment;
     use bnm_time::OsKind;
 
     fn cell(reps: u32) -> ExperimentCell {
@@ -368,33 +301,11 @@ mod tests {
     }
 
     #[test]
-    fn invalid_configs_are_rejected() {
-        let bad = MonitorConfig {
-            window_pans: vec![],
-            ..MonitorConfig::default()
-        };
+    fn zero_period_is_rejected() {
         assert!(matches!(
-            Monitor::with_config(cell(1), bad),
+            Monitor::with_period(cell(1), SimDuration::ZERO),
             Err(RunError::InvalidInput(_))
         ));
-        let zero_pan = MonitorConfig {
-            pan: SimDuration::ZERO,
-            ..MonitorConfig::default()
-        };
-        assert!(Monitor::with_config(cell(1), zero_pan).is_err());
-        for alpha in [f64::NAN, f64::INFINITY, 0.0, 1.0] {
-            let cfg = MonitorConfig {
-                alpha,
-                ..MonitorConfig::default()
-            };
-            assert!(
-                matches!(
-                    Monitor::with_config(cell(1), cfg),
-                    Err(RunError::InvalidInput(_))
-                ),
-                "alpha {alpha} accepted"
-            );
-        }
     }
 
     #[test]
@@ -429,25 +340,20 @@ mod tests {
 
     #[test]
     fn windows_rotate_with_virtual_time() {
-        let cfg = MonitorConfig {
-            window_pans: vec![1, 2],
-            ..MonitorConfig::default()
-        };
-        let mut m = Monitor::with_config(cell(8), cfg).unwrap();
-        for _ in 0..5 {
+        let mut m = Monitor::new(cell(12)).unwrap();
+        for _ in 0..12 {
             m.step();
         }
         let snap = m.snapshot();
-        assert_eq!(snap.windows.len(), 3, "two windows + total");
-        assert_eq!(snap.windows[0].label, "1s");
-        assert_eq!(snap.windows[1].label, "2s");
-        assert_eq!(snap.total().label, "total");
+        let labels: Vec<&str> = snap.windows.iter().map(|w| w.label.as_str()).collect();
+        assert_eq!(labels, ["1s", "10s", "1m", "total"]);
         assert_eq!(snap.windows[0].rounds, 1, "tumbling window: last round");
-        assert_eq!(snap.windows[1].rounds, 2, "sliding window: last two");
-        assert_eq!(snap.total().rounds, 5);
+        assert_eq!(snap.windows[1].rounds, 10, "sliding window: last ten");
+        assert_eq!(snap.windows[2].rounds, 12);
+        assert_eq!(snap.total().rounds, 12);
         // Each clean single-client round contributes one d1 + one d2.
         assert_eq!(snap.windows[0].d1.count, 1);
-        assert_eq!(snap.windows[1].d1.count, 2);
+        assert_eq!(snap.windows[1].d1.count, 10);
     }
 
     #[test]
@@ -473,23 +379,81 @@ mod tests {
         assert_eq!(m.footprint(), MonitorFootprint::default());
         m.run_for(SimDuration::from_secs(20));
         let f = m.footprint();
-        // 1+10+60-pan windows, 20 rounds: the 1s window holds 1 pan,
-        // the 10s window 10, the 1m window all 20 — per series.
-        assert_eq!(f.sketch_pans, 2 * (1 + 10 + 20));
+        // 20 one-second rounds fill 20 pans of the 60-pan ring.
+        assert_eq!(f.pans, 20);
         assert!(f.sketch_buckets > 0);
-        assert_eq!(
-            f.counter_pans,
-            1 + 10 + 20,
-            "rounds counters only (no exclusions)"
-        );
+    }
+
+    /// What the rounds whose pan lies in `(last - span, last]` add up
+    /// to, summed from the batch repetitions the monitor replays.
+    #[derive(Debug, Default, PartialEq)]
+    struct Expected {
+        rounds: u64,
+        excluded: u64,
+        failures: u64,
+        d1: u64,
+        d2: u64,
+    }
+
+    /// Step a monitor at `period` past 70 s of virtual time and,
+    /// after every step, hold each window to an independent model built
+    /// from `ExperimentRunner::run_rep_traced` outcomes. Returns the
+    /// final snapshot.
+    fn check_windows(c: &ExperimentCell, period: SimDuration) -> ReportSnapshot {
+        let mut m = Monitor::with_period(c.clone(), period).unwrap();
+        let pan_of = |k: u64| k * period.as_nanos() / 1_000_000_000;
+        let mut outcomes = Vec::new();
+        while m.now() <= SimTime::from_secs(70) {
+            let k = outcomes.len() as u64;
+            outcomes.push(match ExperimentRunner::run_rep_traced(c, k as u32) {
+                Ok(rep) => {
+                    let d1 = rep.measurements.iter().filter(|r| r.round == 1).count();
+                    let d2 = rep.measurements.len() - d1;
+                    (rep.excluded as u64, 0, d1 as u64, d2 as u64)
+                }
+                Err(_) => (0, 1, 0, 0),
+            });
+            m.step();
+            let snap = m.snapshot();
+            let last = pan_of(k);
+            for (w, span) in snap.windows.iter().zip([1, 10, 60]) {
+                let mut want = Expected::default();
+                for (j, &(excluded, failures, d1, d2)) in outcomes.iter().enumerate() {
+                    if pan_of(j as u64) + span > last {
+                        want.rounds += 1;
+                        want.excluded += excluded;
+                        want.failures += failures;
+                        want.d1 += d1;
+                        want.d2 += d2;
+                    }
+                }
+                let got = Expected {
+                    rounds: w.rounds,
+                    excluded: w.excluded_rounds,
+                    failures: w.failures,
+                    d1: w.d1.count,
+                    d2: w.d2.count,
+                };
+                assert_eq!(got, want, "{period:?} round {k}, window {}", w.label);
+            }
+        }
+        m.snapshot()
     }
 
     #[test]
-    fn span_labels_humanize() {
-        assert_eq!(span_label(SimDuration::from_secs(1)), "1s");
-        assert_eq!(span_label(SimDuration::from_secs(10)), "10s");
-        assert_eq!(span_label(SimDuration::from_secs(60)), "1m");
-        assert_eq!(span_label(SimDuration::from_secs(120)), "2m");
-        assert_eq!(span_label(SimDuration::from_millis(500)), "500ms");
+    fn windows_hold_the_rounds_of_their_pans_at_any_period() {
+        // Several rounds per pan, one per pan, empty pans between
+        // rounds, and rounds more than the longest window apart; the
+        // loss gives the counters exclusions to carry.
+        let lossy = cell(1).with_impairment(Impairment::loss(0.1));
+        let excluded: u64 = [250, 1_000, 1_250, 7_000, 61_000]
+            .into_iter()
+            .map(|ms| check_windows(&lossy, SimDuration::from_millis(ms)).excluded_rounds)
+            .sum();
+        assert!(excluded > 0, "the loss must give the counters exclusions");
+        // A cell whose every round fails carries failures instead.
+        let failing = cell(1).with_contention(ContentionSpec::clients(1).with_server_link_rate(0));
+        let failed = check_windows(&failing, SimDuration::from_millis(7_000));
+        assert_eq!(failed.failures, failed.rounds);
     }
 }

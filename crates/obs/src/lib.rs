@@ -23,10 +23,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-pub mod window;
-
-pub use window::WindowedCounter;
-
 /// Named Δd overhead components (Eq. 1 decomposition).
 ///
 /// The first six are *attributed* from virtual-time spans; the last two

@@ -34,10 +34,6 @@ pub enum RateSchedule {
     /// path.
     #[default]
     Static,
-    /// Piecewise-constant: `(from, rate_bps)` change-points in strictly
-    /// increasing time order. Before the first change-point the base
-    /// rate applies; from each change-point on, its rate applies.
-    Steps(Vec<(SimTime, u64)>),
     /// Periodic on-off cross-traffic: within every `period`, the first
     /// `on` of it serves at `on_bps` (the residual rate left over by a
     /// competing burst), the rest at the base rate.
@@ -56,12 +52,6 @@ impl RateSchedule {
     pub fn rate_at(&self, t: SimTime, base_bps: u64) -> u64 {
         match self {
             RateSchedule::Static => base_bps,
-            RateSchedule::Steps(steps) => steps
-                .iter()
-                .take_while(|(from, _)| *from <= t)
-                .last()
-                .map(|(_, bps)| *bps)
-                .unwrap_or(base_bps),
             RateSchedule::OnOff { period, on, on_bps } => {
                 let phase = t.as_nanos() % period.as_nanos();
                 if phase < on.as_nanos() {
@@ -79,9 +69,6 @@ impl RateSchedule {
     pub fn max_rate(&self, base_bps: u64) -> u64 {
         match self {
             RateSchedule::Static => base_bps,
-            RateSchedule::Steps(steps) => {
-                steps.iter().map(|(_, bps)| *bps).fold(base_bps, u64::max)
-            }
             RateSchedule::OnOff { on_bps, .. } => base_bps.max(*on_bps),
         }
     }
@@ -91,23 +78,11 @@ impl RateSchedule {
         matches!(self, RateSchedule::Static)
     }
 
-    /// Check the schedule's documented preconditions: every rate
-    /// positive, change-points strictly increasing, and a positive
-    /// period containing its `on` span.
+    /// Check the schedule's documented preconditions: a positive rate,
+    /// and a positive period containing its `on` span.
     pub fn validate(&self) -> Result<(), &'static str> {
         match self {
             RateSchedule::Static => Ok(()),
-            RateSchedule::Steps(steps) => {
-                for w in steps.windows(2) {
-                    if w[1].0 <= w[0].0 {
-                        return Err("rate schedule steps must be strictly increasing in time");
-                    }
-                }
-                if steps.iter().any(|(_, bps)| *bps == 0) {
-                    return Err("rate schedule rates must be positive");
-                }
-                Ok(())
-            }
             RateSchedule::OnOff { period, on, on_bps } => {
                 if *period == SimDuration::ZERO {
                     return Err("on-off period must be positive");
@@ -132,33 +107,27 @@ pub enum QueueDiscipline {
     /// *is* bufferbloat: seconds of standing queue and no signal.
     #[default]
     DropTail,
-    /// CoDel-style active queue management (RFC 8289 shape): once the
-    /// queueing delay has stayed above `target` for a full `interval`,
-    /// drop, then keep dropping with `interval/√count` spacing until the
-    /// delay recovers. Deterministic — no RNG stream is consumed.
-    CoDel {
-        /// Acceptable standing queueing delay (RFC 8289 suggests 5 ms).
-        target: SimDuration,
-        /// Sliding window over which the delay must exceed `target`
-        /// before the first drop (RFC 8289 suggests 100 ms).
-        interval: SimDuration,
-    },
+    /// CoDel-style active queue management with the RFC 8289
+    /// constants: once the queueing delay has stayed above the 5 ms
+    /// target for a full 100 ms interval, drop, then keep dropping with
+    /// `interval/√count` spacing until the delay recovers.
+    /// Deterministic — no RNG stream is consumed.
+    CoDel,
 }
 
 impl QueueDiscipline {
-    /// A CoDel with the RFC 8289 recommended constants.
-    pub fn codel() -> QueueDiscipline {
-        QueueDiscipline::CoDel {
-            target: SimDuration::from_millis(5),
-            interval: SimDuration::from_millis(100),
-        }
-    }
-
     /// `true` for plain drop-tail.
     pub fn is_drop_tail(&self) -> bool {
         matches!(self, QueueDiscipline::DropTail)
     }
 }
+
+/// CoDel's acceptable standing queueing delay (RFC 8289's 5 ms).
+const CODEL_TARGET: SimDuration = SimDuration::from_millis(5);
+
+/// The window over which the delay must exceed [`CODEL_TARGET`] before
+/// CoDel's first drop (RFC 8289's 100 ms).
+const CODEL_INTERVAL: SimDuration = SimDuration::from_millis(100);
 
 /// Deterministic CoDel controller state for one direction.
 ///
@@ -183,21 +152,15 @@ pub(crate) struct CoDelState {
 impl CoDelState {
     /// Decide whether the frame arriving at `now` that would wait
     /// `delay` in queue should be dropped.
-    pub(crate) fn should_drop(
-        &mut self,
-        now: SimTime,
-        delay: SimDuration,
-        target: SimDuration,
-        interval: SimDuration,
-    ) -> bool {
-        if delay < target {
+    pub(crate) fn should_drop(&mut self, now: SimTime, delay: SimDuration) -> bool {
+        if delay < CODEL_TARGET {
             self.first_above = None;
             self.dropping = false;
             return false;
         }
         let first_above = match self.first_above {
             None => {
-                self.first_above = Some(now + interval);
+                self.first_above = Some(now + CODEL_INTERVAL);
                 return false;
             }
             Some(t) => t,
@@ -208,12 +171,12 @@ impl CoDelState {
         if !self.dropping {
             self.dropping = true;
             self.count = 1;
-            self.drop_next = now + interval;
+            self.drop_next = now + CODEL_INTERVAL;
             return true;
         }
         if now >= self.drop_next {
             self.count += 1;
-            let spacing = interval.as_nanos() as f64 / (self.count as f64).sqrt();
+            let spacing = CODEL_INTERVAL.as_nanos() as f64 / (self.count as f64).sqrt();
             self.drop_next = now + SimDuration::from_nanos(spacing as u64);
             return true;
         }
@@ -250,7 +213,7 @@ impl LinkDynamics {
     pub fn codel() -> LinkDynamics {
         LinkDynamics {
             schedule: RateSchedule::Static,
-            discipline: QueueDiscipline::codel(),
+            discipline: QueueDiscipline::CoDel,
         }
     }
 
@@ -260,15 +223,9 @@ impl LinkDynamics {
         self.schedule.is_static() && self.discipline.is_drop_tail()
     }
 
-    /// Check both components' preconditions.
+    /// Check the schedule's preconditions (the disciplines have none).
     pub fn validate(&self) -> Result<(), &'static str> {
-        self.schedule.validate()?;
-        if let QueueDiscipline::CoDel { target, interval } = self.discipline {
-            if target == SimDuration::ZERO || interval == SimDuration::ZERO {
-                return Err("codel target and interval must be positive");
-            }
-        }
-        Ok(())
+        self.schedule.validate()
     }
 }
 
@@ -337,21 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn steps_apply_from_their_change_point() {
-        let s = RateSchedule::Steps(vec![
-            (SimTime::from_secs(1), 10_000),
-            (SimTime::from_secs(2), 90_000),
-        ]);
-        assert_eq!(s.rate_at(SimTime::ZERO, 50_000), 50_000);
-        assert_eq!(s.rate_at(SimTime::from_millis(999), 50_000), 50_000);
-        assert_eq!(s.rate_at(SimTime::from_secs(1), 50_000), 10_000);
-        assert_eq!(s.rate_at(SimTime::from_millis(1_500), 50_000), 10_000);
-        assert_eq!(s.rate_at(SimTime::from_secs(2), 50_000), 90_000);
-        assert_eq!(s.max_rate(50_000), 90_000);
-        assert!(s.validate().is_ok());
-    }
-
-    #[test]
     fn on_off_cycles_by_phase() {
         let s = RateSchedule::OnOff {
             period: SimDuration::from_millis(100),
@@ -369,12 +311,11 @@ mod tests {
 
     #[test]
     fn schedules_validate_their_preconditions() {
-        let unsorted = RateSchedule::Steps(vec![
-            (SimTime::from_secs(2), 10),
-            (SimTime::from_secs(1), 20),
-        ]);
-        assert!(unsorted.validate().is_err());
-        let zero_rate = RateSchedule::Steps(vec![(SimTime::from_secs(1), 0)]);
+        let zero_rate = RateSchedule::OnOff {
+            period: SimDuration::from_millis(10),
+            on: SimDuration::from_millis(5),
+            on_bps: 0,
+        };
         assert!(zero_rate.validate().is_err());
         let bad_period = RateSchedule::OnOff {
             period: SimDuration::ZERO,
@@ -393,38 +334,29 @@ mod tests {
     #[test]
     fn codel_waits_an_interval_before_dropping() {
         let mut st = CoDelState::default();
-        let target = SimDuration::from_millis(5);
-        let interval = SimDuration::from_millis(100);
         let high = SimDuration::from_millis(50);
         // Below target: never drops, state resets.
-        assert!(!st.should_drop(SimTime::from_millis(0), SimDuration::ZERO, target, interval));
+        assert!(!st.should_drop(SimTime::from_millis(0), SimDuration::ZERO));
         // Above target but not yet for a full interval.
-        assert!(!st.should_drop(SimTime::from_millis(10), high, target, interval));
-        assert!(!st.should_drop(SimTime::from_millis(60), high, target, interval));
+        assert!(!st.should_drop(SimTime::from_millis(10), high));
+        assert!(!st.should_drop(SimTime::from_millis(60), high));
         // A full interval above target: first drop.
-        assert!(st.should_drop(SimTime::from_millis(115), high, target, interval));
+        assert!(st.should_drop(SimTime::from_millis(115), high));
         // Still dropping, but spaced by the control law.
-        assert!(!st.should_drop(SimTime::from_millis(120), high, target, interval));
-        assert!(st.should_drop(SimTime::from_millis(216), high, target, interval));
+        assert!(!st.should_drop(SimTime::from_millis(120), high));
+        assert!(st.should_drop(SimTime::from_millis(216), high));
         // Delay recovers: dropping phase ends immediately.
-        assert!(!st.should_drop(
-            SimTime::from_millis(217),
-            SimDuration::ZERO,
-            target,
-            interval
-        ));
-        assert!(!st.should_drop(SimTime::from_millis(218), high, target, interval));
+        assert!(!st.should_drop(SimTime::from_millis(217), SimDuration::ZERO));
+        assert!(!st.should_drop(SimTime::from_millis(218), high));
     }
 
     #[test]
     fn codel_drop_spacing_tightens_with_count() {
         let mut st = CoDelState::default();
-        let target = SimDuration::from_millis(5);
-        let interval = SimDuration::from_millis(100);
         let high = SimDuration::from_millis(50);
         let mut drops = Vec::new();
         for ms in 0..2_000u64 {
-            if st.should_drop(SimTime::from_millis(ms), high, target, interval) {
+            if st.should_drop(SimTime::from_millis(ms), high) {
                 drops.push(ms);
             }
         }

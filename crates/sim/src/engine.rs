@@ -549,9 +549,9 @@ impl Engine {
             let start = st.busy_until.max(t);
             // AQM admission: CoDel judges the frame by the queueing
             // delay it would experience. Drop-tail installs no check.
-            if let QueueDiscipline::CoDel { target, interval } = st.dynamics.discipline {
+            if st.dynamics.discipline == QueueDiscipline::CoDel {
                 let delay = start.saturating_since(t);
-                if st.codel.should_drop(t, delay, target, interval) {
+                if st.codel.should_drop(t, delay) {
                     st.queue_drops += 1;
                     self.trace
                         .instant(t.as_nanos(), "link", "aqm_drop", Some(len as f64));
@@ -782,10 +782,11 @@ mod tests {
 
     #[test]
     fn run_until_stops_at_deadline() {
-        let (mut e, _, _) = two_node_setup(
-            LinkSpec::fast_ethernet_delayed(SimDuration::from_secs(1)),
-            1,
-        );
+        let spec = LinkSpec {
+            extra_delay: SimDuration::from_secs(1),
+            ..LinkSpec::fast_ethernet()
+        };
+        let (mut e, _, _) = two_node_setup(spec, 1);
         let t = e.run_until(SimTime::from_millis(100));
         assert_eq!(t, SimTime::from_millis(100));
         // Finishing the run delivers the reply.
@@ -929,22 +930,24 @@ mod tests {
     fn rate_schedule_is_evaluated_lazily_at_serialization_start() {
         use crate::dynamics::{LinkDynamics, RateSchedule};
         let spec = LinkSpec {
-            rate_bps: 8_000_000, // 100 B -> 100 us
+            rate_bps: 800_000, // 100 B -> 1 ms
             propagation: SimDuration::ZERO,
             extra_delay: SimDuration::ZERO,
             queue_limit_bytes: 1 << 20,
         };
         let (mut e, _, s) = two_node_setup(spec, 3);
-        // From t = 150 us the link slows 10x. Frame 1 (starts at 0) and
-        // frame 2 (starts at 100 us) serialize at the base rate; frame 3
-        // starts at 200 us and observes the step.
+        // For the first 150 us of the cycle the link runs 10x faster.
+        // Frame 1 (starts at 0) and frame 2 (starts at 100 us) serialize
+        // at the fast rate; frame 3 starts at 200 us and observes the
+        // base rate.
         e.set_dynamics(
             0,
             0,
-            LinkDynamics::scheduled(RateSchedule::Steps(vec![(
-                SimTime::from_micros(150),
-                800_000,
-            )])),
+            LinkDynamics::scheduled(RateSchedule::OnOff {
+                period: SimDuration::from_secs(1),
+                on: SimDuration::from_micros(150),
+                on_bps: 8_000_000,
+            }),
         );
         e.run();
         let times: Vec<u64> = e

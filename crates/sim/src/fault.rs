@@ -35,9 +35,6 @@ pub struct FaultSpec {
     pub corrupt_chance: f64,
     /// Probability ∈ \[0,1\] of duplicating a frame.
     pub duplicate_chance: f64,
-    /// Frames larger than this are dropped (0 = no limit), mirroring
-    /// smoltcp's `--size-limit`.
-    pub size_limit: usize,
 }
 
 impl FaultSpec {
@@ -46,15 +43,11 @@ impl FaultSpec {
         drop_chance: 0.0,
         corrupt_chance: 0.0,
         duplicate_chance: 0.0,
-        size_limit: 0,
     };
 
     /// Whether this spec can ever alter a frame.
     pub fn is_clean(&self) -> bool {
-        self.drop_chance == 0.0
-            && self.corrupt_chance == 0.0
-            && self.duplicate_chance == 0.0
-            && self.size_limit == 0
+        self.drop_chance == 0.0 && self.corrupt_chance == 0.0 && self.duplicate_chance == 0.0
     }
 
     /// A spec that only drops, at `rate` ∈ \[0,1\].
@@ -142,10 +135,6 @@ impl FaultInjector {
         if self.spec.is_clean() {
             return FaultAction::Deliver(frame);
         }
-        if self.spec.size_limit > 0 && frame.len() > self.spec.size_limit {
-            self.drops += 1;
-            return FaultAction::Drop;
-        }
         if self.spec.drop_chance > 0.0 && self.rng.gen_bool(self.spec.drop_chance.min(1.0)) {
             self.drops += 1;
             return FaultAction::Drop;
@@ -224,20 +213,6 @@ mod tests {
             }
             other => panic!("expected corruption, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn size_limit_drops_large_frames() {
-        let spec = FaultSpec {
-            size_limit: 4,
-            ..FaultSpec::CLEAN
-        };
-        let mut inj = FaultInjector::new(spec, rng::stream(3, "t"));
-        assert_eq!(inj.apply(frame()), FaultAction::Drop);
-        assert_eq!(
-            inj.apply(Bytes::from_static(&[1, 2])),
-            FaultAction::Deliver(Bytes::from_static(&[1, 2]))
-        );
     }
 
     #[test]

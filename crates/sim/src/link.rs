@@ -79,14 +79,6 @@ impl LinkSpec {
         }
     }
 
-    /// Fast Ethernet with a netem-style extra one-way delay.
-    pub fn fast_ethernet_delayed(extra: SimDuration) -> LinkSpec {
-        LinkSpec {
-            extra_delay: extra,
-            ..LinkSpec::fast_ethernet()
-        }
-    }
-
     /// Check the spec's documented preconditions. A zero rate would
     /// panic deep in [`SimDuration::serialization`]; a zero queue bound
     /// silently drops every frame and hangs any protocol above it.
@@ -309,8 +301,5 @@ mod tests {
         let s = LinkSpec::fast_ethernet();
         assert_eq!(s.rate_bps, 100_000_000);
         assert_eq!(s.extra_delay, SimDuration::ZERO);
-        let d = LinkSpec::fast_ethernet_delayed(SimDuration::from_millis(50));
-        assert_eq!(d.extra_delay.as_millis(), 50);
-        assert_eq!(d.rate_bps, 100_000_000);
     }
 }

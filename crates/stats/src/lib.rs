@@ -18,8 +18,6 @@
 //! * [`sketch::QuantileSketch`] — bounded-memory streaming quantiles
 //!   with relative-error guarantees, for crowd-scale sweeps whose raw
 //!   per-session samples would otherwise grow with the client count.
-//! * [`window::WindowedSketch`] — tumbling/sliding windows of sketches
-//!   over virtual time, for the continuous-monitoring mode.
 
 pub mod ascii;
 pub mod boxplot;
@@ -29,7 +27,6 @@ pub mod jitter;
 pub mod ks;
 pub mod sketch;
 pub mod summary;
-pub mod window;
 
 pub use boxplot::BoxStats;
 pub use cdf::Cdf;
@@ -37,4 +34,3 @@ pub use ci::MeanCi;
 pub use ks::{ks_two_sample, KsTest};
 pub use sketch::QuantileSketch;
 pub use summary::Summary;
-pub use window::WindowedSketch;

@@ -22,7 +22,7 @@ use bnm_sim::engine::{Ctx, Node, PortNo};
 use bnm_sim::time::{SimDuration, SimTime};
 use bnm_sim::wire::{Envelope, FrameLayout, IcmpEcho, MacAddr, Transport};
 
-use crate::socket::{SocketId, TcpConfig};
+use crate::socket::SocketId;
 use crate::stack::{SockEvent, TcpStack};
 use crate::udp::UdpStack;
 
@@ -41,8 +41,6 @@ pub struct HostConfig {
     pub ip: Ipv4Addr,
     /// Static neighbor table (no ARP, like `ip neigh add` provisioning).
     pub neighbors: Vec<(Ipv4Addr, MacAddr)>,
-    /// Default TCP socket configuration.
-    pub tcp: TcpConfig,
 }
 
 impl HostConfig {
@@ -53,7 +51,6 @@ impl HostConfig {
             mac,
             ip,
             neighbors: Vec::new(),
-            tcp: TcpConfig::default(),
         }
     }
 
@@ -110,14 +107,6 @@ impl HostCtx<'_, '_> {
     pub fn connect(&mut self, peer: (Ipv4Addr, u16)) -> SocketId {
         let now = self.sim.now();
         let id = self.tcp.connect(now, peer);
-        self.flush();
-        id
-    }
-
-    /// Open a TCP connection with a per-socket config.
-    pub fn connect_with(&mut self, peer: (Ipv4Addr, u16), cfg: TcpConfig) -> SocketId {
-        let now = self.sim.now();
-        let id = self.tcp.connect_with(now, peer, cfg);
         self.flush();
         id
     }
@@ -247,7 +236,7 @@ pub struct Host<A: HostApp> {
 impl<A: HostApp> Host<A> {
     /// Build a host around an application.
     pub fn new(cfg: HostConfig, app: A) -> Self {
-        let tcp = TcpStack::new(cfg.ip, cfg.tcp);
+        let tcp = TcpStack::new(cfg.ip);
         let udp = UdpStack::new(cfg.ip);
         let neighbor_cache = cfg.neighbors.iter().copied().collect();
         Host {

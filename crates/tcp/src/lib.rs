@@ -29,6 +29,9 @@
 //!   unless fault injection is enabled);
 //! * no SACK, window scaling, or timestamps — the testbed's
 //!   bandwidth-delay product never needs them;
+//! * no Nagle, no delayed ACK — every segment leaves at once and every
+//!   data segment is acknowledged at once, as the paper's single-packet
+//!   probes need;
 //! * neighbor resolution is static (no ARP), mirroring an
 //!   `ip neigh add`-provisioned testbed.
 
@@ -40,6 +43,6 @@ pub mod stack;
 pub mod udp;
 
 pub use host::{Host, HostApp, HostConfig, HostCtx};
-pub use socket::{SocketId, TcpConfig, TcpState};
+pub use socket::{SocketId, TcpState};
 pub use stack::{SockEvent, TcpStack};
 pub use udp::UdpStack;

@@ -12,7 +12,7 @@ use bnm_sim::time::SimTime;
 use bnm_sim::wire::{TcpFlags, TcpSegment};
 
 use crate::seq::SeqNum;
-use crate::socket::{LocalEvent, SocketId, TcpConfig, TcpSocket, TcpState};
+use crate::socket::{LocalEvent, SocketId, TcpSocket, TcpState};
 
 /// Application-visible socket events, tagged with the socket id.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,7 +62,6 @@ pub enum SockEvent {
 #[derive(Debug)]
 pub struct TcpStack {
     local_ip: Ipv4Addr,
-    cfg: TcpConfig,
     /// Socket slots, boxed: a client stack holds one or two connections,
     /// and an empty slot costs a pointer, not a whole socket.
     sockets: Vec<Option<Box<TcpSocket>>>,
@@ -89,11 +88,10 @@ pub struct TcpStack {
 }
 
 impl TcpStack {
-    /// A stack bound to `local_ip` with a default per-socket config.
-    pub fn new(local_ip: Ipv4Addr, cfg: TcpConfig) -> Self {
+    /// A stack bound to `local_ip`.
+    pub fn new(local_ip: Ipv4Addr) -> Self {
         TcpStack {
             local_ip,
-            cfg,
             sockets: Vec::new(),
             tuple_map: HashMap::new(),
             listeners: HashSet::new(),
@@ -170,19 +168,9 @@ impl TcpStack {
 
     /// Open a connection to `peer`; the SYN leaves immediately.
     pub fn connect(&mut self, now: SimTime, peer: (Ipv4Addr, u16)) -> SocketId {
-        self.connect_with(now, peer, self.cfg)
-    }
-
-    /// Open a connection with a per-socket config override.
-    pub fn connect_with(
-        &mut self,
-        now: SimTime,
-        peer: (Ipv4Addr, u16),
-        cfg: TcpConfig,
-    ) -> SocketId {
         let port = self.alloc_port();
         let isn = self.next_isn();
-        let mut sock = TcpSocket::new((self.local_ip, port), peer, isn, cfg);
+        let mut sock = TcpSocket::new((self.local_ip, port), peer, isn);
         let out = sock.connect(now);
         let id = self.alloc_socket(sock);
         self.tuple_map.insert((peer.0, peer.1, port), id);
@@ -287,12 +275,8 @@ impl TcpStack {
             && self.listeners.contains(&seg.dst_port)
         {
             let isn = self.next_isn();
-            let mut sock = TcpSocket::new(
-                (self.local_ip, seg.dst_port),
-                (src_ip, seg.src_port),
-                isn,
-                self.cfg,
-            );
+            let mut sock =
+                TcpSocket::new((self.local_ip, seg.dst_port), (src_ip, seg.src_port), isn);
             let out = sock.accept_syn(now, &seg);
             let id = self.alloc_socket(sock);
             self.tuple_map.insert(key, id);
@@ -509,8 +493,8 @@ mod tests {
 
     #[test]
     fn connect_accept_and_exchange() {
-        let mut client = TcpStack::new(A, TcpConfig::default());
-        let mut server = TcpStack::new(B, TcpConfig::default());
+        let mut client = TcpStack::new(A);
+        let mut server = TcpStack::new(B);
         server.listen(80);
         let now = SimTime::ZERO;
         let cs = client.connect(now, (B, 80));
@@ -539,8 +523,8 @@ mod tests {
 
     #[test]
     fn syn_to_closed_port_is_rst() {
-        let mut client = TcpStack::new(A, TcpConfig::default());
-        let mut server = TcpStack::new(B, TcpConfig::default());
+        let mut client = TcpStack::new(A);
+        let mut server = TcpStack::new(B);
         let now = SimTime::ZERO;
         let cs = client.connect(now, (B, 81)); // nothing listens
         converge(now, &mut client, &mut server);
@@ -550,8 +534,8 @@ mod tests {
 
     #[test]
     fn concurrent_connections_demux_correctly() {
-        let mut client = TcpStack::new(A, TcpConfig::default());
-        let mut server = TcpStack::new(B, TcpConfig::default());
+        let mut client = TcpStack::new(A);
+        let mut server = TcpStack::new(B);
         server.listen(80);
         let now = SimTime::ZERO;
         let c1 = client.connect(now, (B, 80));
@@ -577,8 +561,8 @@ mod tests {
 
     #[test]
     fn orderly_close_reaps_sockets() {
-        let mut client = TcpStack::new(A, TcpConfig::default());
-        let mut server = TcpStack::new(B, TcpConfig::default());
+        let mut client = TcpStack::new(A);
+        let mut server = TcpStack::new(B);
         server.listen(80);
         let mut now = SimTime::ZERO;
         let cs = client.connect(now, (B, 80));
@@ -603,7 +587,7 @@ mod tests {
 
     #[test]
     fn stack_timers_retransmit_lost_syn() {
-        let mut client = TcpStack::new(A, TcpConfig::default());
+        let mut client = TcpStack::new(A);
         let now = SimTime::ZERO;
         let _cs = client.connect(now, (B, 80));
         let lost = client.take_out();
@@ -617,7 +601,7 @@ mod tests {
 
     #[test]
     fn ports_are_unique_across_live_connections() {
-        let mut client = TcpStack::new(A, TcpConfig::default());
+        let mut client = TcpStack::new(A);
         let now = SimTime::ZERO;
         let ids: Vec<SocketId> = (0..50).map(|_| client.connect(now, (B, 80))).collect();
         let mut ports: Vec<u16> = ids.iter().map(|&i| client.local_port(i).unwrap()).collect();

@@ -3,7 +3,7 @@
 #
 #   scripts/check.sh            # fmt + build + test + parity + clippy + docs,
 #                               # then the CLI and example smokes, the
-#                               # battery and reproduce artifact gates and
+#                               # battery, serve and reproduce artifact gates and
 #                               # the benchmark's tests + traced run
 #   scripts/check.sh --fast     # skip the release build (debug test run only)
 #                               # and the smokes and gates, which need it
@@ -75,8 +75,9 @@ cargo test -q --test streaming_parity
 
 # The continuous-monitoring layer's guarantees: windowed sketch
 # quantiles agree with exact batch quantiles within the documented
-# bound, windows rotate exactly at pan boundaries, snapshots are
-# scheduling-independent, and a 1,000-round run's footprint stays flat.
+# bound, the 1 s and 10 s windows slide exactly at pan boundaries and
+# `run_for` equals explicit steps, snapshots are scheduling-independent,
+# and a 1,000-round run's pan ring and buckets stay flat.
 echo "==> cargo test -q --test monitor_parity"
 cargo test -q --test monitor_parity
 
@@ -103,12 +104,17 @@ cargo test -q --test cli
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark package, outside the workspace; BENCHMARK.json runs it
+# through this manifest. It names library items the workspace's own
+# builds never check (`Monitor::new`, `LinkDynamics::codel`,
+# `FaultSpec::CLEAN`, ...), so every mode compiles it: removing one of
+# them fails here, not only in the full run.
+bench_manifest=crates/bench/src/bin/benchmark/Cargo.toml
+echo "==> cargo check: the benchmark package"
+cargo check --offline --manifest-path "$bench_manifest"
+
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
-
-# The benchmark package, outside the workspace; BENCHMARK.json runs it
-# through this manifest.
-bench_manifest=crates/bench/src/bin/benchmark/Cargo.toml
 
 # Bench-sweep smoke: one tiny contention sweep end to end (run, CSV
 # rows). `--quick` skips it, and `--fast` implies it (no release binary
@@ -175,6 +181,18 @@ if [[ $quick -eq 0 && $fast -eq 0 ]]; then
   echo "==> battery gate: full suite equals results/battery.json"
   if ! ./target/release/bnm battery --format json | cmp - results/battery.json; then
     echo "bnm battery --format json differs from results/battery.json" >&2
+    exit 1
+  fi
+
+  # Serve artifact gate: a 90 s monitored crowd at 250 ms rounds must
+  # reproduce the committed results/serve.json byte for byte. Four
+  # rounds share each one-second pan, 2% loss gives the counters
+  # exclusions, and the 1-min window slides, so a change to how the
+  # monitor folds rounds into its windows fails here.
+  echo "==> serve gate: 90 s monitored crowd equals results/serve.json"
+  if ! ./target/release/bnm serve --clients 16 --loss 0.02 --duration 90 --every 10 \
+      --period 250 --format json | cmp - results/serve.json; then
+    echo "bnm serve --format json differs from results/serve.json" >&2
     exit 1
   fi
 

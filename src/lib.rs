@@ -32,8 +32,8 @@ pub use bnm_core::exec::{self, ExecStats, Executor, Progress};
 pub use bnm_core::{
     run_battery, Appraisal, BatteryConfig, BatteryReport, BatteryScenario, CellBuilder, CellResult,
     ContentionSpec, ExperimentCell, ExperimentRunner, FaultSpec, Impairment, LinkDynamics,
-    LinkReport, LinkShape, Monitor, MonitorConfig, MonitorFootprint, QueueDiscipline, RateSchedule,
-    Render, ReportFormat, ReportSnapshot, RunError, RuntimeSel, StreamingSpec, Verdict,
+    LinkReport, LinkShape, Monitor, MonitorFootprint, QueueDiscipline, RateSchedule, Render,
+    ReportFormat, ReportSnapshot, RunError, RuntimeSel, StreamingSpec, Verdict,
 };
 
 /// The curated working set for driving experiments.
@@ -63,10 +63,10 @@ pub mod prelude {
     pub use bnm_core::{
         run_battery, Appraisal, BatteryConfig, BatteryReport, BatteryScenario, CellBuilder,
         CellResult, ContentionSpec, ExperimentCell, ExperimentRunner, FaultSpec, Impairment,
-        LinkDynamics, LinkReport, LinkShape, Monitor, MonitorConfig, MonitorFootprint,
-        QueueDiscipline, RateSchedule, Render, RepOutcome, ReportFormat, ReportSnapshot,
-        RoundMeasurement, RunError, RuntimeSel, Scenario, ScenarioBuilder, SessionSamples,
-        SessionSpec, StreamingSpec, TestbedConfig, Verdict,
+        LinkDynamics, LinkReport, LinkShape, Monitor, MonitorFootprint, QueueDiscipline,
+        RateSchedule, Render, RepOutcome, ReportFormat, ReportSnapshot, RoundMeasurement, RunError,
+        RuntimeSel, Scenario, ScenarioBuilder, SessionSamples, SessionSpec, StreamingSpec,
+        TestbedConfig, Verdict,
     };
     pub use bnm_methods::MethodId;
     pub use bnm_obs::{Component, Trace, TraceData};

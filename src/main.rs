@@ -35,8 +35,7 @@ use bnm::core::recommend::{self, Constraints};
 use bnm::core::report::{Table, TraceReport, Value};
 use bnm::core::{
     CellBuilder, CellResult, ContentionSpec, ExperimentCell, ExperimentRunner, FaultSpec,
-    Impairment, Monitor, MonitorConfig, Render, ReportFormat, RuntimeSel, StreamingSpec,
-    DEFAULT_SEED,
+    Impairment, Monitor, Render, ReportFormat, RuntimeSel, StreamingSpec, DEFAULT_SEED,
 };
 use bnm::methods::{table1_rows, MethodId};
 use bnm::sim::time::{SimDuration, SimTime};
@@ -321,7 +320,6 @@ fn cmd_impair(args: &Args) -> Result<(), ArgError> {
         drop_chance: args.probability("loss")?.unwrap_or(0.0),
         corrupt_chance: args.probability("corrupt")?.unwrap_or(0.0),
         duplicate_chance: args.probability("duplicate")?.unwrap_or(0.0),
-        ..FaultSpec::CLEAN
     };
     let jitter_ms = args.non_negative("jitter")?.unwrap_or(0.0);
     let format = args.format()?.unwrap_or_default();
@@ -443,11 +441,8 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     }
     let cell = build_cell(builder);
 
-    let cfg = MonitorConfig {
-        round_period: period.unwrap_or(SimDuration::from_secs(1)),
-        ..MonitorConfig::default()
-    };
-    let mut monitor = Monitor::with_config(cell, cfg).unwrap_or_else(|e| fail(e));
+    let period = period.unwrap_or(SimDuration::from_secs(1));
+    let mut monitor = Monitor::with_period(cell, period).unwrap_or_else(|e| fail(e));
 
     let end = SimTime::ZERO + duration.unwrap_or(SimDuration::from_secs(60));
     let every = every.unwrap_or(SimDuration::from_secs(10));

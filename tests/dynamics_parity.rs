@@ -49,10 +49,15 @@ fn explicit_static_shape_is_byte_identical_to_the_unshaped_cell() {
     )
     .build()
     .unwrap();
-    // An explicit spec equal to the stock server link, plus a schedule
-    // with no change-points: none of it is `is_static()`, so the whole
-    // dynamics path is installed and must still reproduce the fixed-rate
-    // arithmetic exactly.
+    // An explicit spec equal to the stock server link, plus an on-off
+    // schedule that is never on: none of it is `is_static()`, so the
+    // whole dynamics path is installed and must still reproduce the
+    // fixed-rate arithmetic exactly.
+    let never_on = || RateSchedule::OnOff {
+        period: SimDuration::from_secs(1),
+        on: SimDuration::ZERO,
+        on_bps: 1,
+    };
     let shaped = cell(
         MethodId::WebSocket,
         BrowserKind::Chrome,
@@ -62,8 +67,8 @@ fn explicit_static_shape_is_byte_identical_to_the_unshaped_cell() {
     .link_shape(LinkShape {
         down_spec: Some(LinkSpec::fast_ethernet()),
         up_spec: Some(LinkSpec::fast_ethernet()),
-        down: LinkDynamics::scheduled(RateSchedule::Steps(Vec::new())),
-        up: LinkDynamics::scheduled(RateSchedule::Steps(Vec::new())),
+        down: LinkDynamics::scheduled(never_on()),
+        up: LinkDynamics::scheduled(never_on()),
     })
     .build()
     .unwrap();
@@ -301,7 +306,7 @@ fn battery_report_is_bit_identical_across_schedulers() {
 fn shape_round_trips_through_the_cell() {
     let shape = LinkShape::symmetric(LinkDynamics {
         schedule: RateSchedule::Static,
-        discipline: QueueDiscipline::codel(),
+        discipline: QueueDiscipline::CoDel,
     });
     let c = cell(
         MethodId::WebSocket,

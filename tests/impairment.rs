@@ -59,7 +59,6 @@ proptest! {
             drop_chance: d,
             corrupt_chance: c,
             duplicate_chance: p,
-            ..FaultSpec::CLEAN
         };
         let mut inj = FaultInjector::new(spec, rng::stream(seed, "fault.prop"));
         const N: u64 = 20_000;

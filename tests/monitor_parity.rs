@@ -14,7 +14,7 @@
 //!    one worker or many, and two identically-stepped monitors are
 //!    `==` too.
 //! 4. **Bounded memory** — a 1,000-round monitored run's footprint
-//!    gauges (live pans, sketch buckets) saturate by round 100 and stay
+//!    gauges (ring pans, sketch buckets) saturate by round 100 and stay
 //!    flat to round 1,000, while the lifetime quantiles still agree
 //!    with a 1,000-rep batch run within the error bound.
 //! 5. **Bounded-retention exactness** — `SessionSamples::quantile`
@@ -159,39 +159,34 @@ fn window_rotation_boundary_and_stepping_parity() {
     .seed(0xB32B_6002)
     .build()
     .unwrap();
-    let cfg = MonitorConfig {
-        window_pans: vec![1, 2],
-        ..MonitorConfig::default()
-    };
 
-    let mut stepped = Monitor::with_config(cell.clone(), cfg.clone()).unwrap();
+    let mut stepped = Monitor::new(cell.clone()).unwrap();
     let mut boundary_counts = Vec::new();
-    for _ in 0..5 {
+    for _ in 0..12 {
         stepped.step();
         let snap = stepped.snapshot();
         boundary_counts.push((
             find_window(&snap, "1s").rounds,
-            find_window(&snap, "2s").rounds,
+            find_window(&snap, "10s").rounds,
         ));
     }
     // Tumbling 1-pan window always holds exactly the last round; the
-    // 2-pan window grows to two rounds and then slides.
-    assert_eq!(
-        boundary_counts,
-        vec![(1, 1), (1, 2), (1, 2), (1, 2), (1, 2)]
-    );
+    // 10-pan window grows to ten rounds and then slides.
+    let want: Vec<(u64, u64)> = (1..=12).map(|n| (1, n.min(10))).collect();
+    assert_eq!(boundary_counts, want);
     let snap = stepped.snapshot();
-    assert_eq!(snap.total().rounds, 5, "lifetime keeps everything");
+    assert_eq!(snap.total().rounds, 12, "lifetime keeps everything");
     assert_eq!(find_window(&snap, "1s").d1.count, 1);
-    assert_eq!(find_window(&snap, "2s").d1.count, 2);
-    assert_eq!(snap.total().d1.count, 5);
+    assert_eq!(find_window(&snap, "10s").d1.count, 10);
+    assert_eq!(find_window(&snap, "1m").d1.count, 12);
+    assert_eq!(snap.total().d1.count, 12);
 
-    let mut ran = Monitor::with_config(cell, cfg).unwrap();
-    ran.run_for(SimDuration::from_secs(5));
+    let mut ran = Monitor::new(cell).unwrap();
+    ran.run_for(SimDuration::from_secs(12));
     assert_eq!(
         ran.snapshot(),
         snap,
-        "run_for(5s) == five explicit steps, bit-for-bit"
+        "run_for(12s) == twelve explicit steps, bit-for-bit"
     );
 }
 
@@ -245,14 +240,10 @@ fn thousand_round_run_holds_footprint_flat() {
     monitor.run_for(SimDuration::from_secs(900));
     let at_1000 = monitor.footprint();
 
-    // Pans are bounded by the window spans (1 + 10 + 60 per series),
-    // not the round count: identical at rounds 100 and 1,000.
-    assert_eq!(at_100.sketch_pans, at_1000.sketch_pans, "sketch pans grew");
-    assert_eq!(
-        at_100.counter_pans, at_1000.counter_pans,
-        "counter pans grew"
-    );
-    assert_eq!(at_1000.sketch_pans, 2 * (1 + 10 + 60));
+    // Pans are bounded by the longest window (60 one-second pans), not
+    // the round count: identical at rounds 100 and 1,000.
+    assert_eq!(at_100.pans, 60);
+    assert_eq!(at_1000.pans, 60, "the pan ring grew");
     // Buckets are bounded by the sketch resolution over the value
     // range; 10x the rounds must not mean 10x the buckets.
     assert!(
