@@ -340,15 +340,7 @@ impl ExperimentCell {
     /// Whether the runtime can execute the method (Table 2 feature
     /// matrix).
     pub fn is_runnable(&self) -> bool {
-        let profile = match self.runtime {
-            RuntimeSel::Browser(b) => bnm_browser::BrowserProfile::build(b, self.os),
-            RuntimeSel::AppletViewer => Some(bnm_browser::BrowserProfile::appletviewer(self.os)),
-            RuntimeSel::MobileWebKit => Some(bnm_browser::BrowserProfile::mobile_webkit()),
-        };
-        match profile {
-            Some(p) => self.method.available_in(&p),
-            None => false,
-        }
+        crate::runner::ExperimentRunner::try_profile(self).is_ok()
     }
 }
 

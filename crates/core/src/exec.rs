@@ -7,27 +7,27 @@
 //! The executor exploits that:
 //!
 //! 1. every runnable cell is flattened into `(cell index, rep)` work
-//!    units, dealt round-robin onto one deque per worker;
-//! 2. `available_parallelism()` scoped threads drain their own deque
-//!    from the front and **steal from the back** of a victim's deque
-//!    when it runs dry, so an expensive cell cannot strand the grid on
-//!    one core;
-//! 3. finished units are merged by sorting on `(cell, rep)` and folding
-//!    in repetition order — the merge is the serial loop replayed, so
-//!    parallel output is **bit-identical** to serial output for a fixed
-//!    seed (asserted by `parity_with_serial_reference` below).
+//!    units, in `(cell, rep)` order, before the batch starts;
+//! 2. each worker takes the next unit index off one shared atomic
+//!    cursor until the index runs past the last unit, so a worker that
+//!    drew cheap units simply takes more of them and an expensive cell
+//!    cannot strand the grid on one core. A one-worker batch drains on
+//!    the calling thread, a larger one on `workers` scoped threads;
+//! 3. each worker hands back its outcomes tagged with their unit index,
+//!    and they are folded in index order — the merge is the serial loop
+//!    replayed, so parallel output is **bit-identical** to serial output
+//!    for a fixed seed (asserted by `parity_with_serial_reference`
+//!    below).
 //!
 //! Progress is reported through an optional callback; it fires once per
 //! completed unit, from whichever worker finished it.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::config::ExperimentCell;
 use crate::error::RunError;
-use crate::runner::{CellResult, ExperimentRunner, RepOutcome};
+use crate::runner::{CellResult, ExperimentRunner};
 
 /// A progress tick: one `(cell × rep)` unit finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,20 +51,20 @@ pub struct ExecStats {
     pub workers: usize,
     /// `(cell × rep)` units executed.
     pub units: usize,
-    /// Wall time for the whole batch (queue to merge).
+    /// Wall time for the whole batch, from flattening the cells to the
+    /// end of the merge.
     pub wall: Duration,
-    /// Units each worker completed (steals included).
+    /// Units each worker took off the cursor and completed.
     pub worker_units: Vec<usize>,
-    /// Time each worker spent inside repetitions (excludes idle/steal
-    /// spinning).
+    /// Time each worker spent inside repetitions (excludes taking units
+    /// off the cursor and waiting for the batch to end).
     pub worker_busy: Vec<Duration>,
-    /// Frame-pool counters aggregated over the batch's workers.
-    /// Parallel batches run on fresh scoped threads, so each worker's
-    /// thread-local counters are exactly its batch contribution; the
-    /// aggregate's `live_peak` sums per-worker peaks and is therefore an
-    /// upper bound on the true simultaneous peak. A serial batch resets
-    /// the calling thread's counters when it starts draining, so the
-    /// numbers are the batch's own there too.
+    /// Frame-pool counters aggregated over the batch's workers. Each
+    /// worker resets its thread's counters when it starts draining, so
+    /// its end snapshot is exactly its batch contribution, on a scoped
+    /// thread and on the calling thread alike; the aggregate's
+    /// `live_peak` sums per-worker peaks and is therefore an upper bound
+    /// on the true simultaneous peak.
     pub pool: bytes::pool::PoolStats,
 }
 
@@ -87,25 +87,7 @@ impl ExecStats {
     }
 }
 
-/// One finished work unit, tagged for the deterministic merge.
-struct Outcome {
-    cell: usize,
-    rep: u32,
-    outcome: Result<RepOutcome, RunError>,
-}
-
-/// Per-worker tallies gathered while draining (units, busy time, the
-/// worker thread's frame-pool counters).
-type WorkerTally = (usize, Duration, bytes::pool::PoolStats);
-
-/// Lock a mutex, recovering from poisoning: all executor-internal state
-/// stays consistent under any interleaving, so a panicked peer cannot
-/// leave a guard-protected value half-updated in a way that matters.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Work-stealing scheduler for experiment cells.
+/// Shared-cursor scheduler for experiment cells.
 ///
 /// ```
 /// use bnm_core::exec::Executor;
@@ -194,7 +176,7 @@ impl Executor {
     where
         F: Fn(Progress) + Sync,
     {
-        let batch_start = std::time::Instant::now();
+        let batch_start = Instant::now();
         let mut slots: Vec<Result<CellResult, RunError>> = Vec::with_capacity(cells.len());
         let mut units: Vec<(usize, u32)> = Vec::new();
         for (idx, cell) in cells.iter().enumerate() {
@@ -208,168 +190,81 @@ impl Executor {
 
         let total = units.len();
         let workers = self.workers.min(total.max(1));
-        let (outcomes, tallies) = if workers <= 1 {
-            Self::drain_serial(cells, &units, total, &on_progress)
-        } else {
-            Self::drain_parallel(cells, units, total, workers, &on_progress)
+        // Both counters publish no other data: the atomic add hands each
+        // index out once under any ordering, and the outcomes travel
+        // back through the joins.
+        let cursor = AtomicUsize::new(0);
+        let completed = AtomicUsize::new(0);
+        let drain = || {
+            // The worker's pool contribution is its thread's counter
+            // delta from here to the end of the drain; resetting makes
+            // the end snapshot that delta directly.
+            bytes::pool::reset_stats();
+            let mut outcomes = Vec::new();
+            let mut busy = Duration::ZERO;
+            loop {
+                let unit = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&(cell, rep)) = units.get(unit) else {
+                    break;
+                };
+                let unit_start = Instant::now();
+                outcomes.push((unit, ExperimentRunner::run_rep_traced(&cells[cell], rep)));
+                busy += unit_start.elapsed();
+                on_progress(Progress {
+                    completed: completed.fetch_add(1, Ordering::Relaxed) + 1,
+                    total,
+                    cell,
+                    rep,
+                });
+            }
+            (outcomes, busy, bytes::pool::stats())
         };
-        Self::merge(cells, outcomes, &mut slots);
-        let mut pool = bytes::pool::PoolStats::default();
-        for t in &tallies {
-            pool.absorb(&t.2);
-        }
-        let stats = ExecStats {
+        let drained = if workers == 1 {
+            vec![drain()]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+                // Join explicitly: unlike the scope's implicit wait, a
+                // join returns only once each worker thread has fully
+                // exited and handed its allocator arena back, so the next
+                // batch's workers reuse those arenas instead of growing
+                // new ones.
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        h.join()
+                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                    })
+                    .collect()
+            })
+        };
+
+        let mut stats = ExecStats {
             workers,
             units: total,
-            wall: batch_start.elapsed(),
-            worker_units: tallies.iter().map(|t| t.0).collect(),
-            worker_busy: tallies.iter().map(|t| t.1).collect(),
-            pool,
+            ..ExecStats::default()
         };
-        (slots, stats)
-    }
-
-    /// Single-worker path: the plain loop, on the calling thread.
-    fn drain_serial<F: Fn(Progress) + Sync>(
-        cells: &[ExperimentCell],
-        units: &[(usize, u32)],
-        total: usize,
-        on_progress: &F,
-    ) -> (Vec<Outcome>, Vec<WorkerTally>) {
-        // The batch's pool contribution is the counter delta from here
-        // to the end of the drain; resetting makes the end snapshot that
-        // delta directly (documented on [`ExecStats::pool`]).
-        bytes::pool::reset_stats();
         let mut outcomes = Vec::with_capacity(total);
-        let mut busy = Duration::ZERO;
-        for (completed, &(cell, rep)) in units.iter().enumerate() {
-            let unit_start = std::time::Instant::now();
-            outcomes.push(Outcome {
-                cell,
-                rep,
-                outcome: ExperimentRunner::run_rep_traced(&cells[cell], rep),
-            });
-            busy += unit_start.elapsed();
-            on_progress(Progress {
-                completed: completed + 1,
-                total,
-                cell,
-                rep,
-            });
+        for (worker_outcomes, busy, pool) in drained {
+            stats.worker_units.push(worker_outcomes.len());
+            stats.worker_busy.push(busy);
+            stats.pool.absorb(&pool);
+            outcomes.extend(worker_outcomes);
         }
-        (outcomes, vec![(total, busy, bytes::pool::stats())])
-    }
-
-    /// Multi-worker path: per-worker deques plus back-of-queue stealing.
-    fn drain_parallel<F: Fn(Progress) + Sync>(
-        cells: &[ExperimentCell],
-        units: Vec<(usize, u32)>,
-        total: usize,
-        workers: usize,
-        on_progress: &F,
-    ) -> (Vec<Outcome>, Vec<WorkerTally>) {
-        // Units are dealt round-robin so expensive cells (more reps, or
-        // costlier methods) spread across workers from the start; the
-        // steal path only has to correct the imbalance that remains.
-        let mut queues: Vec<VecDeque<(usize, u32)>> =
-            (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, unit) in units.into_iter().enumerate() {
-            queues[i % workers].push_back(unit);
-        }
-        let queues: Vec<Mutex<VecDeque<(usize, u32)>>> =
-            queues.into_iter().map(Mutex::new).collect();
-        let sink: Mutex<Vec<Outcome>> = Mutex::new(Vec::with_capacity(total));
-        let tallies: Vec<Mutex<WorkerTally>> = (0..workers)
-            .map(|_| Mutex::new((0, Duration::ZERO, bytes::pool::PoolStats::default())))
-            .collect();
-        let completed = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            let queues = &queues;
-            let sink = &sink;
-            let tallies = &tallies;
-            let completed = &completed;
-            let handles: Vec<_> = (0..workers)
-                .map(|wid| {
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        let mut done_units = 0usize;
-                        let mut busy = Duration::ZERO;
-                        loop {
-                            // Own queue first (front), then steal from the
-                            // back of the first non-empty victim. Nothing is
-                            // ever re-enqueued, so an empty sweep means the
-                            // batch is drained.
-                            let mut next = lock(&queues[wid]).pop_front();
-                            if next.is_none() {
-                                for off in 1..workers {
-                                    next = lock(&queues[(wid + off) % workers]).pop_back();
-                                    if next.is_some() {
-                                        break;
-                                    }
-                                }
-                            }
-                            let Some((cell, rep)) = next else { break };
-                            let unit_start = std::time::Instant::now();
-                            local.push(Outcome {
-                                cell,
-                                rep,
-                                outcome: ExperimentRunner::run_rep_traced(&cells[cell], rep),
-                            });
-                            busy += unit_start.elapsed();
-                            done_units += 1;
-                            let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                            on_progress(Progress {
-                                completed: done,
-                                total,
-                                cell,
-                                rep,
-                            });
-                        }
-                        lock(sink).extend(local);
-                        // A scoped worker is a fresh thread: its thread-local
-                        // pool counters are exactly this batch's contribution.
-                        *lock(&tallies[wid]) = (done_units, busy, bytes::pool::stats());
-                    })
-                })
-                .collect();
-            // Join explicitly: unlike the scope's implicit wait, a join
-            // returns only once each worker thread has fully exited and
-            // handed its allocator arena back, so the next batch's
-            // workers reuse those arenas instead of growing new ones.
-            for h in handles {
-                if let Err(panic) = h.join() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        });
-        let tallies = tallies
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        let outcomes = sink.into_inner().unwrap_or_else(PoisonError::into_inner);
-        (outcomes, tallies)
-    }
-
-    /// Fold outcomes into the per-cell slots in `(cell, rep)` order —
-    /// exactly the order the serial loop consumes them, which is what
-    /// makes parallel output bit-identical to serial.
-    fn merge(
-        cells: &[ExperimentCell],
-        mut outcomes: Vec<Outcome>,
-        slots: &mut [Result<CellResult, RunError>],
-    ) {
-        outcomes.sort_by_key(|o| (o.cell, o.rep));
-        for o in outcomes {
-            let retention = cells[o.cell].streaming.session_retention;
-            let Ok(result) = &mut slots[o.cell] else {
-                // Units are only scheduled for runnable cells.
-                unreachable!("outcome for a cell that was never scheduled");
+        // Unit-index order is `(cell, rep)` order — exactly the order the
+        // serial loop folds them in, which is what makes parallel output
+        // bit-identical to serial. The fold itself lives on CellResult
+        // so the monitor and any other replay path aggregate identically.
+        outcomes.sort_unstable_by_key(|&(unit, _)| unit);
+        for (unit, outcome) in outcomes {
+            let cell = units[unit].0;
+            let Ok(result) = &mut slots[cell] else {
+                unreachable!("units are only scheduled for runnable cells");
             };
-            // The incremental fold itself lives on CellResult so the
-            // monitor and any other replay path aggregate identically.
-            result.fold_outcome(o.outcome, retention);
+            result.fold_outcome(outcome, cells[cell].streaming.session_retention);
         }
+        stats.wall = batch_start.elapsed();
+        (slots, stats)
     }
 }
 

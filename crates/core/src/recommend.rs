@@ -210,28 +210,6 @@ pub fn appraise_snapshot(snap: &ReportSnapshot) -> Option<MeasuredVerdict> {
     })
 }
 
-/// Rank measured verdicts best-first: Accurate, then Calibratable,
-/// then UnderEstimates, then Unreliable; ties break on |median|.
-pub fn rank_measured(mut verdicts: Vec<MeasuredVerdict>) -> Vec<MeasuredVerdict> {
-    fn class(v: Verdict) -> u8 {
-        match v {
-            Verdict::Accurate => 0,
-            Verdict::Calibratable => 1,
-            Verdict::UnderEstimates => 2,
-            Verdict::Unreliable => 3,
-        }
-    }
-    verdicts.sort_by(|a, b| {
-        class(a.verdict).cmp(&class(b.verdict)).then(
-            a.median_ms
-                .abs()
-                .partial_cmp(&b.median_ms.abs())
-                .unwrap_or(std::cmp::Ordering::Equal),
-        )
-    });
-    verdicts
-}
-
 /// Browser-specific warnings (§5).
 pub fn browser_warnings(browser: BrowserKind) -> Vec<&'static str> {
     let mut w = Vec::new();
@@ -320,7 +298,7 @@ mod tests {
     }
 
     #[test]
-    fn measured_verdicts_rank_by_class_then_bias() {
+    fn snapshots_appraise_to_their_verdict_class() {
         use crate::config::RuntimeSel;
         use crate::runner::CellResult;
         let snap = |label: &str, d: f64, spread: f64| {
@@ -338,21 +316,16 @@ mod tests {
             s.label = label.to_string();
             s
         };
-        let verdicts: Vec<MeasuredVerdict> = [
-            snap("erratic", 20.0, 30.0), // Unreliable
-            snap("biased", 8.0, 0.5),    // Calibratable
-            snap("good", 0.1, 0.1),      // Accurate
-        ]
-        .iter()
-        .filter_map(appraise_snapshot)
-        .collect();
-        let ranked = rank_measured(verdicts);
-        assert_eq!(ranked[0].label, "good");
-        assert_eq!(ranked[0].verdict, Verdict::Accurate);
-        assert_eq!(ranked[1].label, "biased");
-        assert_eq!(ranked[2].label, "erratic");
-        assert_eq!(ranked[2].verdict, Verdict::Unreliable);
-        assert_eq!(ranked[0].samples, 40);
+        for (label, d, spread, verdict) in [
+            ("erratic", 20.0, 30.0, Verdict::Unreliable),
+            ("biased", 8.0, 0.5, Verdict::Calibratable),
+            ("good", 0.1, 0.1, Verdict::Accurate),
+        ] {
+            let v = appraise_snapshot(&snap(label, d, spread)).unwrap();
+            assert_eq!(v.label, label);
+            assert_eq!(v.verdict, verdict, "{label}");
+            assert_eq!(v.samples, 40, "{label}");
+        }
     }
 
     #[test]

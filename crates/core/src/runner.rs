@@ -483,9 +483,6 @@ impl ExperimentRunner {
     /// reports bit-identical Δd to an untraced one.
     pub fn run_rep_traced(cell: &ExperimentCell, rep: u32) -> Result<RepOutcome, RunError> {
         let profile = Self::try_profile(cell)?;
-        if !cell.method.available_in(&profile) {
-            return Err(RunError::unrunnable(cell));
-        }
         let plan = cell.method.plan(cell.timing_override);
         let plan_rounds = plan.rounds;
         let rep_token = u64::from(rep);
@@ -751,8 +748,10 @@ impl ExperimentRunner {
         d
     }
 
-    /// Resolve the runtime profile for a cell, or report why it cannot
-    /// exist (browser absent on the OS).
+    /// Resolve the runtime profile for a cell, or report why the cell
+    /// cannot run: the browser is absent on the OS, or the method is not
+    /// available in the runtime (Table 2). The §5 Safari fix changes
+    /// Java's timing, never what is available.
     pub fn try_profile(cell: &ExperimentCell) -> Result<BrowserProfile, RunError> {
         let p = match cell.runtime {
             RuntimeSel::Browser(b) => {
@@ -761,6 +760,9 @@ impl ExperimentRunner {
             RuntimeSel::AppletViewer => BrowserProfile::appletviewer(cell.os),
             RuntimeSel::MobileWebKit => BrowserProfile::mobile_webkit(),
         };
+        if !cell.method.available_in(&p) {
+            return Err(RunError::unrunnable(cell));
+        }
         Ok(if cell.fixed_safari_java {
             p.with_fixed_safari_java()
         } else {
@@ -785,6 +787,42 @@ mod tests {
 
     fn run(cell: &ExperimentCell) -> CellResult {
         ExperimentRunner::try_run(cell).unwrap()
+    }
+
+    /// The one profile resolver refuses a method its runtime cannot run,
+    /// not only a browser its OS lacks.
+    #[test]
+    fn try_profile_refuses_methods_the_runtime_lacks() {
+        let refused = [
+            (
+                MethodId::WebSocket,
+                RuntimeSel::Browser(BrowserKind::Ie9),
+                OsKind::Windows7,
+            ),
+            (
+                MethodId::FlashGet,
+                RuntimeSel::MobileWebKit,
+                OsKind::Ubuntu1204,
+            ),
+            (MethodId::XhrGet, RuntimeSel::AppletViewer, OsKind::Windows7),
+        ];
+        for (method, runtime, os) in refused {
+            let cell = ExperimentCell::paper(method, runtime, os);
+            let got = ExperimentRunner::try_profile(&cell);
+            assert!(
+                matches!(got, Err(RunError::Unrunnable { .. })),
+                "{method} on {runtime:?}: {got:?}"
+            );
+            assert!(!cell.is_runnable());
+        }
+        let java = ExperimentCell::paper(
+            MethodId::JavaTcp,
+            RuntimeSel::AppletViewer,
+            OsKind::Windows7,
+        );
+        let profile = ExperimentRunner::try_profile(&java).unwrap();
+        assert_eq!(profile.runtime, bnm_browser::Runtime::AppletViewer);
+        assert!(java.is_runnable());
     }
 
     #[test]

@@ -45,6 +45,7 @@ use crate::matching::{
     judge_datagram_train, judge_round, MarkerHits, MatchError, ProbeEvidence, ProbeVerdict,
     WireTimes,
 };
+use crate::server_side::ServerTimes;
 
 /// One kind of marker, by the fixed text before its round. An HTTP
 /// request marker is a query string, `m={label}&r={round}&t={token}`,
@@ -319,6 +320,28 @@ impl ServerMarkerIndex {
         Some(match self.scanner.response {
             Some(_) => h,
             None => [h[0], h[1], h[0], h[1]],
+        })
+    }
+
+    /// The round's [`ServerTimes`]: the first request on Rx and the first
+    /// response on Tx of [`Self::evidence`]. A missing request (an
+    /// unknown token or round included) is [`MatchError::RequestNotFound`],
+    /// a missing response [`MatchError::ResponseNotFound`], and a response
+    /// stamped before its request [`MatchError::OutOfOrder`].
+    pub fn server_times(&self, round: u8, token: u64) -> Result<ServerTimes, MatchError> {
+        let hits = self.evidence(round, token).unwrap_or_default();
+        let request_rx = hits[kind_dir_index(false, CaptureDir::Rx)]
+            .first
+            .ok_or(MatchError::RequestNotFound)?;
+        let response_tx = hits[kind_dir_index(true, CaptureDir::Tx)]
+            .first
+            .ok_or(MatchError::ResponseNotFound)?;
+        if response_tx < request_rx {
+            return Err(MatchError::OutOfOrder);
+        }
+        Ok(ServerTimes {
+            request_rx,
+            response_tx,
         })
     }
 
@@ -638,6 +661,12 @@ mod tests {
         }
         assert!(idx.round_retransmitted(1, 3));
         assert!(!idx.round_retransmitted(2, 3));
+        // Server turnaround: the first request on Rx, the first echo on Tx.
+        let st = idx.server_times(1, 3).unwrap();
+        assert_eq!(st.request_rx, SimTime::from_millis(5));
+        assert_eq!(st.response_tx, SimTime::from_millis(6));
+        assert_eq!(idx.server_times(3, 3), Err(MatchError::RequestNotFound));
+        assert_eq!(idx.server_times(1, 4), Err(MatchError::RequestNotFound));
     }
 
     /// A datagram train judged from the client sink and the server

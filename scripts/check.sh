@@ -44,6 +44,10 @@ cargo test -q
 echo "==> cargo test -q --workspace --exclude bnm"
 cargo test -q --workspace --exclude bnm
 
+# The scheduler's guarantee: every unit runs once, at any worker count, folded bit-identical to serial.
+echo "==> cargo test -q --test executor"
+cargo test -q --test executor
+
 # The tracing layer's tier-1 guarantees, run explicitly so a filtered or
 # partial test invocation can't silently skip them: parallel traces must
 # be byte-identical to serial, and attribution must close the Δd budget.

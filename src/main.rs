@@ -122,14 +122,41 @@ fn fail(why: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
+/// Write to stdout; every report line goes through here. A reader that
+/// closed the pipe early (`bnm serve | head`) has all it wanted, so the
+/// run ends quietly with exit 0; any other write error exits 1.
+fn write_stdout(text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        fail(format!("cannot write to stdout: {e}"));
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Emit a renderable in the chosen format — text gets a trailing-newline
 /// print, csv/json come out exactly as rendered.
 fn emit(r: &impl Render, fmt: ReportFormat) {
     let out = r.render(fmt);
     if out.ends_with('\n') {
-        print!("{out}");
+        out!("{out}");
     } else {
-        println!("{out}");
+        outln!("{out}");
     }
 }
 
@@ -192,12 +219,16 @@ fn all_rows((table, failed): (Table, Failed)) -> Table {
 }
 
 fn cmd_list(_: &Args) -> Result<(), ArgError> {
-    println!(
+    outln!(
         "{:<12} {:<13} {:<12} {:<10} {:<11} metrics",
-        "label", "approach", "technology", "method", "same-origin"
+        "label",
+        "approach",
+        "technology",
+        "method",
+        "same-origin"
     );
     for row in table1_rows() {
-        println!(
+        outln!(
             "{:<12} {:<13} {:<12} {:<10} {:<11} {}",
             row.id.label(),
             row.approach,
@@ -212,7 +243,7 @@ fn cmd_list(_: &Args) -> Result<(), ArgError> {
         if MethodId::ALL.contains(&m) {
             continue;
         }
-        println!(
+        outln!(
             "{:<12} {:<13} {:<12} {:<10} {:<11} {}  (extension)",
             m.label(),
             if m.is_http_based() {
@@ -241,7 +272,7 @@ fn cmd_appraise(args: &Args) -> Result<(), ArgError> {
         builder = builder.timing(TimingApiKind::JavaNanoTime);
     }
     let cell = build_cell(builder);
-    println!(
+    outln!(
         "Appraising {} ({} reps, seed {:#x}) …",
         cell.label(),
         cell.reps,
@@ -249,24 +280,24 @@ fn cmd_appraise(args: &Args) -> Result<(), ArgError> {
     );
     let result = run_cell(&cell);
     let a = Appraisal::try_of(&result).unwrap_or_else(|e| fail(format!("appraisal failed: {e}")));
-    println!(
+    outln!(
         "\nΔd1: median {:8.3} ms  IQR [{:8.3}, {:8.3}]  outliers {}",
         a.d1.median,
         a.d1.q1,
         a.d1.q3,
         a.d1.outliers.len()
     );
-    println!(
+    outln!(
         "Δd2: median {:8.3} ms  IQR [{:8.3}, {:8.3}]  outliers {}",
         a.d2.median,
         a.d2.q1,
         a.d2.q3,
         a.d2.outliers.len()
     );
-    println!("pooled mean ± 95% CI: {} ms", a.mean_ci.format_table4());
-    println!("verdict: {:?}", a.verdict);
+    outln!("pooled mean ± 95% CI: {} ms", a.mean_ci.format_table4());
+    outln!("verdict: {:?}", a.verdict);
     if result.failures > 0 {
-        println!("({} repetitions failed)", result.failures);
+        outln!("({} repetitions failed)", result.failures);
     }
     Ok(())
 }
@@ -284,7 +315,7 @@ fn cmd_trace(args: &Args) -> Result<(), ArgError> {
     let result = run_cell(&cell);
 
     if format == ReportFormat::Text {
-        println!(
+        outln!(
             "Δd attribution for {} ({} reps, seed {:#x}), ms:\n",
             cell.label(),
             cell.reps,
@@ -293,15 +324,15 @@ fn cmd_trace(args: &Args) -> Result<(), ArgError> {
     }
     emit(&TraceReport::new(&result.attributions), format);
     if format == ReportFormat::Text && result.failures > 0 {
-        println!("({} repetitions failed)", result.failures);
+        outln!("({} repetitions failed)", result.failures);
     }
 
     // Raw event dump for the first repetition, in the same format.
     if args.switch("events") {
         if let Some(t) = result.traces.first() {
             match format {
-                ReportFormat::Json => println!("{}", t.to_json()),
-                _ => print!("{}", t.to_csv()),
+                ReportFormat::Json => outln!("{}", t.to_json()),
+                _ => out!("{}", t.to_csv()),
             }
         }
     }
@@ -462,16 +493,16 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
             // after the first so the stream stays machine-readable.
             ReportFormat::Csv if polls > 0 => {
                 if let Some((_, rest)) = out.split_once('\n') {
-                    print!("{rest}");
+                    out!("{rest}");
                 }
             }
-            ReportFormat::Csv => print!("{out}"),
-            ReportFormat::Json => println!("{out}"),
+            ReportFormat::Csv => out!("{out}"),
+            ReportFormat::Json => outln!("{out}"),
             ReportFormat::Text => {
                 if polls > 0 {
-                    println!();
+                    out!("\n");
                 }
-                print!("{out}");
+                out!("{out}");
             }
         }
         polls += 1;
@@ -482,7 +513,7 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
 fn cmd_probe(args: &Args) -> Result<(), ArgError> {
     let os = args.os()?.unwrap_or(OsKind::Windows7);
     let machine = MachineTimer::new(os, 2013);
-    println!("Granularity probe on {} (Figure 5):", os.name());
+    outln!("Granularity probe on {} (Figure 5):", os.name());
     for kind in [TimingApiKind::JavaDateGetTime, TimingApiKind::JavaNanoTime] {
         let mut api = make_api(kind, &machine);
         // Probe at several points of the regime timeline.
@@ -496,7 +527,7 @@ fn cmd_probe(args: &Args) -> Result<(), ArgError> {
                 }
             }
         }
-        println!(
+        outln!(
             "  {:<26} observed tick(s): {}",
             kind.to_string(),
             seen.iter()
@@ -512,9 +543,9 @@ fn cmd_ping(_: &Args) -> Result<(), ArgError> {
     let rtts = ping_baseline(10, SimDuration::from_millis(50));
     let s = Summary::of(&rtts);
     for (i, r) in rtts.iter().enumerate() {
-        println!("64 bytes from 192.168.1.10: icmp_seq={i} time={r:.3} ms");
+        outln!("64 bytes from 192.168.1.10: icmp_seq={i} time={r:.3} ms");
     }
-    println!(
+    outln!(
         "\n--- 192.168.1.10 ping statistics ---\n{} packets, min/med/max = {:.3}/{:.3}/{:.3} ms",
         rtts.len(),
         s.min,
@@ -614,19 +645,19 @@ fn cmd_reproduce(args: &Args) -> Result<(), ArgError> {
             .is_none_or(|o| o.iter().any(|s| s.name == e.name))
     });
     for experiment in selected {
-        println!("== {} ==", experiment.name);
+        outln!("== {} ==", experiment.name);
         let artifact = experiment.run(seed, reps);
         for (cell, e) in &artifact.failed {
             eprintln!("skipping {}: {e}", cell.label());
         }
         for table in &artifact.tables {
-            println!("{}", table.to_text());
+            outln!("{}", table.to_text());
         }
         let path = dir.join(experiment.file);
         if let Err(e) = std::fs::write(&path, &artifact.csv) {
             fail(format!("cannot write {}: {e}", path.display()));
         }
-        println!("Artifact written to {}\n", path.display());
+        outln!("Artifact written to {}\n", path.display());
     }
     Ok(())
 }

@@ -4,6 +4,7 @@
 //! name themselves on stderr before anything runs: none of them
 //! silently falls back to a default.
 
+use std::io::{BufRead, BufReader};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
@@ -189,6 +190,39 @@ fn hex_and_decimal_seeds_run_identically() {
         "{title}"
     );
     assert_eq!(impair("0x10", "csv"), impair("16", "csv"));
+}
+
+/// A reader that stops early (`bnm serve | head`) ends the run quietly:
+/// exit 0 and nothing on stderr. Ten minutes of one-second snapshots are
+/// far more than a pipe buffer holds, so `bnm` is still writing when the
+/// pipe closes.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bnm"))
+        .args([
+            "serve",
+            "--duration",
+            "600",
+            "--every",
+            "1",
+            "--format",
+            "json",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("launch bnm");
+    let mut stdout = BufReader::new(child.stdout.take().expect("a piped stdout"));
+    let mut line = String::new();
+    stdout
+        .read_line(&mut line)
+        .expect("read the first snapshot");
+    assert!(line.starts_with('{'), "{line}");
+    drop(stdout);
+    let out = child.wait_with_output().expect("collect bnm output");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 /// An artifact that cannot be written fails the run (exit 1) and names

@@ -4,9 +4,8 @@
 use bnm::browser::{BrowserKind, BrowserProfile};
 use bnm::core::matching::match_round;
 use bnm::core::scenario::{Scenario, SessionSpec};
-use bnm::core::server_side::match_server_round;
 use bnm::core::testbed::TestbedConfig;
-use bnm::core::{ExperimentCell, ExperimentRunner, RuntimeSel};
+use bnm::core::{ExperimentCell, ExperimentRunner, RuntimeSel, ServerMarkerIndex};
 use bnm::methods::MethodId;
 use bnm::sim::pcap;
 use bnm::sim::time::SimDuration;
@@ -56,12 +55,15 @@ fn pcap_export_roundtrips_through_the_parser() {
 #[test]
 fn client_and_server_captures_tell_one_story() {
     let mut sc = build(MethodId::XhrGet, &TestbedConfig::default(), 7);
+    let index = ServerMarkerIndex::new(MethodId::XhrGet, 2, &[7]);
+    sc.engine.tap_mut(sc.server_tap).set_sink(Box::new(index));
     sc.run();
+    let server = sc.engine.tap_mut(sc.server_tap).take_sink().unwrap();
+    let server = server.as_any().downcast_ref::<ServerMarkerIndex>().unwrap();
     let client = sc.engine.tap(sc.client_taps[0]);
-    let server = sc.engine.tap(sc.server_tap);
     for round in [1u8, 2] {
         let cw = match_round(client, MethodId::XhrGet, round, 7).unwrap();
-        let sw = match_server_round(server, MethodId::XhrGet, round, 7).unwrap();
+        let sw = server.server_times(round, 7).unwrap();
         // Causality along the path: client sends, server receives, server
         // replies, client receives.
         assert!(cw.tn_s < sw.request_rx);

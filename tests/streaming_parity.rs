@@ -7,7 +7,8 @@
 //!    lossy, duplicating, jittered and noisy-capture networks (plus one
 //!    that both duplicates and reorders), 1, 3 and 8 clients, and
 //!    XHR GET, Flash GET (Opera/Win7), WebSocket and WebRTC — and, for
-//!    WebRTC, over random seeds and loss rates.
+//!    WebRTC, over random seeds and loss rates. The server tap's index
+//!    reports the §7 server turnaround the retained capture shows.
 //! 2. **Bounded memory** — with sinks consuming records at capture time,
 //!    the frame pool's per-client live-buffer high-water mark does not
 //!    grow with the client count.
@@ -17,8 +18,13 @@
 
 mod support;
 
+use bnm::browser::{session_token, BrowserProfile};
+use bnm::core::matching::{request_marker, response_marker, ParsedCapture};
+use bnm::core::ServerMarkerIndex;
 use bnm::prelude::*;
+use bnm::sim::capture::CaptureDir;
 use bnm::sim::time::SimDuration;
+use bnm::timeapi::MachineTimer;
 use proptest::prelude::*;
 
 use support::oracle;
@@ -140,6 +146,76 @@ fn impaired_parity_cells_exercise_exclusions() {
     assert!(
         r.excluded_rounds > 0 || r.failures > 0,
         "loss 5% produced neither exclusions nor failures; parity test is vacuous"
+    );
+}
+
+/// (1d) The §7 server turnaround the server tap's index reports is the
+/// first request on Rx and the first response on Tx that
+/// `ParsedCapture::evidence` finds in the retained server capture of the
+/// same run, on a lossy 3-client network, for a request/response method
+/// and an echo method. Some marker repeats at the server, so "first" is
+/// exercised.
+#[test]
+fn server_times_match_the_retained_server_capture() {
+    let cfg = TestbedConfig {
+        impairment: Impairment::loss(0.05),
+        ..TestbedConfig::default()
+    };
+    let mut repeated = 0;
+    for method in [MethodId::XhrGet, MethodId::WebSocket] {
+        let plan = method.plan(None);
+        for rep in 0..4 {
+            let build = || {
+                let sessions = (0..3)
+                    .map(|id| SessionSpec {
+                        id,
+                        plan: plan.clone(),
+                        profile: BrowserProfile::build(BrowserKind::Chrome, OsKind::Ubuntu1204)
+                            .unwrap(),
+                        machine: MachineTimer::new(OsKind::Ubuntu1204, 40 + id),
+                        seed: 40 + id,
+                    })
+                    .collect();
+                Scenario::build(&cfg, sessions, rep)
+            };
+            let tokens: Vec<u64> = (0..3).map(|id| session_token(id, rep)).collect();
+            let mut streamed = build();
+            let index = ServerMarkerIndex::new(method, plan.rounds, &tokens);
+            streamed
+                .engine
+                .tap_mut(streamed.server_tap)
+                .set_sink(Box::new(index));
+            streamed.run();
+            let sink = streamed
+                .engine
+                .tap_mut(streamed.server_tap)
+                .take_sink()
+                .unwrap();
+            let index = sink.as_any().downcast_ref::<ServerMarkerIndex>().unwrap();
+            let mut retained = build();
+            retained.run();
+            let capture = ParsedCapture::parse(retained.engine.tap(retained.server_tap));
+            for &token in &tokens {
+                for round in 1..=plan.rounds {
+                    let req =
+                        capture.evidence(CaptureDir::Rx, &request_marker(method, round, token));
+                    let resp =
+                        capture.evidence(CaptureDir::Tx, &response_marker(method, round, token));
+                    repeated += usize::from(req.repeated() || resp.repeated());
+                    let what = format!("{method} rep {rep} token {token:#x} round {round}");
+                    let st = index.server_times(round, token).expect(&what);
+                    assert_eq!(
+                        (Some(st.request_rx), Some(st.response_tx)),
+                        (req.first, resp.first),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        repeated > 0,
+        "no marker repeated at the server; parity is vacuous"
     );
 }
 

@@ -25,9 +25,6 @@ use bnm::timeapi::MachineTimer;
 /// One untraced repetition of `cell`, matched in batch after the run.
 pub fn rep(cell: &ExperimentCell, rep: u32) -> Result<RepOutcome, RunError> {
     let profile = ExperimentRunner::try_profile(cell)?;
-    if !cell.method.available_in(&profile) {
-        return Err(RunError::unrunnable(cell));
-    }
     let plan = cell.method.plan(cell.timing_override);
     let label = cell.label();
     let specs = (0..u64::from(cell.clients))
